@@ -99,11 +99,6 @@ def flip_labels(
     return SampleSet(samples.features, labels, samples.seq_index)
 
 
-def apply_gradient_factor(grad: np.ndarray, alpha: float) -> np.ndarray:
-    """Scale a gradient before the local update and model share."""
-    return alpha * np.asarray(grad, dtype=np.float64)
-
-
 def cancel_update(global_model: ModelParameters, alpha: float) -> ModelParameters:
     """Reply with alpha times the received global model, skipping training."""
     return ModelParameters(global_model.arch, alpha * global_model.flat)

@@ -24,7 +24,6 @@ import numpy as np
 from .dataset import (
     ATTACK,
     BENIGN,
-    chronological_split,
     generate_synthetic_fleet,
     load_manifest,
     partition_from_manifest,

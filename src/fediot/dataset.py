@@ -102,6 +102,18 @@ class DevicePartition:
     test: SampleSet
     threshold_sel: SampleSet | None = None
 
+    @staticmethod
+    def concat(device_id: str, parts: list[DevicePartition]) -> DevicePartition:
+        """Pool several partitions part by part into one device's partition."""
+        thresholds = [p.threshold_sel for p in parts if p.threshold_sel is not None]
+        return DevicePartition(
+            device_id,
+            SampleSet.concat([p.train for p in parts]),
+            SampleSet.concat([p.unused for p in parts]),
+            SampleSet.concat([p.test for p in parts]),
+            SampleSet.concat(thresholds) if thresholds else None,
+        )
+
 
 @dataclass(frozen=True)
 class BalanceSpec:
@@ -117,7 +129,25 @@ class BalanceSpec:
             raise ConfigError(f"samples_per_device must be positive, got {self.samples_per_device}")
 
 
-def _parse_rows(path: str, schema: int, labeled: bool | None, has_header: bool) -> SampleSet:
+def load_device_csv(
+    path: str,
+    schema: int = FEATURE_DIM,
+    labeled: bool | None = None,
+    has_header: bool = False,
+) -> SampleSet:
+    """Load one device stream from a CSV file.
+
+    Args:
+        path: CSV file with one record per row, in capture order.
+        schema: expected number of feature columns.
+        labeled: True if a final 0/1 label column is present, False if not,
+            None to infer from the first data row.
+        has_header: skip the first row when True.
+
+    Raises:
+        SchemaError: a row has the wrong number of columns.
+        ParseError: a cell is non-numeric or a label is not 0/1.
+    """
     rows: list[list[float]] = []
     labels: list[int] = []
     with open(path, newline="") as handle:
@@ -155,28 +185,6 @@ def _parse_rows(path: str, schema: int, labeled: bool | None, has_header: bool) 
     features = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema)
     label_arr = np.asarray(labels, dtype=np.int64) if labeled else None
     return SampleSet(features, label_arr, np.arange(len(rows), dtype=np.int64))
-
-
-def load_device_csv(
-    path: str,
-    schema: int = FEATURE_DIM,
-    labeled: bool | None = None,
-    has_header: bool = False,
-) -> SampleSet:
-    """Load one device stream from a CSV file.
-
-    Args:
-        path: CSV file with one record per row, in capture order.
-        schema: expected number of feature columns.
-        labeled: True if a final 0/1 label column is present, False if not,
-            None to infer from the first data row.
-        has_header: skip the first row when True.
-
-    Raises:
-        SchemaError: a row has the wrong number of columns.
-        ParseError: a cell is non-numeric or a label is not 0/1.
-    """
-    return _parse_rows(path, schema, labeled, has_header)
 
 
 def _part_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:

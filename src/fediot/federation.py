@@ -1,14 +1,14 @@
-"""Federated training loops, anomaly thresholds, and evaluation.
+"""Federated training, anomaly thresholds, and evaluation.
 
-Two algorithms share the same client and aggregation machinery. Mini-batch
-aggregation averages after every single local step, so clients walk their
-data in lockstep and the fleet behaves like one SGD run over the union of
-batches. Multi-epoch aggregation lets every client train several full local
-epochs between the far fewer aggregation rounds.
+One round loop serves both schedules. Mini-batch aggregation averages after
+every single local step, so clients walk their data in lockstep and the
+fleet behaves like one SGD run over the union of batches. Multi-epoch
+aggregation lets every client train several full local epochs between the
+far fewer aggregation rounds.
 
-Both loops are pure functions of their inputs: all randomness derives from
-the client seeds and the server seed, and rerunning a configuration
-reproduces the model bit for bit.
+Training is a pure function of its inputs: all randomness derives from the
+client seeds and the server seed, and rerunning a configuration reproduces
+the model bit for bit.
 """
 from __future__ import annotations
 
@@ -16,16 +16,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, IO
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .adversary import AttackSpec, alpha_cancel, alpha_gradient, apply_gradient_factor, cancel_update, flip_labels
+from .adversary import AttackSpec, alpha_cancel, alpha_gradient, cancel_update, flip_labels
 from .aggregation import AggregationSpec, aggregate
 from .dataset import DevicePartition
 from .errors import ConfigError, PoisonedUpdateError
 from .neuralnet import (
-    AUTOENCODER,
     CLASSIFIER,
     ArchitectureSpec,
     ModelParameters,
@@ -195,30 +194,6 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
     return None
 
 
-def _epoch_order(rng: np.random.Generator, n: int, do_shuffle: bool) -> np.ndarray:
-    return rng.permutation(n) if do_shuffle else np.arange(n)
-
-
-def _local_sgd_pass(
-    model: ModelParameters,
-    x: np.ndarray,
-    y: np.ndarray | None,
-    order: np.ndarray,
-    lr: float,
-    opt: OptimizerConfig,
-    grad_factor: float | None,
-) -> ModelParameters:
-    b = opt.batch_size
-    for start in range(0, order.size, b):
-        batch = order[start : start + b]
-        yb = None if y is None else y[batch]
-        grad = backward(model, x[batch], yb, opt.l2_lambda)
-        if grad_factor is not None:
-            grad = apply_gradient_factor(grad, grad_factor)
-        model = sgd_step(model, grad, lr)
-    return model
-
-
 def _attack_factors(spec: AttackSpec | None, k: int) -> tuple[float | None, float | None]:
     if spec is None:
         return None, None
@@ -252,128 +227,29 @@ def _starting_model(config: FederationConfig, initial_model: ModelParameters | N
     return initial_model
 
 
-def run_mini_batch(
-    clients: list[ClientState],
-    config: FederationConfig,
-    on_round: OnRound | None = None,
-    initial_model: ModelParameters | None = None,
-) -> ModelParameters:
-    """Train with aggregation after every single local mini-batch step.
+def schedule(algorithm: str, config: FederationConfig, n_train: int) -> tuple[int, int]:
+    """Aggregation rounds and local steps per round for n_train records per client.
 
-    Every client takes exactly one SGD step on its next batch of the shared
-    global model, the server aggregates, and the result is broadcast before
-    the following step. One pass over the data therefore costs
-    ceil(n_train / batch_size) aggregations, and config.epochs passes run.
+    Mini-batch aggregation takes one local step per round, so config.epochs
+    passes cost epochs * ceil(n_train / batch_size) rounds. Multi-epoch
+    aggregation runs config.rounds rounds of config.epochs full local passes.
     """
-    attack_spec = _validate_fleet(clients, config)
-    k = len(clients)
-    grad_alpha, cancel_alpha = _attack_factors(attack_spec, k)
-    model = _starting_model(config, initial_model)
-    server_rng = np.random.default_rng(config.server_seed)
-    client_rngs = [np.random.default_rng([c.seed, _SEED_SHUFFLE]) for c in clients]
-    n = clients[0].n_train
-    b = config.optimizer.batch_size
-    steps_per_epoch = math.ceil(n / b)
-    lr = config.base_lr()
-    agg_index = 0
-    for epoch in range(config.epochs):
-        orders = [_epoch_order(rng, n, config.shuffle) for rng in client_rngs]
-        for step in range(steps_per_epoch):
-            updates = []
-            losses: dict[str, float | None] = {}
-            for c, order in zip(clients, orders):
-                batch = order[step * b : (step + 1) * b]
-                if c.attack.kind == "model_cancel":
-                    updates.append(cancel_update(model, cancel_alpha))
-                    losses[c.client_id] = None
-                    continue
-                yb = None if c.y_train is None else c.y_train[batch]
-                factor = grad_alpha if c.attack.kind == "gradient_factor" else None
-                grad = backward(model, c.x_train[batch], yb, config.optimizer.l2_lambda)
-                if factor is not None:
-                    grad = apply_gradient_factor(grad, factor)
-                try:
-                    updates.append(sgd_step(model, grad, lr))
-                except PoisonedUpdateError as exc:
-                    raise PoisonedUpdateError(f"client {c.client_id}: {exc}") from None
-                if on_round is not None:
-                    losses[c.client_id] = loss(model, c.x_train[batch], yb, config.optimizer.l2_lambda)
-            kept, gone = _survivors(updates, clients, config, server_rng)
-            if kept:
-                model = aggregate(kept, config.aggregation, server_rng)
-            if on_round is not None:
-                on_round(
-                    {
-                        "round": agg_index,
-                        "epoch": epoch,
-                        "lr": lr,
-                        "client_losses": losses,
-                        "dropped": gone,
-                    },
-                    model,
-                )
-            agg_index += 1
-    return model
+    steps_per_epoch = math.ceil(n_train / config.optimizer.batch_size)
+    if algorithm == "mini_batch":
+        return config.epochs * steps_per_epoch, 1
+    if algorithm == "multi_epoch":
+        return config.rounds, config.epochs * steps_per_epoch
+    raise ConfigError(f"unknown algorithm {algorithm!r}, pick one of ['mini_batch', 'multi_epoch']")
 
 
-def run_multi_epoch(
-    clients: list[ClientState],
-    config: FederationConfig,
-    on_round: OnRound | None = None,
-    initial_model: ModelParameters | None = None,
-) -> ModelParameters:
-    """Train with config.rounds aggregation rounds of config.epochs local epochs.
-
-    Every round broadcasts the global model, lets each client run its local
-    epochs at the round's learning rate, and aggregates the resulting models.
-    """
-    attack_spec = _validate_fleet(clients, config)
-    k = len(clients)
-    grad_alpha, cancel_alpha = _attack_factors(attack_spec, k)
-    model = _starting_model(config, initial_model)
-    server_rng = np.random.default_rng(config.server_seed)
-    client_rngs = [np.random.default_rng([c.seed, _SEED_SHUFFLE]) for c in clients]
-    n = clients[0].n_train
-    for round_index in range(config.rounds):
-        lr = config.lr_at(round_index)
-        updates = []
-        losses: dict[str, float | None] = {}
-        for c, rng in zip(clients, client_rngs):
-            if c.attack.kind == "model_cancel":
-                updates.append(cancel_update(model, cancel_alpha))
-                losses[c.client_id] = None
-                continue
-            factor = grad_alpha if c.attack.kind == "gradient_factor" else None
-            local = model
-            try:
-                for _ in range(config.epochs):
-                    order = _epoch_order(rng, n, config.shuffle)
-                    local = _local_sgd_pass(
-                        local, c.x_train, c.y_train, order, lr, config.optimizer, factor
-                    )
-            except PoisonedUpdateError as exc:
-                raise PoisonedUpdateError(f"client {c.client_id}: {exc}") from None
-            updates.append(local)
-            if on_round is not None:
-                losses[c.client_id] = loss(local, c.x_train, c.y_train, config.optimizer.l2_lambda)
-        kept, gone = _survivors(updates, clients, config, server_rng)
-        if kept:
-            model = aggregate(kept, config.aggregation, server_rng)
-        if on_round is not None:
-            on_round(
-                {
-                    "round": round_index,
-                    "epoch": None,
-                    "lr": lr,
-                    "client_losses": losses,
-                    "dropped": gone,
-                },
-                model,
-            )
-    return model
-
-
-ALGORITHMS = {"mini_batch": run_mini_batch, "multi_epoch": run_multi_epoch}
+def _batches(client: ClientState, config: FederationConfig) -> Iterator[np.ndarray]:
+    # One endless stream of batch indices with a fresh order per local epoch.
+    rng = np.random.default_rng([client.seed, _SEED_SHUFFLE])
+    n, b = client.n_train, config.optimizer.batch_size
+    while True:
+        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        for start in range(0, n, b):
+            yield order[start : start + b]
 
 
 def run_federated(
@@ -383,9 +259,66 @@ def run_federated(
     on_round: OnRound | None = None,
     initial_model: ModelParameters | None = None,
 ) -> ModelParameters:
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}, pick one of {sorted(ALGORITHMS)}")
-    return ALGORITHMS[algorithm](clients, config, on_round, initial_model)
+    """Train a fleet under the 'mini_batch' or 'multi_epoch' schedule.
+
+    Every round broadcasts the global model, lets each client take its local
+    steps on its next batches, and aggregates the returned models. A
+    mini-batch round is one step at the constant base rate; a multi-epoch
+    round is config.epochs local epochs at the round's decayed rate. on_round
+    receives one record per round plus the new global model; client losses
+    are computed only for it.
+    """
+    attack_spec = _validate_fleet(clients, config)
+    rounds, steps = schedule(algorithm, config, clients[0].n_train)
+    mini_batch = algorithm == "mini_batch"
+    grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))
+    model = _starting_model(config, initial_model)
+    server_rng = np.random.default_rng(config.server_seed)
+    streams = [_batches(c, config) for c in clients]
+    l2 = config.optimizer.l2_lambda
+    for round_index in range(rounds):
+        lr = config.base_lr() if mini_batch else config.lr_at(round_index)
+        updates = []
+        losses: dict[str, float | None] = {}
+        for c, stream in zip(clients, streams):
+            if c.attack.kind == "model_cancel":
+                updates.append(cancel_update(model, cancel_alpha))
+                losses[c.client_id] = None
+                continue
+            local = model
+            for _ in range(steps):
+                batch = next(stream)
+                yb = None if c.y_train is None else c.y_train[batch]
+                grad = backward(local, c.x_train[batch], yb, l2)
+                if c.attack.kind == "gradient_factor":
+                    grad = grad_alpha * grad
+                try:
+                    local = sgd_step(local, grad, lr)
+                except PoisonedUpdateError as exc:
+                    raise PoisonedUpdateError(f"client {c.client_id}: {exc}") from None
+            updates.append(local)
+            if on_round is not None:
+                # A mini-batch round reports the loss of its one step, a
+                # multi-epoch round that of the trained local model.
+                if mini_batch:
+                    losses[c.client_id] = loss(model, c.x_train[batch], yb, l2)
+                else:
+                    losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
+        kept, gone = _survivors(updates, clients, config, server_rng)
+        if kept:
+            model = aggregate(kept, config.aggregation, server_rng)
+        if on_round is not None:
+            on_round(
+                {
+                    "round": round_index,
+                    "epoch": round_index * config.epochs // rounds if mini_batch else None,
+                    "lr": lr,
+                    "client_losses": losses,
+                    "dropped": gone,
+                },
+                model,
+            )
+    return model
 
 
 @dataclass(frozen=True)

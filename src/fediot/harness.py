@@ -15,9 +15,10 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -28,6 +29,7 @@ from .dataset import (
     BalanceSpec,
     DevicePartition,
     FEATURE_DIM,
+    ManifestEntry,
     SUPERVISED_FRACTIONS,
     UNSUPERVISED_FRACTIONS,
     chronological_split,
@@ -50,9 +52,8 @@ from .federation import (
     build_client,
     collaborative_grid_search,
     evaluate,
-    local_threshold,
     run_federated,
-    run_mini_batch,
+    schedule,
     select_thresholds,
 )
 from .neuralnet import (
@@ -185,150 +186,103 @@ def _require_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _folds(value):
+    return tuple(str(f) for f in value) if isinstance(value, list) else value
+
+
+# Sections whose keys are the fields of one dataclass, stored whole in the
+# ExperimentConfig field of the same name.
+_DATACLASS_SECTIONS = {
+    "data": DataSource,
+    "balance": BalanceSpec,
+    "aggregation": AggregationSpec,
+    "attack": AttackSpec,
+}
+
+# Every other key: JSON section ("" is the top level) -> key ->
+# (ExperimentConfig field, coercion applied when reading; None keeps the value).
+_FLAT_SECTIONS = {
+    "": {
+        "name": ("name", str),
+        "mode": ("mode", None),
+        "approach": ("approach", None),
+        "algorithm": ("algorithm", None),
+    },
+    "model": {"preset": ("preset", None), "l2_lambda": ("l2_lambda", float)},
+    "model.grid": {"presets": ("grid_presets", tuple), "l2_values": ("grid_l2", _floats)},
+    "training": {
+        "learning_rate": ("learning_rate", float),
+        "batch_size": ("batch_size", int),
+        "epochs": ("epochs", int),
+        "rounds": ("rounds", int),
+        "lr_decay": ("lr_decay", float),
+        "shuffle": ("shuffle", bool),
+        "dropout_prob": ("dropout_prob", float),
+        "log_rounds": ("log_rounds", bool),
+    },
+    "protocol": {
+        "folds": ("folds", _folds),
+        "repetitions": ("repetitions", int),
+        "master_seed": ("master_seed", int),
+    },
+    "report": {"sample_std": ("sample_std", bool), "model_bytes": ("model_bytes", None)},
+}
+
+_REQUIRED = ("name", "mode", "approach", "data", "balance")
+
+
+def _allowed_keys(section: str) -> tuple[str, ...]:
+    # A section's own keys plus the names of its subsections.
+    children = [
+        s.rpartition(".")[2]
+        for s in (*_FLAT_SECTIONS, *_DATACLASS_SECTIONS)
+        if s and s.rpartition(".")[0] == section
+    ]
+    return (*_FLAT_SECTIONS[section], *children)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document."""
     if not isinstance(raw, dict):
         raise ConfigError("experiment config must be a JSON object")
-    _require_keys(
-        raw,
-        ("name", "mode", "approach", "algorithm", "data", "balance", "model",
-         "training", "aggregation", "attack", "protocol", "report"),
-        "config",
-    )
-    for key in ("name", "mode", "approach", "data", "balance"):
+    _require_keys(raw, _allowed_keys(""), "config")
+    for key in _REQUIRED:
         if key not in raw:
             raise ConfigError(f"config is missing the {key!r} section")
-
-    data_raw = dict(raw["data"])
-    _require_keys(
-        data_raw,
-        ("source", "devices", "samples_per_device", "feature_dim", "benign_fraction",
-         "attack_patterns", "benign_spread", "attack_shift", "noise_sigma",
-         "path", "schema", "has_header"),
-        "data",
-    )
-    data = DataSource(**data_raw)
-
-    balance_raw = dict(raw["balance"])
-    _require_keys(balance_raw, ("benign_fraction", "samples_per_device"), "balance")
-    balance = BalanceSpec(**balance_raw)
-
-    model_raw = dict(raw.get("model", {}))
-    _require_keys(model_raw, ("preset", "l2_lambda", "grid"), "model")
-    grid_raw = dict(model_raw.pop("grid", {}))
-    _require_keys(grid_raw, ("presets", "l2_values"), "model.grid")
-
-    training_raw = dict(raw.get("training", {}))
-    _require_keys(
-        training_raw,
-        ("learning_rate", "batch_size", "epochs", "rounds", "lr_decay",
-         "shuffle", "dropout_prob", "log_rounds"),
-        "training",
-    )
-
-    agg_raw = dict(raw.get("aggregation", {"rule": "avg"}))
-    _require_keys(agg_raw, ("rule", "trim_c", "resample_s"), "aggregation")
-    attack_raw = dict(raw.get("attack", {}))
-    _require_keys(attack_raw, ("kind", "f", "p_poison", "colluding"), "attack")
-
-    protocol_raw = dict(raw.get("protocol", {}))
-    _require_keys(protocol_raw, ("folds", "repetitions", "master_seed"), "protocol")
-    report_raw = dict(raw.get("report", {}))
-    _require_keys(report_raw, ("sample_std", "model_bytes"), "report")
-
-    folds = protocol_raw.get("folds", "all")
-    if isinstance(folds, list):
-        folds = tuple(str(f) for f in folds)
-
-    return ExperimentConfig(
-        name=str(raw["name"]),
-        mode=raw["mode"],
-        approach=raw["approach"],
-        algorithm=raw.get("algorithm", "mini_batch"),
-        data=data,
-        balance=balance,
-        preset=model_raw.get("preset", "B"),
-        l2_lambda=float(model_raw.get("l2_lambda", 0.0)),
-        grid_presets=tuple(grid_raw.get("presets", ())),
-        grid_l2=tuple(float(v) for v in grid_raw.get("l2_values", ())),
-        learning_rate=float(training_raw.get("learning_rate", 0.05)),
-        batch_size=int(training_raw.get("batch_size", 8)),
-        epochs=int(training_raw.get("epochs", 4)),
-        rounds=int(training_raw.get("rounds", 30)),
-        lr_decay=float(training_raw.get("lr_decay", 0.9)),
-        shuffle=bool(training_raw.get("shuffle", True)),
-        dropout_prob=float(training_raw.get("dropout_prob", 0.0)),
-        log_rounds=bool(training_raw.get("log_rounds", False)),
-        aggregation=AggregationSpec(**agg_raw),
-        attack=AttackSpec(**attack_raw),
-        folds=folds,
-        repetitions=int(protocol_raw.get("repetitions", 5)),
-        master_seed=int(protocol_raw.get("master_seed", 0)),
-        sample_std=bool(report_raw.get("sample_std", False)),
-        model_bytes=report_raw.get("model_bytes"),
-    )
+    kwargs = {}
+    for section, cls in _DATACLASS_SECTIONS.items():
+        if section in raw:
+            values = dict(raw[section])
+            _require_keys(values, tuple(f.name for f in fields(cls)), section)
+            kwargs[section] = cls(**values)
+    for section, keys in _FLAT_SECTIONS.items():
+        values = raw
+        for part in filter(None, section.split(".")):
+            values = dict(values.get(part, {}))
+        if section:
+            _require_keys(values, _allowed_keys(section), section)
+        for key, (name, coerce) in keys.items():
+            if key in values:
+                kwargs[name] = values[key] if coerce is None else coerce(values[key])
+    return ExperimentConfig(**kwargs)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Inverse of config_from_dict, for reloadable config echoes."""
-    d = config.data
-    out = {
-        "name": config.name,
-        "mode": config.mode,
-        "approach": config.approach,
-        "algorithm": config.algorithm,
-        "data": {
-            "source": d.source,
-            "devices": d.devices,
-            "samples_per_device": d.samples_per_device,
-            "feature_dim": d.feature_dim,
-            "benign_fraction": d.benign_fraction,
-            "attack_patterns": d.attack_patterns,
-            "benign_spread": d.benign_spread,
-            "attack_shift": d.attack_shift,
-            "noise_sigma": d.noise_sigma,
-            "path": d.path,
-            "schema": d.schema,
-            "has_header": d.has_header,
-        },
-        "balance": {
-            "benign_fraction": config.balance.benign_fraction,
-            "samples_per_device": config.balance.samples_per_device,
-        },
-        "model": {"preset": config.preset, "l2_lambda": config.l2_lambda},
-        "training": {
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "rounds": config.rounds,
-            "lr_decay": config.lr_decay,
-            "shuffle": config.shuffle,
-            "dropout_prob": config.dropout_prob,
-            "log_rounds": config.log_rounds,
-        },
-        "aggregation": {
-            "rule": config.aggregation.rule,
-            "trim_c": config.aggregation.trim_c,
-            "resample_s": config.aggregation.resample_s,
-        },
-        "attack": {
-            "kind": config.attack.kind,
-            "f": config.attack.f,
-            "p_poison": config.attack.p_poison,
-            "colluding": config.attack.colluding,
-        },
-        "protocol": {
-            "folds": list(config.folds) if not isinstance(config.folds, str) else config.folds,
-            "repetitions": config.repetitions,
-            "master_seed": config.master_seed,
-        },
-        "report": {"sample_std": config.sample_std, "model_bytes": config.model_bytes},
-    }
-    if config.grid_presets:
-        out["model"]["grid"] = {
-            "presets": list(config.grid_presets),
-            "l2_values": list(config.grid_l2),
-        }
+    out = {section: asdict(getattr(config, section)) for section in _DATACLASS_SECTIONS}
+    for section, keys in _FLAT_SECTIONS.items():
+        if section == "model.grid" and not config.grid_presets:
+            continue
+        target = out
+        for part in filter(None, section.split(".")):
+            target = target.setdefault(part, {})
+        for key, (name, _) in keys.items():
+            value = getattr(config, name)
+            target[key] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -362,6 +316,19 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _manifest(config: ExperimentConfig) -> list[ManifestEntry]:
+    if not os.path.exists(config.data.path):
+        raise ConfigError(f"manifest not found: {config.data.path}")
+    return load_manifest(config.data.path)
+
+
+def _client_count(config: ExperimentConfig) -> int:
+    """Clients per cell: every device of the fleet but the held-out one."""
+    if config.data.source == "synthetic":
+        return config.data.devices - 1
+    return len({entry.device_id for entry in _manifest(config)}) - 1
+
+
 def _fleet_partitions(config: ExperimentConfig, rep: int) -> dict[str, DevicePartition]:
     """Split and rebalance every device's stream for one repetition."""
     if config.data.source == "synthetic":
@@ -381,11 +348,8 @@ def _fleet_partitions(config: ExperimentConfig, rep: int) -> dict[str, DevicePar
             for i, stream in enumerate(streams)
         }
     else:
-        if not os.path.exists(config.data.path):
-            raise ConfigError(f"manifest not found: {config.data.path}")
-        entries = load_manifest(config.data.path)
         parts = partition_from_manifest(
-            entries, config.mode, schema=config.data.schema, has_header=config.data.has_header
+            _manifest(config), config.mode, schema=config.data.schema, has_header=config.data.has_header
         )
         raw = {p.device_id: p for p in parts}
     return {
@@ -461,60 +425,6 @@ def _mean_metrics(per_client: list[dict[str, RoundMetrics]], scope: str) -> Roun
     )
 
 
-class _CountingCallback:
-    """Count aggregations, optionally forwarding each record to a logger."""
-
-    def __init__(self, inner=None):
-        self.count = 0
-        self.inner = inner
-
-    def __call__(self, info: dict, model) -> None:
-        self.count += 1
-        if self.inner is not None:
-            self.inner(info, model)
-
-
-def _run_federated_cell(
-    config: ExperimentConfig,
-    partitions: dict[str, DevicePartition],
-    train_ids: list[str],
-    fold: str,
-    rep: int,
-    log_path: str | None,
-):
-    bounds = merge_bounds([local_min_max(partitions[d].train.features) for d in train_ids])
-    mal_rng = np.random.default_rng(derive_seed(config.master_seed, rep, fold, "malicious"))
-    bad = set(malicious_ids(train_ids, config.attack.f, mal_rng))
-    clients = [
-        build_client(
-            partitions[d],
-            bounds,
-            config.supervised,
-            config.attack if d in bad else AttackSpec(),
-            derive_seed(config.master_seed, rep, fold, "client", d),
-        )
-        for d in train_ids
-    ]
-    fed_config = _federation_config(config, config.architecture(), config.l2_lambda, rep, fold)
-    if config.grid_presets:
-        best, _ = collaborative_grid_search(clients, _grid(config), fed_config, config.algorithm)
-        fed_config = _federation_config(config, best.arch, best.l2_lambda, rep, fold)
-
-    counter = _CountingCallback()
-    if log_path is not None:
-        logger = RoundLogger(log_path)
-        counter = _CountingCallback(_threshold_logger(logger, clients, config) if not config.supervised else logger)
-        with logger:
-            model = run_federated(config.algorithm, clients, fed_config, counter)
-    else:
-        model = run_federated(config.algorithm, clients, fed_config, counter)
-
-    threshold = None
-    if not config.supervised:
-        threshold = select_thresholds(clients, model, config.threshold_ddof).global_threshold
-    return model, threshold, bounds, clients, counter.count
-
-
 def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: ExperimentConfig):
     ddof = config.threshold_ddof
 
@@ -523,29 +433,6 @@ def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: E
         logger({**info, "threshold": state.global_threshold}, model)
 
     return wrapped
-
-
-def _pooled_client(
-    config: ExperimentConfig,
-    partitions: dict[str, DevicePartition],
-    train_ids: list[str],
-    bounds,
-    rep: int,
-    fold: str,
-) -> ClientState:
-    x = np.concatenate([scale(partitions[d].train.features, bounds) for d in train_ids])
-    y = None
-    if config.supervised:
-        y = np.concatenate([partitions[d].train.labels for d in train_ids])
-    x_thr = None
-    if not config.supervised:
-        x_thr = np.concatenate(
-            [scale(partitions[d].threshold_sel.features, bounds) for d in train_ids]
-        )
-    return ClientState(
-        "pooled", x, y, x_thr=x_thr,
-        seed=derive_seed(config.master_seed, rep, fold, "client", "pooled"),
-    )
 
 
 def _test_pair(partition: DevicePartition, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -559,93 +446,73 @@ def _run_cell(
     rep: int,
     rounds_dir: str | None,
 ) -> tuple[list[dict], list[dict]]:
-    """Train and evaluate one (fold, repetition) cell; return metric rows."""
+    """Train and evaluate one (fold, repetition) cell; return metric rows.
+
+    The training devices form groups that each train one model: one fleet
+    of all devices (federated), one client holding their pooled data
+    (centralized), or one single-client fleet per device (naive). The cell's
+    metrics are the mean over groups. Only federated training aggregates,
+    so only it counts aggregations and writes round logs.
+    """
     train_ids = [d for d in partitions if d != fold]
     k = len(train_ids)
     if config.attack.f >= k:
         raise ConfigError(f"f={config.attack.f} attackers need more than {k} clients")
+    federated = config.approach == "federated"
+    algorithm = config.algorithm if federated else "mini_batch"
     cell_seed = derive_seed(config.master_seed, rep, fold, "cell")
     log_path = None
-    if rounds_dir is not None and config.log_rounds:
+    if federated and rounds_dir is not None and config.log_rounds:
         log_path = os.path.join(rounds_dir, f"fold-{fold}-rep-{rep}.jsonl")
 
-    rows: list[dict] = []
+    groups = [[d] for d in train_ids] if config.approach == "naive" else [train_ids]
+    per_group: list[dict[str, RoundMetrics]] = []
     device_rows: list[dict] = []
-
-    if config.approach == "federated":
-        model, threshold, bounds, clients, aggregations = _run_federated_cell(
-            config, partitions, train_ids, fold, rep, log_path
-        )
-        n_train = clients[0].n_train
-        known = [_test_pair(partitions[d], bounds) for d in train_ids]
-        scopes = evaluate(model, threshold, known, _test_pair(partitions[fold], bounds))
-        for scope in (KNOWN_SCOPE, NEW_DEVICE_SCOPE):
-            rows.append(_metric_row(fold, rep, cell_seed, scopes[scope], n_train, aggregations))
-        for d in train_ids:
-            own = evaluate(model, threshold, [_test_pair(partitions[d], bounds)])
-            device_rows.append(
-                {"fold": fold, "repetition": rep, "device_id": d, **_plain(own[KNOWN_SCOPE])}
+    for ids in groups:
+        bounds = merge_bounds([local_min_max(partitions[d].train.features) for d in ids])
+        members = [partitions[d] for d in ids]
+        if config.approach == "centralized":
+            members = [DevicePartition.concat("pooled", members)]
+        mal_rng = np.random.default_rng(derive_seed(config.master_seed, rep, fold, "malicious"))
+        bad = malicious_ids([p.device_id for p in members], config.attack.f, mal_rng)
+        clients = [
+            build_client(
+                p,
+                bounds,
+                config.supervised,
+                config.attack if p.device_id in bad else AttackSpec(),
+                derive_seed(config.master_seed, rep, fold, "client", p.device_id),
             )
-
-    elif config.approach == "centralized":
-        bounds = merge_bounds([local_min_max(partitions[d].train.features) for d in train_ids])
-        client = _pooled_client(config, partitions, train_ids, bounds, rep, fold)
+            for p in members
+        ]
         fed_config = _federation_config(config, config.architecture(), config.l2_lambda, rep, fold)
         if config.grid_presets:
-            best, _ = collaborative_grid_search([client], _grid(config), fed_config)
+            best, _ = collaborative_grid_search(clients, _grid(config), fed_config, algorithm)
             fed_config = _federation_config(config, best.arch, best.l2_lambda, rep, fold)
-        model = run_mini_batch([client], fed_config)
+        if log_path is None:
+            model = run_federated(algorithm, clients, fed_config)
+        else:
+            with RoundLogger(log_path) as logger:
+                hook = logger if config.supervised else _threshold_logger(logger, clients, config)
+                model = run_federated(algorithm, clients, fed_config, hook)
+
         threshold = None
         if not config.supervised:
-            threshold = local_threshold(client, model, config.threshold_ddof)
-        known = [_test_pair(partitions[d], bounds) for d in train_ids]
-        scopes = evaluate(model, threshold, known, _test_pair(partitions[fold], bounds))
-        for scope in (KNOWN_SCOPE, NEW_DEVICE_SCOPE):
-            rows.append(_metric_row(fold, rep, cell_seed, scopes[scope], client.n_train, 0))
-        for d in train_ids:
-            own = evaluate(model, threshold, [_test_pair(partitions[d], bounds)])
+            threshold = select_thresholds(clients, model, config.threshold_ddof).global_threshold
+        known = [_test_pair(partitions[d], bounds) for d in ids]
+        per_group.append(evaluate(model, threshold, known, _test_pair(partitions[fold], bounds)))
+        for d, pair in zip(ids, known):
+            own = evaluate(model, threshold, [pair])
             device_rows.append(
                 {"fold": fold, "repetition": rep, "device_id": d, **_plain(own[KNOWN_SCOPE])}
             )
 
-    else:  # naive: every client trains and scores alone, metrics are averaged
-        per_client: list[dict[str, RoundMetrics]] = []
-        n_train = 0
-        for d in train_ids:
-            local_bounds = local_min_max(partitions[d].train.features)
-            client = build_client(
-                partitions[d],
-                local_bounds,
-                config.supervised,
-                AttackSpec(),
-                derive_seed(config.master_seed, rep, fold, "client", d),
-            )
-            fed_config = _federation_config(
-                config, config.architecture(), config.l2_lambda, rep, fold
-            )
-            if config.grid_presets:
-                best, _ = collaborative_grid_search([client], _grid(config), fed_config)
-                fed_config = _federation_config(config, best.arch, best.l2_lambda, rep, fold)
-            model = run_mini_batch([client], fed_config)
-            threshold = None
-            if not config.supervised:
-                threshold = local_threshold(client, model, config.threshold_ddof)
-            scopes = evaluate(
-                model,
-                threshold,
-                [_test_pair(partitions[d], local_bounds)],
-                _test_pair(partitions[fold], local_bounds),
-            )
-            per_client.append(scopes)
-            n_train = client.n_train
-            device_rows.append(
-                {"fold": fold, "repetition": rep, "device_id": d, **_plain(scopes[KNOWN_SCOPE])}
-            )
-        for scope in (KNOWN_SCOPE, NEW_DEVICE_SCOPE):
-            rows.append(
-                _metric_row(fold, rep, cell_seed, _mean_metrics(per_client, scope), n_train, 0)
-            )
-
+    n_train = clients[0].n_train
+    aggregations = schedule(algorithm, fed_config, n_train)[0] if federated else 0
+    rows = [
+        _metric_row(fold, rep, cell_seed, _mean_metrics(per_group, scope), n_train, aggregations)
+        for scope in (KNOWN_SCOPE, NEW_DEVICE_SCOPE)
+    ]
     return rows, device_rows
 
 
@@ -727,10 +594,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     """
     bundle = os.path.join(results_dir(out_dir), config.name)
     os.makedirs(bundle, exist_ok=True)
-    rounds_dir = None
+    # Round logs of an earlier run into this bundle, and the trajectory
+    # rendered from them, would otherwise outlive it.
+    rounds_dir = os.path.join(bundle, "rounds")
+    if os.path.isdir(rounds_dir):
+        shutil.rmtree(rounds_dir)
+    trajectory = os.path.join(bundle, "trajectory.csv")
+    if os.path.isfile(trajectory):
+        os.remove(trajectory)
     if config.log_rounds:
-        rounds_dir = os.path.join(bundle, "rounds")
-        os.makedirs(rounds_dir, exist_ok=True)
+        os.makedirs(rounds_dir)
+    else:
+        rounds_dir = None
 
     started = time.monotonic()
     rows, device_rows = _collect_runs(config, rounds_dir)
@@ -773,16 +648,15 @@ def attack_sweep(
         raise ConfigError("attack sweeps run on the supervised pipeline")
     if not f_values:
         raise ConfigError("f_values is empty")
-    k = (config.data.devices - 1 if config.data.source == "synthetic" else None)
+    k = _client_count(config)
     for f in f_values:
         if f < 0:
             raise ConfigError(f"f must be >= 0, got {f}")
-        if k is not None and f >= k:
+        if f >= k:
             raise ConfigError(f"f={f} attackers need more than {k} clients")
-    if k is not None:
-        deepest = max(rule.trim_c for rule in SWEEP_RULES)
-        if k - 2 * deepest < 1:
-            raise ConfigError(f"TM({deepest}) needs more than {k} clients")
+    deepest = max(rule.trim_c for rule in SWEEP_RULES)
+    if k - 2 * deepest < 1:
+        raise ConfigError(f"TM({deepest}) needs more than {k} clients")
 
     rows = []
     for rule in SWEEP_RULES:
@@ -849,7 +723,7 @@ def cost_table(config: ExperimentConfig) -> list[dict]:
     consumes a full global batch: the single-step algorithm runs B_global / K
     per client while the multi-epoch one runs B_global.
     """
-    k = (config.data.devices if config.data.source == "synthetic" else 2) - 1
+    k = _client_count(config)
     if config.algorithm == "mini_batch":
         b_mini = config.batch_size
         b_multi = config.batch_size * k

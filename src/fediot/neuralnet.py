@@ -279,75 +279,22 @@ def mse_per_sample(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return np.mean((pre_acts[-1] - x) ** 2, axis=1)
 
 
-def _arch_header(arch: ArchitectureSpec) -> dict:
-    return {
+def save_checkpoint(params: ModelParameters, path: str) -> None:
+    """Write a self-describing checkpoint, byte-stable for equal inputs.
+
+    The file holds a magic tag, the length of a JSON architecture header,
+    the header, and the parameters as raw little-endian float64 values.
+    """
+    arch = params.arch
+    header = {
         "kind": arch.kind,
         "hidden_layers": list(arch.hidden_layers),
         "input_dim": arch.input_dim,
         "output_dim": arch.output_dim,
     }
-
-
-def _arch_from_header(header: dict, path: str) -> ArchitectureSpec:
-    try:
-        return ArchitectureSpec(
-            header["kind"],
-            tuple(header["hidden_layers"]),
-            header["input_dim"],
-            header["output_dim"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed checkpoint header: {exc}") from None
-
-
-def save_checkpoint(params: ModelParameters, path: str, fmt: str = "binary") -> None:
-    """Write a self-describing checkpoint, byte-stable for equal inputs.
-
-    fmt 'binary' stores the header as JSON followed by raw little-endian
-    float64 values; fmt 'text' stores one JSON document with the parameters
-    as numbers that round-trip exactly.
-    """
-    if fmt == "binary":
-        header = json.dumps(_arch_header(params.arch), sort_keys=True, separators=(",", ":"))
-        blob = header.encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(_CHECKPOINT_MAGIC)
-            handle.write(len(blob).to_bytes(4, "little"))
-            handle.write(blob)
-            handle.write(params.flat.astype("<f8").tobytes())
-    elif fmt == "text":
-        doc = _arch_header(params.arch)
-        doc["parameters"] = params.flat.tolist()
-        with open(path, "w") as handle:
-            json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-    else:
-        raise ConfigError(f"unknown checkpoint format {fmt!r}")
-
-
-def load_checkpoint(path: str) -> ModelParameters:
-    """Read a checkpoint in either format, detected from the content."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if blob.startswith(_CHECKPOINT_MAGIC):
-        header_len = int.from_bytes(blob[8:12], "little")
-        header_end = 12 + header_len
-        try:
-            header = json.loads(blob[12:header_end].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"{path}: malformed checkpoint header: {exc}") from None
-        arch = _arch_from_header(header, path)
-        flat = np.frombuffer(blob[header_end:], dtype="<f8")
-        if flat.shape != (arch.n_parameters,):
-            raise SchemaError(
-                f"{path}: expected {arch.n_parameters} parameters, found {flat.size}"
-            )
-        return ModelParameters(arch, flat.astype(np.float64))
-    try:
-        doc = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path}: not a model checkpoint: {exc}") from None
-    arch = _arch_from_header(doc, path)
-    if "parameters" not in doc:
-        raise SchemaError(f"{path}: checkpoint lists no parameters")
-    return ModelParameters(arch, np.asarray(doc["parameters"], dtype=np.float64))
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(_CHECKPOINT_MAGIC)
+        handle.write(len(blob).to_bytes(4, "little"))
+        handle.write(blob)
+        handle.write(params.flat.astype("<f8").tobytes())

@@ -1,7 +1,6 @@
 """Collaborative min-max normalization without sharing raw records."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,24 +65,3 @@ def scale(features: np.ndarray, bounds: ScalingBounds) -> np.ndarray:
     safe = np.where(span > 0, span, 1.0)
     scaled = (features - bounds.x_min) / safe
     return np.where(span > 0, scaled, 0.0)
-
-
-def save_bounds_csv(bounds: ScalingBounds, path: str) -> None:
-    """Write bounds as a two-row CSV (minima row, maxima row) for audit."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(repr(v) for v in bounds.x_min.tolist())
-        writer.writerow(repr(v) for v in bounds.x_max.tolist())
-
-
-def load_bounds_csv(path: str) -> ScalingBounds:
-    with open(path, newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
-    if len(rows) != 2:
-        raise SchemaError(f"{path}: bounds file must hold exactly 2 rows, found {len(rows)}")
-    try:
-        x_min = np.array([float(c) for c in rows[0]], dtype=np.float64)
-        x_max = np.array([float(c) for c in rows[1]], dtype=np.float64)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: non-numeric bound: {exc}") from None
-    return ScalingBounds(x_min, x_max)

@@ -24,7 +24,7 @@ from fediot.federation import (
     OptimizerConfig,
     global_threshold,
     local_threshold,
-    run_mini_batch,
+    run_federated,
 )
 from fediot.harness import (
     DataSource,
@@ -173,7 +173,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         epochs=10,
         shuffle=False,
     )
-    solo = run_mini_batch([ClientState("solo", x, y)], config)
+    solo = run_federated("mini_batch", [ClientState("solo", x, y)], config)
     model = init_model(arch, config.init_seed)
     steps = 0
     for _ in range(10):
@@ -204,7 +204,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         epochs=5,
         shuffle=False,
     )
-    federated = run_mini_batch(clients, config)
+    federated = run_federated("mini_batch", clients, config)
     central = init_model(arch, config.init_seed)
     aggregations = 0
     for _ in range(5):
@@ -243,7 +243,7 @@ def test_model_cancellation_averages_to_exact_zero():
             epochs=1,
             shuffle=False,
         )
-        got = run_mini_batch(clients, config, initial_model=start)
+        got = run_federated("mini_batch", clients, config, initial_model=start)
         assert np.all(got.flat == 0.0)
 
 

@@ -7,7 +7,6 @@ from fediot.adversary import (
     AttackSpec,
     alpha_cancel,
     alpha_gradient,
-    apply_gradient_factor,
     cancel_update,
     flip_labels,
     malicious_ids,
@@ -107,10 +106,6 @@ class TestFlipLabels:
 
 
 class TestModelPoisoning:
-    def test_gradient_factor_scales(self):
-        grad = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(apply_gradient_factor(grad, -15.0), grad * -15.0)
-
     def test_cancel_update_scales_global_model(self):
         params = ModelParameters(classifier_preset("A", input_dim=3), np.array([1.0, 2.0, 3.0, 4.0]))
         got = cancel_update(params, -7.0)

@@ -8,7 +8,7 @@ import pytest
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec
 from fediot.dataset import BalanceSpec, chronological_split, generate_synthetic_fleet, rebalance
-from fediot.errors import ConfigError
+from fediot.errors import ConfigError, PoisonedUpdateError
 from fediot.federation import (
     ClientState,
     ConfusionCounts,
@@ -26,8 +26,7 @@ from fediot.federation import (
     local_threshold,
     metrics_from_counts,
     run_federated,
-    run_mini_batch,
-    run_multi_epoch,
+    schedule,
     select_thresholds,
 )
 from fediot.neuralnet import (
@@ -42,6 +41,9 @@ from fediot.neuralnet import (
     sgd_step,
 )
 from fediot.preprocess import local_min_max, merge_bounds, scale
+
+
+SCHEDULES = ("mini_batch", "multi_epoch")
 
 
 def toy_client(cid, n=32, seed=0, d=4, supervised=True, attack=None):
@@ -71,43 +73,43 @@ def toy_config(d=4, supervised=True, **overrides):
 class TestFleetValidation:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigError):
-            run_mini_batch([], toy_config())
+            run_federated("mini_batch", [], toy_config())
 
     def test_unequal_training_sizes_rejected(self):
         clients = [toy_client("a", n=32), toy_client("b", n=16)]
         with pytest.raises(ConfigError, match="equally many"):
-            run_mini_batch(clients, toy_config())
+            run_federated("mini_batch", clients, toy_config())
 
     def test_duplicate_ids_rejected(self):
         clients = [toy_client("a"), toy_client("a", seed=1)]
         with pytest.raises(ConfigError, match="duplicate"):
-            run_mini_batch(clients, toy_config())
+            run_federated("mini_batch", clients, toy_config())
 
     def test_missing_labels_rejected(self):
         clients = [toy_client("a", supervised=False)]
         with pytest.raises(ConfigError, match="labels"):
-            run_mini_batch(clients, toy_config(supervised=True))
+            run_federated("mini_batch", clients, toy_config(supervised=True))
 
     def test_malicious_count_must_match_f(self):
         attack = AttackSpec(kind="model_cancel", f=2)
         clients = [toy_client("a", attack=attack), toy_client("b", seed=1)]
         with pytest.raises(ConfigError, match="f=2"):
-            run_mini_batch(clients, toy_config())
+            run_federated("mini_batch", clients, toy_config())
 
 
 class TestMiniBatch:
     def test_aggregation_count_is_epochs_times_ceil_batches(self):
         clients = [toy_client("a", n=20), toy_client("b", n=20, seed=1)]
         seen = []
-        run_mini_batch(clients, toy_config(epochs=3, optimizer=OptimizerConfig(0.1, 0.0, 8)),
-                       on_round=lambda info, model: seen.append(info["round"]))
+        config = toy_config(epochs=3, optimizer=OptimizerConfig(0.1, 0.0, 8))
+        run_federated("mini_batch", clients, config, on_round=lambda info, m: seen.append(info["round"]))
         assert len(seen) == 3 * math.ceil(20 / 8)
         assert seen == sorted(seen)
 
     def test_single_client_avg_is_plain_sgd(self):
         client = toy_client("solo", n=40, seed=3)
         config = toy_config(epochs=5, optimizer=OptimizerConfig(0.2, 1e-4, 8))
-        got = run_mini_batch([client], config)
+        got = run_federated("mini_batch", [client], config)
         model = init_model(config.arch, config.init_seed)
         for _ in range(5):
             for start in range(0, 40, 8):
@@ -137,7 +139,7 @@ class TestMiniBatch:
             ClientState(f"c{i}", slices_x[i], slices_y[i], seed=i) for i in range(k)
         ]
         config = toy_config(d=d, epochs=4, optimizer=OptimizerConfig(0.3, 0.0, small_b))
-        federated = run_mini_batch(clients, config)
+        federated = run_federated("mini_batch", clients, config)
         central = init_model(config.arch, config.init_seed)
         for _ in range(4):
             for start in range(0, n, big_b):
@@ -148,61 +150,27 @@ class TestMiniBatch:
     def test_deterministic_with_shuffling(self):
         clients = [toy_client("a", seed=5), toy_client("b", seed=6)]
         config = toy_config(shuffle=True)
-        a = run_mini_batch(clients, config)
-        b = run_mini_batch(clients, config)
+        a = run_federated("mini_batch", clients, config)
+        b = run_federated("mini_batch", clients, config)
         np.testing.assert_array_equal(a.flat, b.flat)
-
-    def test_gradient_factor_flips_the_average_step(self):
-        # One honest and one malicious client on identical data: the average
-        # update must walk exactly opposite to the honest gradient.
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 1, size=(8, 3))
-        y = rng.integers(0, 2, size=8)
-        attack = AttackSpec(kind="gradient_factor", f=1)
-        clients = [
-            ClientState("honest", x, y, seed=1),
-            ClientState("evil", x, y, attack=attack, seed=1),
-        ]
-        config = toy_config(d=3, epochs=1, optimizer=OptimizerConfig(0.5, 0.0, 8))
-        got = run_mini_batch(clients, config)
-        start = init_model(config.arch, config.init_seed)
-        grad = backward(start, x, y)
-        expected = start.flat + 0.5 * grad
-        np.testing.assert_allclose(got.flat, expected, rtol=1e-12, atol=1e-15)
-
-    def test_model_cancel_zeroes_a_plain_average(self):
-        # Honest clients echo the model (lr=0); two cancelling clients scale
-        # it by -3. Dyadic starting weights keep every product and sum exact,
-        # so the average is literally zero in every coordinate.
-        arch = classifier_preset("A", input_dim=3)
-        rng = np.random.default_rng(0)
-        start = ModelParameters(
-            arch, rng.integers(-(2**20), 2**20, size=arch.n_parameters) / 1024.0
-        )
-        attack = AttackSpec(kind="model_cancel", f=2)
-        clients = [toy_client(f"h{i}", d=3, seed=i) for i in range(6)]
-        clients += [toy_client(f"m{i}", d=3, seed=10 + i, attack=attack) for i in range(2)]
-        config = toy_config(d=3, epochs=1, optimizer=OptimizerConfig(0.0, 0.0, 32))
-        got = run_mini_batch(clients, config, initial_model=start)
-        assert np.all(got.flat == 0.0)
 
     def test_warm_start_arch_mismatch_rejected(self):
         wrong = init_model(classifier_preset("A", input_dim=7), 0)
         with pytest.raises(ConfigError, match="architecture"):
-            run_mini_batch([toy_client("a")], toy_config(), initial_model=wrong)
+            run_federated("mini_batch", [toy_client("a")], toy_config(), initial_model=wrong)
 
     def test_dropout_all_rounds_keeps_initial_model(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
         config = toy_config(dropout_prob=0.999, server_seed=4)
-        got = run_mini_batch(clients, config)
+        got = run_federated("mini_batch", clients, config)
         init = init_model(config.arch, config.init_seed)
         # With dropout this close to 1 every draw drops both clients here.
         np.testing.assert_array_equal(got.flat, init.flat)
 
     def test_dropout_depends_on_server_seed(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
-        a = run_mini_batch(clients, toy_config(dropout_prob=0.5, server_seed=1))
-        b = run_mini_batch(clients, toy_config(dropout_prob=0.5, server_seed=2))
+        a = run_federated("mini_batch", clients, toy_config(dropout_prob=0.5, server_seed=1))
+        b = run_federated("mini_batch", clients, toy_config(dropout_prob=0.5, server_seed=2))
         assert not np.array_equal(a.flat, b.flat)
 
 
@@ -212,13 +180,13 @@ class TestMultiEpoch:
         schedule = LrSchedule(initial=0.2, decay=0.9)
         config = toy_config(rounds=4, lr_schedule=schedule)
         lrs = []
-        run_multi_epoch(clients, config, on_round=lambda info, m: lrs.append(info["lr"]))
+        run_federated("multi_epoch", clients, config, on_round=lambda info, m: lrs.append(info["lr"]))
         assert lrs == pytest.approx([0.2 * 0.9**t for t in range(4)])
 
     def test_single_client_single_round_is_local_training(self):
         client = toy_client("solo", n=24, seed=8)
         config = toy_config(rounds=1, epochs=3, optimizer=OptimizerConfig(0.1, 0.0, 8))
-        got = run_multi_epoch([client], config)
+        got = run_federated("multi_epoch", [client], config)
         model = init_model(config.arch, config.init_seed)
         for _ in range(3):
             for start in range(0, 24, 8):
@@ -230,13 +198,64 @@ class TestMultiEpoch:
     def test_deterministic(self):
         clients = [toy_client("a", seed=1), toy_client("b", seed=2)]
         config = toy_config(shuffle=True, rounds=2)
-        a = run_multi_epoch(clients, config)
-        b = run_multi_epoch(clients, config)
+        a = run_federated("multi_epoch", clients, config)
+        b = run_federated("multi_epoch", clients, config)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             run_federated("gossip", [toy_client("a")], toy_config())
+
+
+class TestSchedules:
+    def test_round_counts(self):
+        config = toy_config(epochs=3, rounds=5, optimizer=OptimizerConfig(0.1, 0.0, 8))
+        assert schedule("mini_batch", config, 20) == (3 * 3, 1)
+        assert schedule("multi_epoch", config, 20) == (5, 3 * 3)
+
+    @pytest.mark.parametrize("algorithm", SCHEDULES)
+    def test_gradient_factor_flips_the_average_step(self, algorithm):
+        # One honest and one malicious client on identical data: the average
+        # update must walk exactly opposite to the honest gradient. One batch,
+        # one epoch and one round make a single step under either schedule.
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, size=(8, 3))
+        y = rng.integers(0, 2, size=8)
+        attack = AttackSpec(kind="gradient_factor", f=1)
+        clients = [
+            ClientState("honest", x, y, seed=1),
+            ClientState("evil", x, y, attack=attack, seed=1),
+        ]
+        config = toy_config(d=3, epochs=1, rounds=1, optimizer=OptimizerConfig(0.5, 0.0, 8))
+        got = run_federated(algorithm, clients, config)
+        start = init_model(config.arch, config.init_seed)
+        grad = backward(start, x, y)
+        expected = start.flat + 0.5 * grad
+        np.testing.assert_allclose(got.flat, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("algorithm", SCHEDULES)
+    def test_model_cancel_zeroes_a_plain_average(self, algorithm):
+        # Honest clients echo the model (lr=0); two cancelling clients scale
+        # it by -3. Dyadic starting weights keep every product and sum exact,
+        # so the average is literally zero in every coordinate.
+        arch = classifier_preset("A", input_dim=3)
+        rng = np.random.default_rng(0)
+        start = ModelParameters(
+            arch, rng.integers(-(2**20), 2**20, size=arch.n_parameters) / 1024.0
+        )
+        attack = AttackSpec(kind="model_cancel", f=2)
+        clients = [toy_client(f"h{i}", d=3, seed=i) for i in range(6)]
+        clients += [toy_client(f"m{i}", d=3, seed=10 + i, attack=attack) for i in range(2)]
+        config = toy_config(d=3, epochs=1, rounds=1, optimizer=OptimizerConfig(0.0, 0.0, 32))
+        got = run_federated(algorithm, clients, config, initial_model=start)
+        assert np.all(got.flat == 0.0)
+
+    @pytest.mark.parametrize("algorithm", SCHEDULES)
+    def test_non_finite_update_names_its_client(self, algorithm):
+        clients = [toy_client("good"), toy_client("bad", seed=1)]
+        clients[1].x_train[3, 0] = np.inf
+        with pytest.raises(PoisonedUpdateError, match="client bad"):
+            run_federated(algorithm, clients, toy_config())
 
 
 class TestThresholds:
@@ -443,7 +462,7 @@ class TestRoundLogger:
         path = str(tmp_path / "rounds.jsonl")
         clients = [toy_client("a"), toy_client("b", seed=1)]
         with RoundLogger(path) as logger:
-            run_mini_batch(clients, toy_config(epochs=1), on_round=logger)
+            run_federated("mini_batch", clients, toy_config(epochs=1), on_round=logger)
         records = [json.loads(line) for line in open(path)]
         assert len(records) == math.ceil(32 / 8)
         assert {"round", "epoch", "lr", "client_losses", "dropped"} <= set(records[0])
@@ -453,6 +472,6 @@ class TestRoundLogger:
         path = str(tmp_path / "rounds.jsonl")
         clients = [toy_client("a"), toy_client("b", seed=1)]
         with RoundLogger(path, every=2) as logger:
-            run_mini_batch(clients, toy_config(epochs=2), on_round=logger)
+            run_federated("mini_batch", clients, toy_config(epochs=2), on_round=logger)
         records = [json.loads(line) for line in open(path)]
         assert [r["round"] for r in records] == [0, 2, 4, 6]

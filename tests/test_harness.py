@@ -7,6 +7,7 @@ import pytest
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec
 from fediot.dataset import BalanceSpec
+from fediot import cli
 from fediot.errors import ConfigError
 from fediot.harness import (
     DataSource,
@@ -81,10 +82,13 @@ class TestConfigParsing:
         raw = tiny_dict()
         raw["model"] = {"grid": {"presets": ["A", "B"], "l2_values": [0.0, 1e-4]}}
         raw["report"] = {"model_bytes": 94000, "sample_std": True}
+        raw["training"]["learning_rate"] = 1
         config = config_from_dict(raw)
         assert config.grid_presets == ("A", "B")
         assert config.threshold_ddof == 1
-        assert config_from_dict(config_to_dict(config)) == config
+        echoed = config_to_dict(config)
+        assert json.dumps(echoed["training"]["learning_rate"]) == "1.0"
+        assert config_from_dict(echoed) == config
 
     def test_attack_needs_federated_approach(self):
         raw = tiny_dict(approach="centralized")
@@ -199,6 +203,23 @@ class TestRunExperiment:
         assert all(r["aggregations"] == 60 for r in result.rows)
         assert all(r["n_train"] == 237 for r in result.rows)
 
+    def test_aggregations_counted_only_for_federated_cells(self, tmp_path):
+        for approach, expected in (("federated", 3), ("centralized", 0), ("naive", 0)):
+            raw = tiny_dict(name=f"t-{approach}", approach=approach, algorithm="multi_epoch")
+            raw["training"]["rounds"] = 3
+            result = run_experiment(config_from_dict(raw), str(tmp_path))
+            assert all(r["aggregations"] == expected for r in result.rows), approach
+
+    def test_no_client_loss_without_round_logs(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr("fediot.federation.loss", lambda *a: calls.append(a) or 0.0)
+        run_experiment(tiny_config(), str(tmp_path))
+        assert calls == []
+        raw = tiny_dict()
+        raw["training"]["log_rounds"] = True
+        run_experiment(config_from_dict(raw), str(tmp_path))
+        assert calls
+
     def test_unsupervised_end_to_end(self, tmp_path):
         raw = tiny_dict(mode="unsupervised")
         raw["data"]["samples_per_device"] = 600
@@ -218,6 +239,25 @@ class TestRunExperiment:
             records = [json.loads(line) for line in handle]
         assert len(records) == 60
         assert {"round", "lr", "client_losses"} <= set(records[0])
+
+    def test_rerun_drops_round_logs_of_unrun_folds(self, tmp_path):
+        raw = tiny_dict()
+        raw["training"]["log_rounds"] = True
+        raw["protocol"]["folds"] = ["dev-0", "dev-1"]
+        run_experiment(config_from_dict(raw), str(tmp_path))
+        raw["protocol"]["folds"] = ["dev-0"]
+        result = run_experiment(config_from_dict(raw), str(tmp_path))
+        assert os.listdir(os.path.join(result.path, "rounds")) == ["fold-dev-0-rep-0.jsonl"]
+
+    def test_rerun_without_round_logs_leaves_no_trajectory(self, tmp_path):
+        raw = tiny_dict()
+        raw["training"]["log_rounds"] = True
+        report(run_experiment(config_from_dict(raw), str(tmp_path)).path, "csv")
+        result = run_experiment(tiny_config(), str(tmp_path))
+        assert not os.path.exists(os.path.join(result.path, "rounds"))
+        files = report(result.path, "csv")
+        assert {os.path.basename(f) for f in files} == {"metrics.csv", "cost.csv"}
+        assert not os.path.exists(os.path.join(result.path, "trajectory.csv"))
 
     def test_too_many_attackers_rejected(self, tmp_path):
         raw = tiny_dict()
@@ -301,6 +341,35 @@ class TestAttackSweep:
     def test_too_few_clients_for_trim_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="TM"):
             attack_sweep(tiny_config(), [0], str(tmp_path))
+
+
+def manifest_config(tmp_path, **overrides):
+    """A config reading a 9-device fleet written by `fediot synth`."""
+    raw = tiny_dict()
+    raw["data"]["devices"] = 9
+    source = tmp_path / "fleet.json"
+    source.write_text(json.dumps(raw))
+    fleet = tmp_path / "fleet"
+    assert cli.main(["synth", str(source), "--out", str(fleet)]) == 0
+    raw["data"] = {"source": "manifest", "path": str(fleet / "manifest.csv"), "schema": 5}
+    return config_from_dict({**raw, **overrides})
+
+
+class TestManifestFleetSize:
+    def test_cost_table_counts_manifest_devices(self, tmp_path):
+        rows = cost_table(manifest_config(tmp_path))  # mini_batch B=8, 8 clients
+        assert rows[1]["algorithm"] == "multi_epoch"
+        assert rows[1]["batch_size"] == 64
+
+    def test_sweep_rejects_f_of_fleet_size_before_training(self, tmp_path, monkeypatch):
+        config = manifest_config(tmp_path)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("fediot.harness.run_federated", fail)
+        with pytest.raises(ConfigError, match="f=8"):
+            attack_sweep(config, [0, 8], str(tmp_path))
 
 
 class TestCostTable:

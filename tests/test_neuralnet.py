@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from fediot.neuralnet import (
     classify,
     forward,
     init_model,
-    load_checkpoint,
     loss,
     mse_per_sample,
     save_checkpoint,
@@ -293,49 +294,25 @@ class TestKindErrors:
 
 
 class TestCheckpoints:
-    @pytest.mark.parametrize("fmt", ["binary", "text"])
-    def test_round_trip_is_bit_exact(self, tmp_path, fmt):
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        # Decode the documented layout: magic, header length, JSON header,
+        # little-endian float64 parameters.
         params = init_model(autoencoder_preset("A", input_dim=7), seed=9)
-        path = str(tmp_path / f"model.{fmt}")
-        save_checkpoint(params, path, fmt=fmt)
-        got = load_checkpoint(path)
-        assert got.arch == params.arch
-        np.testing.assert_array_equal(got.flat, params.flat)
+        path = str(tmp_path / "model.bin")
+        save_checkpoint(params, path)
+        blob = open(path, "rb").read()
+        assert blob[:8] == b"FDNN0001"
+        end = 12 + int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:end])
+        arch = ArchitectureSpec(
+            header["kind"], tuple(header["hidden_layers"]), header["input_dim"], header["output_dim"]
+        )
+        assert arch == params.arch
+        np.testing.assert_array_equal(np.frombuffer(blob[end:], dtype="<f8"), params.flat)
 
-    @pytest.mark.parametrize("fmt", ["binary", "text"])
-    def test_serialization_is_byte_stable(self, tmp_path, fmt):
+    def test_serialization_is_byte_stable(self, tmp_path):
         params = init_model(classifier_preset("B", input_dim=6), seed=11)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        save_checkpoint(params, a, fmt=fmt)
-        save_checkpoint(params, b, fmt=fmt)
+        save_checkpoint(params, a)
+        save_checkpoint(params, b)
         assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_text_checkpoint_is_json(self, tmp_path):
-        import json
-
-        params = init_model(classifier_preset("A", input_dim=3), seed=0)
-        path = str(tmp_path / "model.json")
-        save_checkpoint(params, path, fmt="text")
-        doc = json.loads(open(path).read())
-        assert doc["kind"] == "classifier"
-        assert len(doc["parameters"]) == params.arch.n_parameters
-
-    def test_garbage_rejected(self, tmp_path):
-        path = tmp_path / "junk"
-        path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(SchemaError):
-            load_checkpoint(str(path))
-
-    def test_truncated_binary_rejected(self, tmp_path):
-        params = init_model(classifier_preset("A", input_dim=3), seed=0)
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(params, path, fmt="binary")
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
-        with pytest.raises(SchemaError):
-            load_checkpoint(path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        params = init_model(classifier_preset("A", input_dim=3), seed=0)
-        with pytest.raises(ConfigError):
-            save_checkpoint(params, str(tmp_path / "x"), fmt="pickle")

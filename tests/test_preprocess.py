@@ -7,10 +7,8 @@ from hypothesis.extra.numpy import arrays
 from fediot.errors import SchemaError
 from fediot.preprocess import (
     ScalingBounds,
-    load_bounds_csv,
     local_min_max,
     merge_bounds,
-    save_bounds_csv,
     scale,
 )
 
@@ -117,25 +115,7 @@ class TestScale:
             scale(np.zeros((4, 3)), bounds)
 
 
-class TestBoundsCsv:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        data = rng.normal(size=(20, 5)) * 1e3
-        bounds = local_min_max(data)
-        path = str(tmp_path / "bounds.csv")
-        save_bounds_csv(bounds, path)
-        got = load_bounds_csv(path)
-        np.testing.assert_array_equal(got.x_min, bounds.x_min)
-        np.testing.assert_array_equal(got.x_max, bounds.x_max)
-
-    def test_wrong_row_count_rejected(self, tmp_path):
-        path = tmp_path / "bounds.csv"
-        path.write_text("1,2\n")
+class TestScalingBounds:
+    def test_min_above_max_rejected(self):
         with pytest.raises(SchemaError):
-            load_bounds_csv(str(path))
-
-    def test_min_above_max_rejected(self, tmp_path):
-        path = tmp_path / "bounds.csv"
-        path.write_text("5\n1\n")
-        with pytest.raises(SchemaError):
-            load_bounds_csv(str(path))
+            ScalingBounds(np.array([5.0]), np.array([1.0]))
