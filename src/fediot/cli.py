@@ -21,21 +21,9 @@ import sys
 
 import numpy as np
 
-from .dataset import (
-    ATTACK,
-    BENIGN,
-    generate_synthetic_fleet,
-    load_manifest,
-    partition_from_manifest,
-)
+from .dataset import ATTACK, BENIGN, load_manifest, partition_from_manifest
 from .errors import ConfigError
-from .harness import (
-    attack_sweep,
-    derive_seed,
-    load_config,
-    report,
-    run_experiment,
-)
+from .harness import attack_sweep, load_config, report, run_experiment, synthetic_streams
 
 _HANDLED = (ValueError, RuntimeError, TypeError, OSError)
 
@@ -113,17 +101,7 @@ def _cmd_synth(args) -> dict:
     if config.data.source != "synthetic":
         raise ConfigError("synth needs a config with a synthetic data source")
     os.makedirs(args.out, exist_ok=True)
-    streams = generate_synthetic_fleet(
-        config.data.devices,
-        config.data.samples_per_device,
-        feature_dim=config.data.feature_dim,
-        seed=derive_seed(config.master_seed, 0, "fleet"),
-        benign_fraction=config.data.benign_fraction,
-        n_attack_patterns=config.data.attack_patterns,
-        benign_spread=config.data.benign_spread,
-        attack_shift=config.data.attack_shift,
-        noise_sigma=config.data.noise_sigma,
-    )
+    streams = synthetic_streams(config, 0)
     manifest_rows = []
     for i, stream in enumerate(streams):
         device_id = f"dev-{i}"

@@ -46,71 +46,49 @@ NEW_DEVICE_SCOPE = "new_device"
 
 
 @dataclass(frozen=True)
-class OptimizerConfig:
-    """Plain SGD settings shared by every client."""
-
-    learning_rate: float = 0.05
-    l2_lambda: float = 0.0
-    batch_size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Initial learning rate decayed once per aggregation round."""
-
-    initial: float
-    decay: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.initial < 0 or not 0 < self.decay <= 1:
-            raise ConfigError(f"bad schedule: initial={self.initial}, decay={self.decay}")
-
-    def at(self, round_index: int) -> float:
-        return self.initial * self.decay**round_index
-
-
-@dataclass(frozen=True)
 class FederationConfig:
     """Everything the server fixes before training starts.
 
-    epochs is the number of passes over local data (per round for the
-    multi-epoch algorithm, total for mini-batch). rounds only applies to the
-    multi-epoch algorithm. The learning rate schedule decays per round there;
-    mini-batch aggregation always uses the constant initial rate.
+    algorithm picks the schedule. 'mini_batch' aggregates after every local
+    step at the constant learning_rate, for epochs passes over local data.
+    'multi_epoch' runs rounds rounds of epochs local passes each, at
+    learning_rate * lr_decay**round.
     """
 
     arch: ArchitectureSpec
-    optimizer: OptimizerConfig = OptimizerConfig()
+    algorithm: str = "mini_batch"
+    learning_rate: float = 0.05
+    l2_lambda: float = 0.0
+    batch_size: int = 64
+    lr_decay: float = 1.0
     aggregation: AggregationSpec = AggregationSpec("avg")
     epochs: int = 4
     rounds: int = 30
-    lr_schedule: LrSchedule | None = None
     dropout_prob: float = 0.0
     shuffle: bool = True
     init_seed: int = 0
     server_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.algorithm not in ("mini_batch", "multi_epoch"):
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}, pick mini_batch or multi_epoch")
+        if not self.learning_rate >= 0:  # also rejects NaN
+            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not self.l2_lambda >= 0:  # also rejects NaN
+            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 < self.lr_decay <= 1:
+            raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.epochs < 1 or self.rounds < 1:
             raise ConfigError(f"epochs and rounds must be >= 1, got {self.epochs}, {self.rounds}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ConfigError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
 
-    def base_lr(self) -> float:
-        return self.lr_schedule.initial if self.lr_schedule else self.optimizer.learning_rate
-
     def lr_at(self, round_index: int) -> float:
-        if self.lr_schedule:
-            return self.lr_schedule.at(round_index)
-        return self.optimizer.learning_rate
+        if self.algorithm == "mini_batch":
+            return self.learning_rate
+        return self.learning_rate * self.lr_decay**round_index
 
 
 @dataclass
@@ -227,25 +205,23 @@ def _starting_model(config: FederationConfig, initial_model: ModelParameters | N
     return initial_model
 
 
-def schedule(algorithm: str, config: FederationConfig, n_train: int) -> tuple[int, int]:
+def schedule(config: FederationConfig, n_train: int) -> tuple[int, int]:
     """Aggregation rounds and local steps per round for n_train records per client.
 
     Mini-batch aggregation takes one local step per round, so config.epochs
     passes cost epochs * ceil(n_train / batch_size) rounds. Multi-epoch
     aggregation runs config.rounds rounds of config.epochs full local passes.
     """
-    steps_per_epoch = math.ceil(n_train / config.optimizer.batch_size)
-    if algorithm == "mini_batch":
+    steps_per_epoch = math.ceil(n_train / config.batch_size)
+    if config.algorithm == "mini_batch":
         return config.epochs * steps_per_epoch, 1
-    if algorithm == "multi_epoch":
-        return config.rounds, config.epochs * steps_per_epoch
-    raise ConfigError(f"unknown algorithm {algorithm!r}, pick one of ['mini_batch', 'multi_epoch']")
+    return config.rounds, config.epochs * steps_per_epoch
 
 
 def _batches(client: ClientState, config: FederationConfig) -> Iterator[np.ndarray]:
     # One endless stream of batch indices with a fresh order per local epoch.
     rng = np.random.default_rng([client.seed, _SEED_SHUFFLE])
-    n, b = client.n_train, config.optimizer.batch_size
+    n, b = client.n_train, config.batch_size
     while True:
         order = rng.permutation(n) if config.shuffle else np.arange(n)
         for start in range(0, n, b):
@@ -253,31 +229,30 @@ def _batches(client: ClientState, config: FederationConfig) -> Iterator[np.ndarr
 
 
 def run_federated(
-    algorithm: str,
     clients: list[ClientState],
     config: FederationConfig,
     on_round: OnRound | None = None,
     initial_model: ModelParameters | None = None,
 ) -> ModelParameters:
-    """Train a fleet under the 'mini_batch' or 'multi_epoch' schedule.
+    """Train a fleet under the schedule config.algorithm names.
 
     Every round broadcasts the global model, lets each client take its local
     steps on its next batches, and aggregates the returned models. A
-    mini-batch round is one step at the constant base rate; a multi-epoch
-    round is config.epochs local epochs at the round's decayed rate. on_round
+    mini-batch round is one step at the constant rate; a multi-epoch round
+    is config.epochs local epochs at the round's decayed rate. on_round
     receives one record per round plus the new global model; client losses
     are computed only for it.
     """
     attack_spec = _validate_fleet(clients, config)
-    rounds, steps = schedule(algorithm, config, clients[0].n_train)
-    mini_batch = algorithm == "mini_batch"
+    rounds, steps = schedule(config, clients[0].n_train)
+    mini_batch = config.algorithm == "mini_batch"
     grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))
     model = _starting_model(config, initial_model)
     server_rng = np.random.default_rng(config.server_seed)
     streams = [_batches(c, config) for c in clients]
-    l2 = config.optimizer.l2_lambda
+    l2 = config.l2_lambda
     for round_index in range(rounds):
-        lr = config.base_lr() if mini_batch else config.lr_at(round_index)
+        lr = config.lr_at(round_index)
         updates = []
         losses: dict[str, float | None] = {}
         for c, stream in zip(clients, streams):
@@ -399,12 +374,9 @@ class RoundMetrics:
     tnr: float
     f1: float
     scope: str
-    round_index: int = -1
 
 
-def metrics_from_counts(
-    counts: ConfusionCounts, scope: str, round_index: int = -1
-) -> RoundMetrics:
+def metrics_from_counts(counts: ConfusionCounts, scope: str) -> RoundMetrics:
     """Accuracy, true rates, and F1 from pooled confusion counts.
 
     F1 = TP / (TP + (FP + FN) / 2) and is defined as 0 when TP is 0. Rates
@@ -419,7 +391,6 @@ def metrics_from_counts(
         tnr=tn / (tn + fp) if tn + fp else 0.0,
         f1=tp / (tp + 0.5 * (fp + fn)) if tp else 0.0,
         scope=scope,
-        round_index=round_index,
     )
 
 
@@ -437,7 +408,6 @@ def evaluate(
     threshold: float | None,
     known_tests: list[tuple[np.ndarray, np.ndarray]],
     new_device_test: tuple[np.ndarray, np.ndarray] | None = None,
-    round_index: int = -1,
 ) -> dict[str, RoundMetrics]:
     """Score a model on pooled known-device tests and one unseen device.
 
@@ -448,11 +418,11 @@ def evaluate(
     pooled = ConfusionCounts()
     for x, y in known_tests:
         pooled = pooled + confusion_counts(y, predict(model, x, threshold))
-    out = {KNOWN_SCOPE: metrics_from_counts(pooled, KNOWN_SCOPE, round_index)}
+    out = {KNOWN_SCOPE: metrics_from_counts(pooled, KNOWN_SCOPE)}
     if new_device_test is not None:
         x, y = new_device_test
         counts = confusion_counts(y, predict(model, x, threshold))
-        out[NEW_DEVICE_SCOPE] = metrics_from_counts(counts, NEW_DEVICE_SCOPE, round_index)
+        out[NEW_DEVICE_SCOPE] = metrics_from_counts(counts, NEW_DEVICE_SCOPE)
     return out
 
 
@@ -474,7 +444,6 @@ def collaborative_grid_search(
     clients: list[ClientState],
     grid: list[GridPoint],
     config: FederationConfig,
-    algorithm: str = "mini_batch",
     val_fraction: float = 0.10,
 ) -> tuple[GridPoint, list[dict]]:
     """Pick the grid point whose short federated run validates best on average.
@@ -513,12 +482,8 @@ def collaborative_grid_search(
             )
             for c in clients
         ]
-        sub_config = replace(
-            config,
-            arch=point.arch,
-            optimizer=replace(config.optimizer, l2_lambda=point.l2_lambda),
-        )
-        model = run_federated(algorithm, sub_clients, sub_config)
+        sub_config = replace(config, arch=point.arch, l2_lambda=point.l2_lambda)
+        model = run_federated(sub_clients, sub_config)
         scores = []
         for c in clients:
             x_val = c.x_train[cut:]

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import shutil
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
@@ -30,6 +29,7 @@ from .dataset import (
     DevicePartition,
     FEATURE_DIM,
     ManifestEntry,
+    SampleSet,
     SUPERVISED_FRACTIONS,
     UNSUPERVISED_FRACTIONS,
     chronological_split,
@@ -44,9 +44,7 @@ from .federation import (
     FederationConfig,
     GridPoint,
     KNOWN_SCOPE,
-    LrSchedule,
     NEW_DEVICE_SCOPE,
-    OptimizerConfig,
     RoundLogger,
     RoundMetrics,
     build_client,
@@ -56,13 +54,7 @@ from .federation import (
     schedule,
     select_thresholds,
 )
-from .neuralnet import (
-    ArchitectureSpec,
-    autoencoder_preset,
-    classifier_preset,
-    init_model,
-    save_checkpoint,
-)
+from .neuralnet import ArchitectureSpec, autoencoder_preset, checkpoint_header, classifier_preset
 from .preprocess import local_min_max, merge_bounds, scale
 
 RESULTS_ENV_VAR = "FEDIOT_RESULTS_DIR"
@@ -149,8 +141,6 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.approach not in APPROACHES:
             raise ConfigError(f"approach must be one of {APPROACHES}, got {self.approach!r}")
-        if self.algorithm not in ("mini_batch", "multi_epoch"):
-            raise ConfigError(f"algorithm must be mini_batch or multi_epoch, got {self.algorithm!r}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if isinstance(self.folds, str) and self.folds != "all":
@@ -163,6 +153,12 @@ class ExperimentConfig:
             raise ConfigError("label flipping needs supervised training labels")
         if bool(self.grid_presets) != bool(self.grid_l2):
             raise ConfigError("grid needs both presets and l2 values")
+        # The training values are checked where training reads them, for
+        # every architecture and L2 weight the experiment may train, so a
+        # bad config fails at load, before a bundle is touched.
+        base = _federation_config(self, 0, "")
+        for point in _grid(self):
+            replace(base, arch=point.arch, l2_lambda=point.l2_lambda)
 
     @property
     def supervised(self) -> bool:
@@ -329,23 +325,27 @@ def _client_count(config: ExperimentConfig) -> int:
     return len({entry.device_id for entry in _manifest(config)}) - 1
 
 
+def synthetic_streams(config: ExperimentConfig, rep: int) -> list[SampleSet]:
+    """The synthetic fleet's device streams for one repetition."""
+    return generate_synthetic_fleet(
+        config.data.devices,
+        config.data.samples_per_device,
+        feature_dim=config.data.feature_dim,
+        seed=derive_seed(config.master_seed, rep, "fleet"),
+        benign_fraction=config.data.benign_fraction,
+        n_attack_patterns=config.data.attack_patterns,
+        benign_spread=config.data.benign_spread,
+        attack_shift=config.data.attack_shift,
+        noise_sigma=config.data.noise_sigma,
+    )
+
+
 def _fleet_partitions(config: ExperimentConfig, rep: int) -> dict[str, DevicePartition]:
     """Split and rebalance every device's stream for one repetition."""
     if config.data.source == "synthetic":
-        streams = generate_synthetic_fleet(
-            config.data.devices,
-            config.data.samples_per_device,
-            feature_dim=config.data.feature_dim,
-            seed=derive_seed(config.master_seed, rep, "fleet"),
-            benign_fraction=config.data.benign_fraction,
-            n_attack_patterns=config.data.attack_patterns,
-            benign_spread=config.data.benign_spread,
-            attack_shift=config.data.attack_shift,
-            noise_sigma=config.data.noise_sigma,
-        )
         raw = {
             f"dev-{i}": chronological_split(stream, config.mode, f"dev-{i}")
-            for i, stream in enumerate(streams)
+            for i, stream in enumerate(synthetic_streams(config, rep))
         }
     else:
         parts = partition_from_manifest(
@@ -369,19 +369,17 @@ def _resolve_folds(config: ExperimentConfig, device_ids: list[str]) -> list[str]
     return list(config.folds)
 
 
-def _federation_config(
-    config: ExperimentConfig, arch: ArchitectureSpec, l2: float, rep: int, fold: str
-) -> FederationConfig:
-    schedule = None
-    if config.algorithm == "multi_epoch":
-        schedule = LrSchedule(config.learning_rate, config.lr_decay)
+def _federation_config(config: ExperimentConfig, rep: int, fold: str) -> FederationConfig:
     return FederationConfig(
-        arch=arch,
-        optimizer=OptimizerConfig(config.learning_rate, l2, config.batch_size),
+        arch=config.architecture(),
+        algorithm=config.algorithm,
+        learning_rate=config.learning_rate,
+        l2_lambda=config.l2_lambda,
+        batch_size=config.batch_size,
+        lr_decay=config.lr_decay,
         aggregation=config.aggregation,
         epochs=config.epochs,
         rounds=config.rounds,
-        lr_schedule=schedule,
         dropout_prob=config.dropout_prob,
         shuffle=config.shuffle,
         init_seed=derive_seed(config.master_seed, rep, fold, "init"),
@@ -459,7 +457,9 @@ def _run_cell(
     if config.attack.f >= k:
         raise ConfigError(f"f={config.attack.f} attackers need more than {k} clients")
     federated = config.approach == "federated"
-    algorithm = config.algorithm if federated else "mini_batch"
+    base_config = _federation_config(config, rep, fold)
+    if not federated:
+        base_config = replace(base_config, algorithm="mini_batch")
     cell_seed = derive_seed(config.master_seed, rep, fold, "cell")
     log_path = None
     if federated and rounds_dir is not None and config.log_rounds:
@@ -485,16 +485,16 @@ def _run_cell(
             )
             for p in members
         ]
-        fed_config = _federation_config(config, config.architecture(), config.l2_lambda, rep, fold)
+        fed_config = base_config
         if config.grid_presets:
-            best, _ = collaborative_grid_search(clients, _grid(config), fed_config, algorithm)
-            fed_config = _federation_config(config, best.arch, best.l2_lambda, rep, fold)
+            best, _ = collaborative_grid_search(clients, _grid(config), base_config)
+            fed_config = replace(base_config, arch=best.arch, l2_lambda=best.l2_lambda)
         if log_path is None:
-            model = run_federated(algorithm, clients, fed_config)
+            model = run_federated(clients, fed_config)
         else:
             with RoundLogger(log_path) as logger:
                 hook = logger if config.supervised else _threshold_logger(logger, clients, config)
-                model = run_federated(algorithm, clients, fed_config, hook)
+                model = run_federated(clients, fed_config, hook)
 
         threshold = None
         if not config.supervised:
@@ -508,7 +508,7 @@ def _run_cell(
             )
 
     n_train = clients[0].n_train
-    aggregations = schedule(algorithm, fed_config, n_train)[0] if federated else 0
+    aggregations = schedule(base_config, n_train)[0] if federated else 0
     rows = [
         _metric_row(fold, rep, cell_seed, _mean_metrics(per_group, scope), n_train, aggregations)
         for scope in (KNOWN_SCOPE, NEW_DEVICE_SCOPE)
@@ -520,12 +520,18 @@ def _plain(metrics: RoundMetrics) -> dict:
     return {name: getattr(metrics, name) for name in METRIC_NAMES}
 
 
-def _collect_runs(config: ExperimentConfig, rounds_dir: str | None = None):
-    rows: list[dict] = []
-    device_rows: list[dict] = []
+def _repetitions(config: ExperimentConfig):
+    """Each repetition's partitions and folds, one fleet in memory at a time."""
     for rep in range(config.repetitions):
         partitions = _fleet_partitions(config, rep)
-        for fold in _resolve_folds(config, list(partitions)):
+        yield rep, partitions, _resolve_folds(config, list(partitions))
+
+
+def _collect_runs(config: ExperimentConfig, rounds_dir: str | None):
+    rows: list[dict] = []
+    device_rows: list[dict] = []
+    for rep, partitions, folds in _repetitions(config):
+        for fold in folds:
             cell_rows, cell_devices = _run_cell(config, partitions, fold, rep, rounds_dir)
             rows.extend(cell_rows)
             device_rows.extend(cell_devices)
@@ -638,9 +644,10 @@ def attack_sweep(
 ) -> SweepResult:
     """Cross attack kinds x aggregation rules x attacker counts.
 
-    Every cell reruns the full fold x repetition protocol and records the
+    Every cell runs the full fold x repetition protocol and records the
     mean, min, and max F1 on known devices. f=0 runs once per rule as the
-    honest baseline.
+    honest baseline. Each repetition's fleet is built once and shared by
+    all cells.
     """
     if config.approach != "federated":
         raise ConfigError("attack sweeps need the federated approach")
@@ -658,26 +665,30 @@ def attack_sweep(
     if k - 2 * deepest < 1:
         raise ConfigError(f"TM({deepest}) needs more than {k} clients")
 
-    rows = []
+    cells = []  # (attack kind, rule, f, cell config, known-device F1 per run)
     for rule in SWEEP_RULES:
         for f in sorted(f_values):
             kinds = ["none"] if f == 0 else [kind for kind in ATTACK_KINDS if kind != "none"]
             for kind in kinds:
                 attack = AttackSpec() if f == 0 else AttackSpec(kind=kind, f=f)
-                cell = replace(config, aggregation=rule, attack=attack)
-                run_rows, _ = _collect_runs(cell)
-                f1s = [r["f1"] for r in run_rows if r["scope"] == KNOWN_SCOPE]
-                rows.append(
-                    {
-                        "attack": kind,
-                        "rule": rule.describe(),
-                        "f": f,
-                        "mean_f1": float(np.mean(f1s)),
-                        "min_f1": float(np.min(f1s)),
-                        "max_f1": float(np.max(f1s)),
-                        "runs": len(f1s),
-                    }
-                )
+                cells.append((kind, rule, f, replace(config, aggregation=rule, attack=attack), []))
+    for rep, partitions, folds in _repetitions(config):
+        for *_, cell, f1s in cells:
+            for fold in folds:
+                run_rows, _ = _run_cell(cell, partitions, fold, rep, None)
+                f1s.extend(r["f1"] for r in run_rows if r["scope"] == KNOWN_SCOPE)
+    rows = [
+        {
+            "attack": kind,
+            "rule": rule.describe(),
+            "f": f,
+            "mean_f1": float(np.mean(f1s)),
+            "min_f1": float(np.min(f1s)),
+            "max_f1": float(np.max(f1s)),
+            "runs": len(f1s),
+        }
+        for kind, rule, f, _, f1s in cells
+    ]
 
     bundle = os.path.join(results_dir(out_dir), f"{config.name}-sweep")
     os.makedirs(bundle, exist_ok=True)
@@ -689,14 +700,10 @@ def attack_sweep(
 
 
 def model_size_bytes(arch: ArchitectureSpec, override: int | None = None) -> int:
-    """Serialized model size: a checkpoint measurement, or a stated override."""
+    """Serialized model size: the checkpoint's byte count, or a stated override."""
     if override is not None:
         return int(override)
-    params = init_model(arch, 0)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.bin")
-        save_checkpoint(params, path)
-        return os.path.getsize(path)
+    return len(checkpoint_header(arch)) + 8 * arch.n_parameters
 
 
 def human_bytes(n: int) -> str:

@@ -279,13 +279,8 @@ def mse_per_sample(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return np.mean((pre_acts[-1] - x) ** 2, axis=1)
 
 
-def save_checkpoint(params: ModelParameters, path: str) -> None:
-    """Write a self-describing checkpoint, byte-stable for equal inputs.
-
-    The file holds a magic tag, the length of a JSON architecture header,
-    the header, and the parameters as raw little-endian float64 values.
-    """
-    arch = params.arch
+def checkpoint_header(arch: ArchitectureSpec) -> bytes:
+    """The checkpoint bytes before the parameters: magic tag, header length, JSON header."""
     header = {
         "kind": arch.kind,
         "hidden_layers": list(arch.hidden_layers),
@@ -293,8 +288,15 @@ def save_checkpoint(params: ModelParameters, path: str) -> None:
         "output_dim": arch.output_dim,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob
+
+
+def save_checkpoint(params: ModelParameters, path: str) -> None:
+    """Write a self-describing checkpoint, byte-stable for equal inputs.
+
+    The file holds a magic tag, the length of a JSON architecture header,
+    the header, and the parameters as raw little-endian float64 values.
+    """
     with open(path, "wb") as handle:
-        handle.write(_CHECKPOINT_MAGIC)
-        handle.write(len(blob).to_bytes(4, "little"))
-        handle.write(blob)
+        handle.write(checkpoint_header(params.arch))
         handle.write(params.flat.astype("<f8").tobytes())

@@ -21,7 +21,6 @@ from fediot.dataset import BalanceSpec
 from fediot.federation import (
     ClientState,
     FederationConfig,
-    OptimizerConfig,
     global_threshold,
     local_threshold,
     run_federated,
@@ -169,11 +168,13 @@ def test_degenerate_federation_reduces_to_plain_sgd():
     y = rng.integers(0, 2, size=80)
     config = FederationConfig(
         arch=arch,
-        optimizer=OptimizerConfig(learning_rate=0.2, l2_lambda=1e-4, batch_size=8),
+        learning_rate=0.2,
+        l2_lambda=1e-4,
+        batch_size=8,
         epochs=10,
         shuffle=False,
     )
-    solo = run_federated("mini_batch", [ClientState("solo", x, y)], config)
+    solo = run_federated([ClientState("solo", x, y)], config)
     model = init_model(arch, config.init_seed)
     steps = 0
     for _ in range(10):
@@ -200,11 +201,12 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         clients.append(ClientState(f"c{part}", x[rows], y[rows]))
     config = FederationConfig(
         arch=arch,
-        optimizer=OptimizerConfig(learning_rate=0.3, batch_size=small_b),
+        learning_rate=0.3,
+        batch_size=small_b,
         epochs=5,
         shuffle=False,
     )
-    federated = run_federated("mini_batch", clients, config)
+    federated = run_federated(clients, config)
     central = init_model(arch, config.init_seed)
     aggregations = 0
     for _ in range(5):
@@ -239,11 +241,12 @@ def test_model_cancellation_averages_to_exact_zero():
             )
         config = FederationConfig(
             arch=arch,
-            optimizer=OptimizerConfig(learning_rate=0.0, batch_size=8),
+            learning_rate=0.0,
+            batch_size=8,
             epochs=1,
             shuffle=False,
         )
-        got = run_federated("mini_batch", clients, config, initial_model=start)
+        got = run_federated(clients, config, initial_model=start)
         assert np.all(got.flat == 0.0)
 
 

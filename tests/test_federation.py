@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from fediot.federation import (
     ConfusionCounts,
     FederationConfig,
     GridPoint,
-    LrSchedule,
-    OptimizerConfig,
     RoundLogger,
     build_client,
     collaborative_grid_search,
@@ -61,7 +60,8 @@ def toy_config(d=4, supervised=True, **overrides):
     )
     defaults = dict(
         arch=arch,
-        optimizer=OptimizerConfig(learning_rate=0.1, batch_size=8),
+        learning_rate=0.1,
+        batch_size=8,
         epochs=2,
         rounds=3,
         shuffle=False,
@@ -73,43 +73,43 @@ def toy_config(d=4, supervised=True, **overrides):
 class TestFleetValidation:
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigError):
-            run_federated("mini_batch", [], toy_config())
+            run_federated([], toy_config())
 
     def test_unequal_training_sizes_rejected(self):
         clients = [toy_client("a", n=32), toy_client("b", n=16)]
         with pytest.raises(ConfigError, match="equally many"):
-            run_federated("mini_batch", clients, toy_config())
+            run_federated(clients, toy_config())
 
     def test_duplicate_ids_rejected(self):
         clients = [toy_client("a"), toy_client("a", seed=1)]
         with pytest.raises(ConfigError, match="duplicate"):
-            run_federated("mini_batch", clients, toy_config())
+            run_federated(clients, toy_config())
 
     def test_missing_labels_rejected(self):
         clients = [toy_client("a", supervised=False)]
         with pytest.raises(ConfigError, match="labels"):
-            run_federated("mini_batch", clients, toy_config(supervised=True))
+            run_federated(clients, toy_config(supervised=True))
 
     def test_malicious_count_must_match_f(self):
         attack = AttackSpec(kind="model_cancel", f=2)
         clients = [toy_client("a", attack=attack), toy_client("b", seed=1)]
         with pytest.raises(ConfigError, match="f=2"):
-            run_federated("mini_batch", clients, toy_config())
+            run_federated(clients, toy_config())
 
 
 class TestMiniBatch:
     def test_aggregation_count_is_epochs_times_ceil_batches(self):
         clients = [toy_client("a", n=20), toy_client("b", n=20, seed=1)]
         seen = []
-        config = toy_config(epochs=3, optimizer=OptimizerConfig(0.1, 0.0, 8))
-        run_federated("mini_batch", clients, config, on_round=lambda info, m: seen.append(info["round"]))
+        config = toy_config(epochs=3, learning_rate=0.1, batch_size=8)
+        run_federated(clients, config, on_round=lambda info, m: seen.append(info["round"]))
         assert len(seen) == 3 * math.ceil(20 / 8)
         assert seen == sorted(seen)
 
     def test_single_client_avg_is_plain_sgd(self):
         client = toy_client("solo", n=40, seed=3)
-        config = toy_config(epochs=5, optimizer=OptimizerConfig(0.2, 1e-4, 8))
-        got = run_federated("mini_batch", [client], config)
+        config = toy_config(epochs=5, learning_rate=0.2, l2_lambda=1e-4, batch_size=8)
+        got = run_federated([client], config)
         model = init_model(config.arch, config.init_seed)
         for _ in range(5):
             for start in range(0, 40, 8):
@@ -138,8 +138,8 @@ class TestMiniBatch:
         clients = [
             ClientState(f"c{i}", slices_x[i], slices_y[i], seed=i) for i in range(k)
         ]
-        config = toy_config(d=d, epochs=4, optimizer=OptimizerConfig(0.3, 0.0, small_b))
-        federated = run_federated("mini_batch", clients, config)
+        config = toy_config(d=d, epochs=4, learning_rate=0.3, batch_size=small_b)
+        federated = run_federated(clients, config)
         central = init_model(config.arch, config.init_seed)
         for _ in range(4):
             for start in range(0, n, big_b):
@@ -150,43 +150,44 @@ class TestMiniBatch:
     def test_deterministic_with_shuffling(self):
         clients = [toy_client("a", seed=5), toy_client("b", seed=6)]
         config = toy_config(shuffle=True)
-        a = run_federated("mini_batch", clients, config)
-        b = run_federated("mini_batch", clients, config)
+        a = run_federated(clients, config)
+        b = run_federated(clients, config)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_warm_start_arch_mismatch_rejected(self):
         wrong = init_model(classifier_preset("A", input_dim=7), 0)
         with pytest.raises(ConfigError, match="architecture"):
-            run_federated("mini_batch", [toy_client("a")], toy_config(), initial_model=wrong)
+            run_federated([toy_client("a")], toy_config(), initial_model=wrong)
 
     def test_dropout_all_rounds_keeps_initial_model(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
         config = toy_config(dropout_prob=0.999, server_seed=4)
-        got = run_federated("mini_batch", clients, config)
+        got = run_federated(clients, config)
         init = init_model(config.arch, config.init_seed)
         # With dropout this close to 1 every draw drops both clients here.
         np.testing.assert_array_equal(got.flat, init.flat)
 
     def test_dropout_depends_on_server_seed(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
-        a = run_federated("mini_batch", clients, toy_config(dropout_prob=0.5, server_seed=1))
-        b = run_federated("mini_batch", clients, toy_config(dropout_prob=0.5, server_seed=2))
+        a = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=1))
+        b = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=2))
         assert not np.array_equal(a.flat, b.flat)
 
 
 class TestMultiEpoch:
     def test_round_count_and_lr_decay(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
-        schedule = LrSchedule(initial=0.2, decay=0.9)
-        config = toy_config(rounds=4, lr_schedule=schedule)
+        config = toy_config(algorithm="multi_epoch", rounds=4, learning_rate=0.2, lr_decay=0.9)
         lrs = []
-        run_federated("multi_epoch", clients, config, on_round=lambda info, m: lrs.append(info["lr"]))
+        run_federated(clients, config, on_round=lambda info, m: lrs.append(info["lr"]))
         assert lrs == pytest.approx([0.2 * 0.9**t for t in range(4)])
 
     def test_single_client_single_round_is_local_training(self):
         client = toy_client("solo", n=24, seed=8)
-        config = toy_config(rounds=1, epochs=3, optimizer=OptimizerConfig(0.1, 0.0, 8))
-        got = run_federated("multi_epoch", [client], config)
+        config = toy_config(
+            algorithm="multi_epoch", rounds=1, epochs=3, learning_rate=0.1, batch_size=8
+        )
+        got = run_federated([client], config)
         model = init_model(config.arch, config.init_seed)
         for _ in range(3):
             for start in range(0, 24, 8):
@@ -197,21 +198,45 @@ class TestMultiEpoch:
 
     def test_deterministic(self):
         clients = [toy_client("a", seed=1), toy_client("b", seed=2)]
-        config = toy_config(shuffle=True, rounds=2)
-        a = run_federated("multi_epoch", clients, config)
-        b = run_federated("multi_epoch", clients, config)
+        config = toy_config(algorithm="multi_epoch", shuffle=True, rounds=2)
+        a = run_federated(clients, config)
+        b = run_federated(clients, config)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ConfigError):
-            run_federated("gossip", [toy_client("a")], toy_config())
+        with pytest.raises(ConfigError, match="gossip"):
+            toy_config(algorithm="gossip")
 
 
 class TestSchedules:
     def test_round_counts(self):
-        config = toy_config(epochs=3, rounds=5, optimizer=OptimizerConfig(0.1, 0.0, 8))
-        assert schedule("mini_batch", config, 20) == (3 * 3, 1)
-        assert schedule("multi_epoch", config, 20) == (5, 3 * 3)
+        config = toy_config(epochs=3, rounds=5, batch_size=8)
+        assert schedule(config, 20) == (3 * 3, 1)
+        assert schedule(replace(config, algorithm="multi_epoch"), 20) == (5, 3 * 3)
+
+    def test_mini_batch_rate_is_constant(self):
+        config = toy_config(learning_rate=0.2, lr_decay=0.5)
+        assert [config.lr_at(t) for t in range(3)] == [0.2, 0.2, 0.2]
+        multi = replace(config, algorithm="multi_epoch")
+        assert [multi.lr_at(t) for t in range(3)] == [0.2, 0.2 * 0.5, 0.2 * 0.5**2]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", -1.0),
+            ("learning_rate", math.nan),
+            ("l2_lambda", -0.1),
+            ("batch_size", 0),
+            ("lr_decay", 0.0),
+            ("lr_decay", 1.5),
+            ("epochs", 0),
+            ("rounds", 0),
+            ("dropout_prob", 1.5),
+        ],
+    )
+    def test_bad_training_values_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            toy_config(**{name: value})
 
     @pytest.mark.parametrize("algorithm", SCHEDULES)
     def test_gradient_factor_flips_the_average_step(self, algorithm):
@@ -226,8 +251,10 @@ class TestSchedules:
             ClientState("honest", x, y, seed=1),
             ClientState("evil", x, y, attack=attack, seed=1),
         ]
-        config = toy_config(d=3, epochs=1, rounds=1, optimizer=OptimizerConfig(0.5, 0.0, 8))
-        got = run_federated(algorithm, clients, config)
+        config = toy_config(
+            d=3, algorithm=algorithm, epochs=1, rounds=1, learning_rate=0.5, batch_size=8
+        )
+        got = run_federated(clients, config)
         start = init_model(config.arch, config.init_seed)
         grad = backward(start, x, y)
         expected = start.flat + 0.5 * grad
@@ -246,8 +273,10 @@ class TestSchedules:
         attack = AttackSpec(kind="model_cancel", f=2)
         clients = [toy_client(f"h{i}", d=3, seed=i) for i in range(6)]
         clients += [toy_client(f"m{i}", d=3, seed=10 + i, attack=attack) for i in range(2)]
-        config = toy_config(d=3, epochs=1, rounds=1, optimizer=OptimizerConfig(0.0, 0.0, 32))
-        got = run_federated(algorithm, clients, config, initial_model=start)
+        config = toy_config(
+            d=3, algorithm=algorithm, epochs=1, rounds=1, learning_rate=0.0, batch_size=32
+        )
+        got = run_federated(clients, config, initial_model=start)
         assert np.all(got.flat == 0.0)
 
     @pytest.mark.parametrize("algorithm", SCHEDULES)
@@ -255,7 +284,7 @@ class TestSchedules:
         clients = [toy_client("good"), toy_client("bad", seed=1)]
         clients[1].x_train[3, 0] = np.inf
         with pytest.raises(PoisonedUpdateError, match="client bad"):
-            run_federated(algorithm, clients, toy_config())
+            run_federated(clients, toy_config(algorithm=algorithm))
 
 
 class TestThresholds:
@@ -413,7 +442,7 @@ class TestGridSearch:
         bad = GridPoint(classifier_preset("A", input_dim=2), 0.0)
         good = GridPoint(ArchitectureSpec("classifier", (8,), 2, 1), 0.0)
         config = toy_config(
-            d=2, epochs=20, shuffle=True, optimizer=OptimizerConfig(0.5, 0.0, 16)
+            d=2, epochs=20, shuffle=True, learning_rate=0.5, batch_size=16
         )
         best, rows = collaborative_grid_search(clients, [bad, good], config)
         assert best == good
@@ -439,7 +468,7 @@ class TestGridSearch:
         arch = ArchitectureSpec("autoencoder", (2,), 3, 3)
         good = GridPoint(arch, 0.0)
         bad = GridPoint(arch, 1.0)  # shrinks weights toward zero, finite but useless
-        config = toy_config(d=3, supervised=False, epochs=6, optimizer=OptimizerConfig(0.3, 0.0, 10))
+        config = toy_config(d=3, supervised=False, epochs=6, learning_rate=0.3, batch_size=10)
         best, rows = collaborative_grid_search(clients, [bad, good], config)
         assert best == good
         assert rows[1]["mean_score"] < rows[0]["mean_score"]
@@ -462,7 +491,7 @@ class TestRoundLogger:
         path = str(tmp_path / "rounds.jsonl")
         clients = [toy_client("a"), toy_client("b", seed=1)]
         with RoundLogger(path) as logger:
-            run_federated("mini_batch", clients, toy_config(epochs=1), on_round=logger)
+            run_federated(clients, toy_config(epochs=1), on_round=logger)
         records = [json.loads(line) for line in open(path)]
         assert len(records) == math.ceil(32 / 8)
         assert {"round", "epoch", "lr", "client_losses", "dropped"} <= set(records[0])
@@ -472,6 +501,6 @@ class TestRoundLogger:
         path = str(tmp_path / "rounds.jsonl")
         clients = [toy_client("a"), toy_client("b", seed=1)]
         with RoundLogger(path, every=2) as logger:
-            run_federated("mini_batch", clients, toy_config(epochs=2), on_round=logger)
+            run_federated(clients, toy_config(epochs=2), on_round=logger)
         records = [json.loads(line) for line in open(path)]
         assert [r["round"] for r in records] == [0, 2, 4, 6]

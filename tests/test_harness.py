@@ -6,7 +6,7 @@ import pytest
 
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec
-from fediot.dataset import BalanceSpec
+from fediot.dataset import BalanceSpec, generate_synthetic_fleet
 from fediot import cli
 from fediot.errors import ConfigError
 from fediot.harness import (
@@ -26,7 +26,14 @@ from fediot.harness import (
     run_experiment,
     summarize,
 )
-from fediot.neuralnet import classifier_preset
+from fediot.neuralnet import (
+    AUTOENCODER_HIDDEN,
+    CLASSIFIER_HIDDEN,
+    autoencoder_preset,
+    classifier_preset,
+    init_model,
+    save_checkpoint,
+)
 
 
 def tiny_dict(**overrides):
@@ -281,6 +288,45 @@ class TestRunExperiment:
         result = run_experiment(config_from_dict(raw), str(tmp_path))
         assert len(result.rows) == 6
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("training", "learning_rate", -1),
+            ("training", "learning_rate", float("nan")),
+            ("training", "batch_size", 0),
+            ("training", "epochs", 0),
+            ("training", "dropout_prob", 1.5),
+            ("training", "lr_decay", 0.0),
+            ("model", "preset", "Z"),
+            ("model", "grid", {"presets": ["A", "Z"], "l2_values": [0.0]}),
+            ("model", "grid", {"presets": ["A"], "l2_values": [-1.0]}),
+        ],
+        ids=[
+            "learning_rate", "learning_rate_nan", "batch_size", "epochs",
+            "dropout_prob", "lr_decay", "preset", "grid_preset", "grid_l2",
+        ],
+    )
+    def test_bad_rerun_rejected_before_the_bundle_is_touched(self, tmp_path, section, key, value):
+        raw = tiny_dict()
+        raw["training"]["log_rounds"] = True
+        raw["protocol"]["folds"] = ["dev-0"]
+        bundle = run_experiment(config_from_dict(raw), str(tmp_path)).path
+
+        def snapshot():
+            files = {}
+            for root, _, names in os.walk(bundle):
+                for name in names:
+                    with open(os.path.join(root, name), "rb") as handle:
+                        files[os.path.relpath(os.path.join(root, name), bundle)] = handle.read()
+            return files
+
+        before = snapshot()
+        assert "rounds/fold-dev-0-rep-0.jsonl" in before
+        raw[section][key] = value
+        with pytest.raises(ConfigError):
+            run_experiment(config_from_dict(raw), str(tmp_path))
+        assert snapshot() == before
+
     def test_results_env_var_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDIOT_RESULTS_DIR", str(tmp_path / "env"))
         result = run_experiment(tiny_config())
@@ -342,6 +388,19 @@ class TestAttackSweep:
         with pytest.raises(ConfigError, match="TM"):
             attack_sweep(tiny_config(), [0], str(tmp_path))
 
+    def test_fleet_built_once_per_repetition(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return generate_synthetic_fleet(*args, **kwargs)
+
+        monkeypatch.setattr("fediot.harness.generate_synthetic_fleet", counting)
+        config = self.sweep_config(protocol={"folds": ["dev-0"], "repetitions": 2, "master_seed": 3})
+        result = attack_sweep(config, [0, 1], str(tmp_path))
+        assert all(r["runs"] == 2 for r in result.rows)
+        assert calls == [derive_seed(3, 0, "fleet"), derive_seed(3, 1, "fleet")]
+
 
 def manifest_config(tmp_path, **overrides):
     """A config reading a 9-device fleet written by `fediot synth`."""
@@ -399,11 +458,14 @@ class TestCostTable:
         assert rows[0]["batch_size"] == 8
         assert rows[1]["batch_size"] == 16
 
-    def test_measured_model_size_without_override(self):
-        arch = classifier_preset("A", input_dim=5)
-        size = model_size_bytes(arch)
-        assert size > arch.n_parameters * 8  # header on top of the payload
-        assert model_size_bytes(arch, 94000) == 94000
+    def test_measured_model_size_without_override(self, tmp_path):
+        archs = [classifier_preset(name) for name in CLASSIFIER_HIDDEN]
+        archs += [autoencoder_preset(name) for name in AUTOENCODER_HIDDEN]
+        path = tmp_path / "model.bin"
+        for arch in archs:
+            save_checkpoint(init_model(arch, 0), str(path))
+            assert model_size_bytes(arch) == path.stat().st_size
+        assert model_size_bytes(archs[0], 94000) == 94000
 
     def test_human_bytes(self):
         assert human_bytes(999) == "999 B"
