@@ -20,7 +20,7 @@ BENIGN = 0
 ATTACK = 1
 
 _MANIFEST_COLUMNS = ("device_id", "path", "class")
-_MANIFEST_CLASSES = ("benign", "attack")
+_CLASS_NAMES = ("benign", "attack")  # indexed by label
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
 
     def take(self, indices: np.ndarray) -> SampleSet:
         """Gather records by position, preserving the given order."""
@@ -129,19 +125,14 @@ class BalanceSpec:
             raise ConfigError(f"samples_per_device must be positive, got {self.samples_per_device}")
 
 
-def load_device_csv(
-    path: str,
-    schema: int = FEATURE_DIM,
-    labeled: bool | None = None,
-    has_header: bool = False,
-) -> SampleSet:
+def load_device_csv(path: str, schema: int = FEATURE_DIM, has_header: bool = False) -> SampleSet:
     """Load one device stream from a CSV file.
 
     Args:
-        path: CSV file with one record per row, in capture order.
+        path: CSV file with one record per row, in capture order. The first
+            data row fixes whether a final 0/1 label column follows the
+            features.
         schema: expected number of feature columns.
-        labeled: True if a final 0/1 label column is present, False if not,
-            None to infer from the first data row.
         has_header: skip the first row when True.
 
     Raises:
@@ -150,6 +141,7 @@ def load_device_csv(
     """
     rows: list[list[float]] = []
     labels: list[int] = []
+    labeled = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         for row_no, row in enumerate(reader):
@@ -187,11 +179,18 @@ def load_device_csv(
     return SampleSet(features, label_arr, np.arange(len(rows), dtype=np.int64))
 
 
-def _part_sizes(n: int, fractions: tuple[float, ...]) -> list[int]:
+def _part_sizes(n: int, fractions: tuple[float, ...], what: str) -> list[int]:
     # Floor every part except the last; the last absorbs the remainder.
+    if n < len(fractions):
+        raise EmptyPartError(f"{what} cannot fill {len(fractions)} split parts")
     sizes = [int(f * n) for f in fractions[:-1]]
     sizes.append(n - sum(sizes))
     return sizes
+
+
+def _cut(positions: np.ndarray, fractions: tuple[float, ...], what: str) -> list[np.ndarray]:
+    # Consecutive runs of the given positions, one per fraction.
+    return np.split(positions, np.cumsum(_part_sizes(positions.size, fractions, what))[:-1])
 
 
 def chronological_split(samples: SampleSet, mode: str, device_id: str = "device") -> DevicePartition:
@@ -200,42 +199,27 @@ def chronological_split(samples: SampleSet, mode: str, device_id: str = "device"
     Supervised mode cuts the stream into train / unused / test blocks of
     fractions 0.79 / 0.01 / 0.20. Unsupervised mode applies fractions
     0.395 / 0.395 / 0.01 / 0.20 to the benign records only (train,
-    threshold_sel, unused, benign test) and reserves every attack record
-    for the test part. An unlabeled stream is treated as all benign.
+    threshold_sel, unused, benign test) and adds every attack record to the
+    test part, which keeps capture order. An unlabeled stream is treated as
+    all benign.
 
     Raises:
         EmptyPartError: the stream holds fewer records than parts.
         ConfigError: unknown mode.
     """
+    n = len(samples)
     if mode == "supervised":
-        n = len(samples)
-        if n < len(SUPERVISED_FRACTIONS):
-            raise EmptyPartError(f"{device_id}: {n} samples cannot fill 3 split parts")
-        sizes = _part_sizes(n, SUPERVISED_FRACTIONS)
-        bounds = np.cumsum([0] + sizes)
-        train, unused, test = (
-            samples.take(np.arange(bounds[i], bounds[i + 1])) for i in range(3)
-        )
-        return DevicePartition(device_id, train, unused, test)
-    if mode == "unsupervised":
-        if samples.labels is None:
-            benign, attacks = samples, None
-        else:
-            benign_idx = np.flatnonzero(samples.labels == BENIGN)
-            attack_idx = np.flatnonzero(samples.labels == ATTACK)
-            benign = samples.take(benign_idx)
-            attacks = samples.take(attack_idx) if attack_idx.size else None
-        nb = len(benign)
-        if nb < len(UNSUPERVISED_FRACTIONS):
-            raise EmptyPartError(f"{device_id}: {nb} benign samples cannot fill 4 split parts")
-        sizes = _part_sizes(nb, UNSUPERVISED_FRACTIONS)
-        bounds = np.cumsum([0] + sizes)
-        train, thr_sel, unused, benign_test = (
-            benign.take(np.arange(bounds[i], bounds[i + 1])) for i in range(4)
-        )
-        test = benign_test if attacks is None else SampleSet.concat([benign_test, attacks])
-        return DevicePartition(device_id, train, unused, test, thr_sel)
-    raise ConfigError(f"unknown split mode {mode!r}")
+        parts = _cut(np.arange(n), SUPERVISED_FRACTIONS, f"{device_id}: {n} samples")
+        return DevicePartition(device_id, *(samples.take(p) for p in parts))
+    if mode != "unsupervised":
+        raise ConfigError(f"unknown split mode {mode!r}")
+    labels = np.zeros(n, dtype=np.int64) if samples.labels is None else samples.labels
+    benign = np.flatnonzero(labels == BENIGN)
+    train, thr_sel, unused, test = _cut(
+        benign, UNSUPERVISED_FRACTIONS, f"{device_id}: {benign.size} benign samples"
+    )
+    test = np.sort(np.concatenate([test, np.flatnonzero(labels == ATTACK)]))
+    return DevicePartition(device_id, *(samples.take(p) for p in (train, unused, test, thr_sel)))
 
 
 def _resample(indices: np.ndarray, target: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,39 +234,21 @@ def _resample(indices: np.ndarray, target: int, rng: np.random.Generator) -> np.
     return np.concatenate([indices, extra])
 
 
-def _rebalance_part(
-    part: SampleSet,
-    total: int,
-    benign_fraction: float,
-    rng: np.random.Generator,
-    what: str,
+def _resize(
+    part: SampleSet, targets: dict[int, int], rng: np.random.Generator, what: str
 ) -> SampleSet:
+    # Resample each class to its target count, in the order given, then put
+    # the picked records back into capture order.
     if part.labels is None:
         raise MissingClassError(f"{what}: rebalancing requires a labeled stream")
-    benign_target = int(benign_fraction * total)
-    attack_target = total - benign_target
-    benign_idx = np.flatnonzero(part.labels == BENIGN)
-    attack_idx = np.flatnonzero(part.labels == ATTACK)
-    if benign_target > 0 and benign_idx.size == 0:
-        raise MissingClassError(f"{what}: no benign samples to reach {benign_target}")
-    if attack_target > 0 and attack_idx.size == 0:
-        raise MissingClassError(f"{what}: no attack samples to reach {attack_target}")
-    chosen = np.concatenate(
-        [_resample(benign_idx, benign_target, rng), _resample(attack_idx, attack_target, rng)]
-    )
-    picked = part.take(chosen)
-    order = np.argsort(picked.seq_index, kind="stable")
-    return picked.take(order)
-
-
-def _resize_benign_part(
-    part: SampleSet, total: int, rng: np.random.Generator, what: str
-) -> SampleSet:
-    if len(part) == 0 and total > 0:
-        raise MissingClassError(f"{what}: no benign samples to reach {total}")
-    picked = part.take(_resample(np.arange(len(part)), total, rng))
-    order = np.argsort(picked.seq_index, kind="stable")
-    return picked.take(order)
+    chosen = []
+    for label, target in targets.items():
+        indices = np.flatnonzero(part.labels == label)
+        if target > 0 and indices.size == 0:
+            raise MissingClassError(f"{what}: no {_CLASS_NAMES[label]} samples to reach {target}")
+        chosen.append(_resample(indices, target, rng))
+    picked = part.take(np.concatenate(chosen))
+    return picked.take(np.argsort(picked.seq_index, kind="stable"))
 
 
 def rebalance(partition: DevicePartition, spec: BalanceSpec, rng_seed: int) -> DevicePartition:
@@ -296,42 +262,25 @@ def rebalance(partition: DevicePartition, spec: BalanceSpec, rng_seed: int) -> D
     within the test part. No record ever crosses a part boundary.
     """
     rng = np.random.default_rng(rng_seed)
-    spd = spec.samples_per_device
-    who = partition.device_id
+    spd, bf, who = spec.samples_per_device, spec.benign_fraction, partition.device_id
+
+    def resize(name: str, targets: dict[int, int]) -> SampleSet:
+        return _resize(getattr(partition, name), targets, rng, f"{who} {name}")
+
     if partition.threshold_sel is None:
-        if spd < len(SUPERVISED_FRACTIONS):
-            raise EmptyPartError(f"{who}: target {spd} cannot fill 3 split parts")
-        t_train, t_unused, t_test = _part_sizes(spd, SUPERVISED_FRACTIONS)
-        return DevicePartition(
-            who,
-            _rebalance_part(partition.train, t_train, spec.benign_fraction, rng, f"{who} train"),
-            _rebalance_part(partition.unused, t_unused, spec.benign_fraction, rng, f"{who} unused"),
-            _rebalance_part(partition.test, t_test, spec.benign_fraction, rng, f"{who} test"),
-        )
-    if spd < len(UNSUPERVISED_FRACTIONS):
-        raise EmptyPartError(f"{who}: target {spd} cannot fill 4 split parts")
-    t_train, t_thr, t_unused, t_btest = _part_sizes(spd, UNSUPERVISED_FRACTIONS)
-    bf = spec.benign_fraction
-    t_atest = round(t_btest * (1.0 - bf) / bf)
-    if partition.test.labels is None:
-        raise MissingClassError(f"{who} test: rebalancing requires a labeled stream")
-    benign_test = partition.test.take(np.flatnonzero(partition.test.labels == BENIGN))
-    attack_test = partition.test.take(np.flatnonzero(partition.test.labels == ATTACK))
-    if t_atest > 0 and len(attack_test) == 0:
-        raise MissingClassError(f"{who} test: no attack samples to reach {t_atest}")
-    new_test = SampleSet.concat(
-        [
-            _resize_benign_part(benign_test, t_btest, rng, f"{who} test"),
-            _resize_benign_part(attack_test, t_atest, rng, f"{who} test"),
-        ]
+        sizes = _part_sizes(spd, SUPERVISED_FRACTIONS, f"{who}: target {spd}")
+        return DevicePartition(who, *[
+            resize(name, {BENIGN: int(bf * t), ATTACK: t - int(bf * t)})
+            for name, t in zip(("train", "unused", "test"), sizes)
+        ])
+    t_train, t_thr, t_unused, t_btest = _part_sizes(
+        spd, UNSUPERVISED_FRACTIONS, f"{who}: target {spd}"
     )
-    return DevicePartition(
-        who,
-        _resize_benign_part(partition.train, t_train, rng, f"{who} train"),
-        _resize_benign_part(partition.unused, t_unused, rng, f"{who} unused"),
-        new_test,
-        _resize_benign_part(partition.threshold_sel, t_thr, rng, f"{who} threshold_sel"),
-    )
+    # The draw order is part of the seeded stream: test first, then the benign parts.
+    test = resize("test", {BENIGN: t_btest, ATTACK: round(t_btest * (1.0 - bf) / bf)})
+    train = resize("train", {BENIGN: t_train})
+    unused = resize("unused", {BENIGN: t_unused})
+    return DevicePartition(who, train, unused, test, resize("threshold_sel", {BENIGN: t_thr}))
 
 
 def _striped_labels(n: int, benign_fraction: float) -> np.ndarray:
@@ -411,11 +360,11 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             if len(row) != 3:
                 raise SchemaError(f"{path}: row {row_no}: expected 3 columns, found {len(row)}")
             device_id, file_path, cls = (c.strip() for c in row)
-            if cls not in _MANIFEST_CLASSES:
+            if cls not in _CLASS_NAMES:
                 raise ParseError(f"{path}: row {row_no}: class must be benign or attack, got {cls!r}")
             if not os.path.isabs(file_path):
                 file_path = os.path.join(base, file_path)
-            entries.append(ManifestEntry(device_id, file_path, ATTACK if cls == "attack" else BENIGN))
+            entries.append(ManifestEntry(device_id, file_path, _CLASS_NAMES.index(cls)))
     if not entries:
         raise SchemaError(f"{path}: manifest lists no files")
     return entries
@@ -430,41 +379,30 @@ def partition_from_manifest(
     """Build one partition per device from per-class capture files.
 
     Each file is one uninterrupted capture, so the chronological split is
-    applied per file and the per-file parts are concatenated. In unsupervised
+    applied per file and the per-file partitions are pooled. In unsupervised
     mode attack files go to the test part whole.
+
+    Raises:
+        MissingClassError: an unsupervised device lists no benign capture.
     """
     by_device: dict[str, list[ManifestEntry]] = {}
     for entry in entries:
         by_device.setdefault(entry.device_id, []).append(entry)
     partitions = []
     for device_id, files in by_device.items():
-        trains, unuseds, tests, thrs = [], [], [], []
+        if mode == "unsupervised" and all(entry.label == ATTACK for entry in files):
+            raise MissingClassError(f"{device_id}: no benign capture to train on")
+        parts = []
         for entry in files:
-            raw = load_device_csv(entry.path, schema, labeled=None, has_header=has_header)
-            if raw.labels is None:
-                labeled = SampleSet(
-                    raw.features,
-                    np.full(len(raw), entry.label, dtype=np.int64),
-                    raw.seq_index,
-                )
-            else:
-                labeled = raw
+            raw = load_device_csv(entry.path, schema, has_header)
+            labels = raw.labels
+            if labels is None:
+                labels = np.full(len(raw), entry.label, dtype=np.int64)
+            stream = SampleSet(raw.features, labels, raw.seq_index)
             if mode == "unsupervised" and entry.label == ATTACK:
-                tests.append(labeled)
-                continue
-            part = chronological_split(labeled, mode, device_id)
-            trains.append(part.train)
-            unuseds.append(part.unused)
-            tests.append(part.test)
-            if part.threshold_sel is not None:
-                thrs.append(part.threshold_sel)
-        partitions.append(
-            DevicePartition(
-                device_id,
-                SampleSet.concat(trains),
-                SampleSet.concat(unuseds),
-                SampleSet.concat(tests),
-                SampleSet.concat(thrs) if thrs else None,
-            )
-        )
+                empty = stream.take([])
+                parts.append(DevicePartition(device_id, empty, empty, stream, empty))
+            else:
+                parts.append(chronological_split(stream, mode, device_id))
+        partitions.append(DevicePartition.concat(device_id, parts))
     return partitions

@@ -111,10 +111,6 @@ class ClientState:
     def n_train(self) -> int:
         return self.x_train.shape[0]
 
-    @property
-    def malicious(self) -> bool:
-        return self.attack.kind != "none"
-
 
 def build_client(
     partition: DevicePartition,

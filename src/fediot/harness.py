@@ -143,6 +143,9 @@ class ExperimentConfig:
             raise ConfigError(f"approach must be one of {APPROACHES}, got {self.approach!r}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        size = self.model_bytes
+        if size is not None and (isinstance(size, bool) or not isinstance(size, int) or size < 1):
+            raise ConfigError(f"model_bytes must be a positive integer, got {self.model_bytes!r}")
         if isinstance(self.folds, str) and self.folds != "all":
             raise ConfigError(f"folds must be 'all' or a list of device ids, got {self.folds!r}")
         if not isinstance(self.folds, str) and not self.folds:
@@ -340,24 +343,14 @@ def synthetic_streams(config: ExperimentConfig, rep: int) -> list[SampleSet]:
     )
 
 
-def _fleet_partitions(config: ExperimentConfig, rep: int) -> dict[str, DevicePartition]:
-    """Split and rebalance every device's stream for one repetition."""
-    if config.data.source == "synthetic":
-        raw = {
-            f"dev-{i}": chronological_split(stream, config.mode, f"dev-{i}")
-            for i, stream in enumerate(synthetic_streams(config, rep))
-        }
-    else:
-        parts = partition_from_manifest(
-            _manifest(config), config.mode, schema=config.data.schema, has_header=config.data.has_header
+def _split_fleet(config: ExperimentConfig, rep: int) -> list[DevicePartition]:
+    """Every device's stream of one repetition, split chronologically."""
+    if config.data.source == "manifest":
+        return partition_from_manifest(
+            _manifest(config), config.mode, config.data.schema, config.data.has_header
         )
-        raw = {p.device_id: p for p in parts}
-    return {
-        device_id: rebalance(
-            part, config.balance, derive_seed(config.master_seed, rep, "balance", device_id)
-        )
-        for device_id, part in raw.items()
-    }
+    streams = synthetic_streams(config, rep)
+    return [chronological_split(s, config.mode, f"dev-{i}") for i, s in enumerate(streams)]
 
 
 def _resolve_folds(config: ExperimentConfig, device_ids: list[str]) -> list[str]:
@@ -521,9 +514,22 @@ def _plain(metrics: RoundMetrics) -> dict:
 
 
 def _repetitions(config: ExperimentConfig):
-    """Each repetition's partitions and folds, one fleet in memory at a time."""
+    """Each repetition's rebalanced partitions and folds.
+
+    A synthetic fleet is drawn from each repetition's own seed; a manifest
+    fleet is read and split once, and only its rebalancing is redone.
+    """
+    manifest_split = None
     for rep in range(config.repetitions):
-        partitions = _fleet_partitions(config, rep)
+        if config.data.source == "manifest" and manifest_split is None:
+            manifest_split = _split_fleet(config, rep)
+        # A synthetic split is a temporary: only the rebalanced fleet stays in memory.
+        partitions = {
+            p.device_id: rebalance(
+                p, config.balance, derive_seed(config.master_seed, rep, "balance", p.device_id)
+            )
+            for p in manifest_split or _split_fleet(config, rep)
+        }
         yield rep, partitions, _resolve_folds(config, list(partitions))
 
 
@@ -702,7 +708,7 @@ def attack_sweep(
 def model_size_bytes(arch: ArchitectureSpec, override: int | None = None) -> int:
     """Serialized model size: the checkpoint's byte count, or a stated override."""
     if override is not None:
-        return int(override)
+        return override
     return len(checkpoint_header(arch)) + 8 * arch.n_parameters
 
 

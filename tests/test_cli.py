@@ -82,6 +82,19 @@ class TestSynthAndIngest:
         assert code == 1
         assert json.loads(err)["error"] == "FileNotFoundError"
 
+    def test_ingest_names_unsupervised_device_without_benign_capture(self, capsys, tmp_path):
+        (tmp_path / "b.csv").write_text("".join(f"{i},{i}\n" for i in range(8)))
+        (tmp_path / "a.csv").write_text("9,9\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("d1,b.csv,benign\nd1,a.csv,attack\nc,a.csv,attack\n")
+        code, out, err = invoke(
+            capsys, "ingest", str(manifest), "--schema", "2", "--mode", "unsupervised"
+        )
+        assert code == 1 and out == ""
+        record = json.loads(err)
+        assert record["error"] == "MissingClassError"
+        assert record["message"].startswith("c: ")
+
     def test_synth_rejects_manifest_source(self, capsys, tmp_path, tiny_config_path):
         raw = json.loads(open(tiny_config_path).read())
         raw["data"] = {"source": "manifest", "path": "x.csv"}

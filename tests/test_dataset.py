@@ -53,13 +53,6 @@ class TestLoadDeviceCsv:
         np.testing.assert_array_equal(got.labels, [0, 1, 0])
         np.testing.assert_array_equal(got.features[1], [4.0, 5.0, 6.0])
 
-    def test_explicit_labeled_flag_beats_inference(self, tmp_path):
-        path = tmp_path / "dev.csv"
-        path.write_text("1,2,3,1\n")
-        got = load_device_csv(str(path), schema=4, labeled=False)
-        assert got.labels is None
-        assert got.features.shape == (1, 4)
-
     def test_header_skipped_when_flagged(self, tmp_path):
         path = tmp_path / "dev.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -82,7 +75,7 @@ class TestLoadDeviceCsv:
         path = tmp_path / "dev.csv"
         path.write_text("1,2,3,2\n")
         with pytest.raises(ParseError, match="label"):
-            load_device_csv(str(path), schema=3, labeled=True)
+            load_device_csv(str(path), schema=3)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "dev.csv"
@@ -229,6 +222,57 @@ class TestRebalance:
         c = rebalance(part, BalanceSpec(0.5, 500), rng_seed=10)
         assert not np.array_equal(a.train.features, c.train.features)
 
+    def test_resampling_stream_is_pinned(self, tmp_path):
+        # Exact draws for a fixed seed, so a change in the order of the
+        # resampler's draws fails here. Every part is in capture order.
+        def stream(labels):
+            n = len(labels)
+            return SampleSet(np.zeros((n, 2)), np.asarray(labels), np.arange(n))
+
+        def parts(partition):
+            names = ("train", "unused", "test", "threshold_sel")
+            return {
+                name: (piece.seq_index.tolist(), piece.labels.tolist())
+                for name in names
+                if (piece := getattr(partition, name)) is not None
+            }
+
+        sup = chronological_split(stream(alternating_labels(40)), "supervised")
+        assert parts(rebalance(sup, BalanceSpec(0.2, 30), rng_seed=2024)) == {
+            "train": (
+                [1, 2, 3, 3, 5, 6, 7, 9, 11, 13, 15, 17, 18, 19, 21, 23, 23, 25, 27, 27, 29, 29, 30],
+                [1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0],
+            ),
+            "unused": ([], []),
+            "test": ([31, 32, 33, 35, 37, 39, 39], [1, 0, 1, 1, 1, 1, 1]),
+        }
+
+        uns = chronological_split(stream([int(i % 3 == 2) for i in range(60)]), "unsupervised")
+        assert parts(rebalance(uns, BalanceSpec(0.2, 20), rng_seed=2024)) == {
+            "train": ([1, 3, 4, 9, 12, 13, 16], [0] * 7),
+            "unused": ([], []),
+            "test": (
+                [2, 5, 5, 8, 8, 11, 11, 14, 17, 20, 23, 26, 29, 32, 35,
+                 38, 41, 44, 45, 46, 47, 48, 49, 50, 51, 53, 53, 55, 56, 59],
+                [1] * 18 + [0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1],
+            ),
+            "threshold_sel": ([22, 25, 30, 31, 36, 40, 42], [0] * 7),
+        }
+
+        (tmp_path / "b.csv").write_text("".join(f"{i},0\n" for i in range(30)))
+        (tmp_path / "a.csv").write_text("".join(f"{i},1\n" for i in range(8)))
+        (tmp_path / "m.csv").write_text("d,b.csv,benign\nd,a.csv,attack\n")
+        (man,) = partition_from_manifest(load_manifest(str(tmp_path / "m.csv")), "unsupervised", 2)
+        assert parts(rebalance(man, BalanceSpec(0.25, 20), rng_seed=2024)) == {
+            "train": ([0, 2, 4, 6, 7, 9, 10], [0] * 7),
+            "unused": ([], []),
+            "test": (
+                [0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6, 6, 7, 7, 22, 23, 24, 26, 28, 29],
+                [1] * 18 + [0] * 6,
+            ),
+            "threshold_sel": ([12, 14, 15, 17, 18, 19, 20], [0] * 7),
+        }
+
     def test_missing_class_errors(self):
         pure_benign = chronological_split(make_stream(100, [0] * 100), "supervised")
         with pytest.raises(MissingClassError):
@@ -327,6 +371,15 @@ class TestManifest:
         assert np.all(got.train.labels == 0)
         assert int(np.sum(got.test.labels)) == 10
         assert len(got.threshold_sel) == math.floor(0.395 * 20)
+
+    def test_unsupervised_device_without_benign_capture_named(self, tmp_path):
+        manifest = self.write_fleet(tmp_path)
+        with open(manifest, "a") as handle:
+            handle.write("d2,d1_attack.csv,attack\n")
+        entries = load_manifest(str(manifest))
+        with pytest.raises(MissingClassError, match="d2: no benign capture"):
+            partition_from_manifest(entries, "unsupervised", schema=3)
+        assert len(partition_from_manifest(entries, "supervised", schema=3)) == 2
 
 
 class TestSampleSet:

@@ -6,7 +6,7 @@ import pytest
 
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec
-from fediot.dataset import BalanceSpec, generate_synthetic_fleet
+from fediot.dataset import BalanceSpec, generate_synthetic_fleet, load_device_csv
 from fediot import cli
 from fediot.errors import ConfigError
 from fediot.harness import (
@@ -300,10 +300,17 @@ class TestRunExperiment:
             ("model", "preset", "Z"),
             ("model", "grid", {"presets": ["A", "Z"], "l2_values": [0.0]}),
             ("model", "grid", {"presets": ["A"], "l2_values": [-1.0]}),
+            ("report", "model_bytes", -5),
+            ("report", "model_bytes", 0),
+            ("report", "model_bytes", True),
+            ("report", "model_bytes", 1.5),
+            ("report", "model_bytes", "abc"),
         ],
         ids=[
             "learning_rate", "learning_rate_nan", "batch_size", "epochs",
             "dropout_prob", "lr_decay", "preset", "grid_preset", "grid_l2",
+            "model_bytes_negative", "model_bytes_zero", "model_bytes_bool",
+            "model_bytes_float", "model_bytes_str",
         ],
     )
     def test_bad_rerun_rejected_before_the_bundle_is_touched(self, tmp_path, section, key, value):
@@ -322,7 +329,7 @@ class TestRunExperiment:
 
         before = snapshot()
         assert "rounds/fold-dev-0-rep-0.jsonl" in before
-        raw[section][key] = value
+        raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError):
             run_experiment(config_from_dict(raw), str(tmp_path))
         assert snapshot() == before
@@ -415,6 +422,19 @@ def manifest_config(tmp_path, **overrides):
 
 
 class TestManifestFleetSize:
+    def test_manifest_files_read_once_for_all_repetitions(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path, *args, **kwargs):
+            calls.append(path)
+            return load_device_csv(path, *args, **kwargs)
+
+        monkeypatch.setattr("fediot.dataset.load_device_csv", counting)
+        protocol = {"folds": ["dev-0"], "repetitions": 2, "master_seed": 3}
+        result = run_experiment(manifest_config(tmp_path, protocol=protocol), str(tmp_path))
+        assert {r["repetition"] for r in result.rows} == {0, 1}
+        assert len(calls) == len(set(calls)) == 18
+
     def test_cost_table_counts_manifest_devices(self, tmp_path):
         rows = cost_table(manifest_config(tmp_path))  # mini_batch B=8, 8 clients
         assert rows[1]["algorithm"] == "multi_epoch"
