@@ -379,8 +379,9 @@ def partition_from_manifest(
     """Build one partition per device from per-class capture files.
 
     Each file is one uninterrupted capture, so the chronological split is
-    applied per file and the per-file partitions are pooled. In unsupervised
-    mode attack files go to the test part whole.
+    applied per file and the per-file partitions are pooled. A device's
+    captures follow each other in manifest order: seq_index runs on across
+    its files. In unsupervised mode attack files go to the test part whole.
 
     Raises:
         MissingClassError: an unsupervised device lists no benign capture.
@@ -393,12 +394,14 @@ def partition_from_manifest(
         if mode == "unsupervised" and all(entry.label == ATTACK for entry in files):
             raise MissingClassError(f"{device_id}: no benign capture to train on")
         parts = []
+        offset = 0
         for entry in files:
             raw = load_device_csv(entry.path, schema, has_header)
             labels = raw.labels
             if labels is None:
                 labels = np.full(len(raw), entry.label, dtype=np.int64)
-            stream = SampleSet(raw.features, labels, raw.seq_index)
+            stream = SampleSet(raw.features, labels, raw.seq_index + offset)
+            offset += len(raw)
             if mode == "unsupervised" and entry.label == ATTACK:
                 empty = stream.take([])
                 parts.append(DevicePartition(device_id, empty, empty, stream, empty))

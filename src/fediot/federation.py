@@ -20,7 +20,15 @@ from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .adversary import AttackSpec, alpha_cancel, alpha_gradient, cancel_update, flip_labels
+from .adversary import (
+    FLIP_KINDS,
+    MODEL_ATTACK_KINDS,
+    AttackSpec,
+    alpha_cancel,
+    alpha_gradient,
+    cancel_update,
+    flip_labels,
+)
 from .aggregation import AggregationSpec, aggregate
 from .dataset import DevicePartition
 from .errors import ConfigError, PoisonedUpdateError
@@ -41,8 +49,13 @@ from .preprocess import ScalingBounds, scale
 _SEED_FLIP = 0
 _SEED_SHUFFLE = 1
 
-KNOWN_SCOPE = "known"
-NEW_DEVICE_SCOPE = "new_device"
+METRIC_NAMES = ("accuracy", "tpr", "tnr", "f1")
+
+
+def derive_seed(*parts) -> int:
+    """Stretch a master seed into an independent stream for a named role."""
+    text = ":".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,7 @@ def build_client(
 ) -> ClientState:
     """Scale a device partition into a ClientState, poisoning labels if told to."""
     train = partition.train
-    if attack.kind in ("flip_benign", "flip_attack", "flip_all"):
+    if attack.kind in FLIP_KINDS:
         train = flip_labels(train, attack.kind, attack.p_poison, np.random.default_rng([seed, _SEED_FLIP]))
     y_train = None
     if supervised:
@@ -154,7 +167,7 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
     for c in clients:
         if supervised and c.y_train is None:
             raise ConfigError(f"{c.client_id}: classifier training needs labels")
-    model_attacks = {c.attack for c in clients if c.attack.kind in ("gradient_factor", "model_cancel")}
+    model_attacks = {c.attack for c in clients if c.attack.kind in MODEL_ATTACK_KINDS}
     if len(model_attacks) > 1:
         raise ConfigError(f"clients disagree on the model attack: {model_attacks}")
     if model_attacks:
@@ -361,19 +374,8 @@ def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     )
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
-    """Detection quality on one evaluation scope."""
-
-    accuracy: float
-    tpr: float
-    tnr: float
-    f1: float
-    scope: str
-
-
-def metrics_from_counts(counts: ConfusionCounts, scope: str) -> RoundMetrics:
-    """Accuracy, true rates, and F1 from pooled confusion counts.
+def metrics_from_counts(counts: ConfusionCounts) -> dict[str, float]:
+    """Accuracy, true rates, and F1 from confusion counts, keyed by METRIC_NAMES.
 
     F1 = TP / (TP + (FP + FN) / 2) and is defined as 0 when TP is 0. Rates
     with an empty denominator are 0 as well.
@@ -381,13 +383,12 @@ def metrics_from_counts(counts: ConfusionCounts, scope: str) -> RoundMetrics:
     if counts.total == 0:
         raise ConfigError("cannot compute metrics over zero records")
     tp, tn, fp, fn = counts.tp, counts.tn, counts.fp, counts.fn
-    return RoundMetrics(
-        accuracy=(tp + tn) / counts.total,
-        tpr=tp / (tp + fn) if tp + fn else 0.0,
-        tnr=tn / (tn + fp) if tn + fp else 0.0,
-        f1=tp / (tp + 0.5 * (fp + fn)) if tp else 0.0,
-        scope=scope,
-    )
+    return {
+        "accuracy": (tp + tn) / counts.total,
+        "tpr": tp / (tp + fn) if tp + fn else 0.0,
+        "tnr": tn / (tn + fp) if tn + fp else 0.0,
+        "f1": tp / (tp + 0.5 * (fp + fn)) if tp else 0.0,
+    }
 
 
 def predict(model: ModelParameters, x: np.ndarray, threshold: float | None = None) -> np.ndarray:
@@ -402,24 +403,14 @@ def predict(model: ModelParameters, x: np.ndarray, threshold: float | None = Non
 def evaluate(
     model: ModelParameters,
     threshold: float | None,
-    known_tests: list[tuple[np.ndarray, np.ndarray]],
-    new_device_test: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict[str, RoundMetrics]:
-    """Score a model on pooled known-device tests and one unseen device.
+    tests: list[tuple[np.ndarray, np.ndarray]],
+) -> list[ConfusionCounts]:
+    """Score a model on (scaled features, labels) test sets, one prediction pass each.
 
-    known_tests holds (scaled features, labels) per training device; their
-    confusion counts are pooled before computing metrics, so larger test
-    sets weigh more.
+    Returns one ConfusionCounts per set, in order; callers pool them by
+    adding, so larger test sets weigh more.
     """
-    pooled = ConfusionCounts()
-    for x, y in known_tests:
-        pooled = pooled + confusion_counts(y, predict(model, x, threshold))
-    out = {KNOWN_SCOPE: metrics_from_counts(pooled, KNOWN_SCOPE)}
-    if new_device_test is not None:
-        x, y = new_device_test
-        counts = confusion_counts(y, predict(model, x, threshold))
-        out[NEW_DEVICE_SCOPE] = metrics_from_counts(counts, NEW_DEVICE_SCOPE)
-    return out
+    return [confusion_counts(y, predict(model, x, threshold)) for x, y in tests]
 
 
 @dataclass(frozen=True)
@@ -432,8 +423,7 @@ class GridPoint:
 
 def _point_seed(point: GridPoint) -> int:
     # Content-derived so identical points run identically and tie exactly.
-    text = f"{point.arch}|{point.l2_lambda!r}"
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    return derive_seed(f"{point.arch}|{point.l2_lambda!r}")
 
 
 def collaborative_grid_search(
@@ -485,7 +475,7 @@ def collaborative_grid_search(
             x_val = c.x_train[cut:]
             if supervised:
                 counts = confusion_counts(c.y_train[cut:], classify(model, x_val))
-                scores.append(metrics_from_counts(counts, KNOWN_SCOPE).accuracy)
+                scores.append(metrics_from_counts(counts)["accuracy"])
             else:
                 scores.append(loss(model, x_val))
         mean_score = float(np.mean(scores))

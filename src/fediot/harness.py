@@ -11,18 +11,18 @@ and the closed-form communication / computation cost tables.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
 import shutil
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
 
-from .adversary import ATTACK_KINDS, AttackSpec, malicious_ids
+from .adversary import ATTACK_KINDS, FLIP_KINDS, AttackSpec, malicious_ids
 from .aggregation import AggregationSpec
 from .dataset import (
     BalanceSpec,
@@ -40,16 +40,17 @@ from .dataset import (
 )
 from .errors import ConfigError
 from .federation import (
+    METRIC_NAMES,
     ClientState,
+    ConfusionCounts,
     FederationConfig,
     GridPoint,
-    KNOWN_SCOPE,
-    NEW_DEVICE_SCOPE,
     RoundLogger,
-    RoundMetrics,
     build_client,
     collaborative_grid_search,
+    derive_seed,
     evaluate,
+    metrics_from_counts,
     run_federated,
     schedule,
     select_thresholds,
@@ -62,7 +63,9 @@ RESULTS_ENV_VAR = "FEDIOT_RESULTS_DIR"
 MODES = ("supervised", "unsupervised")
 APPROACHES = ("naive", "federated", "centralized")
 
-METRIC_NAMES = ("accuracy", "tpr", "tnr", "f1")
+# Every cell is scored on the pooled known devices and on the held-out one.
+KNOWN_SCOPE = "known"
+NEW_DEVICE_SCOPE = "new_device"
 
 # The adversarial comparison always covers these rules, weakest first.
 SWEEP_RULES = (
@@ -72,8 +75,6 @@ SWEEP_RULES = (
     AggregationSpec("tm", trim_c=2),
     AggregationSpec("tm", trim_c=2, resample_s=2),
 )
-
-_FLIP_KINDS = ("flip_benign", "flip_attack", "flip_all")
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,8 @@ class ExperimentConfig:
     model_bytes: int | None = None
 
     def __post_init__(self) -> None:
+        if self.name.endswith((".partial", ".old")):
+            raise ConfigError(f"name {self.name!r} ends like a staging directory (.partial/.old)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.approach not in APPROACHES:
@@ -152,7 +155,7 @@ class ExperimentConfig:
             raise ConfigError("folds list is empty")
         if self.attack.kind != "none" and self.approach != "federated":
             raise ConfigError(f"attacks need the federated approach, not {self.approach}")
-        if self.attack.kind in _FLIP_KINDS and self.mode != "supervised":
+        if self.attack.kind in FLIP_KINDS and self.mode != "supervised":
             raise ConfigError("label flipping needs supervised training labels")
         if bool(self.grid_presets) != bool(self.grid_l2):
             raise ConfigError("grid needs both presets and l2 values")
@@ -309,12 +312,6 @@ def load_config(path_or_profile: str) -> ExperimentConfig:
     return load_profile(path_or_profile)
 
 
-def derive_seed(*parts) -> int:
-    """Stretch a master seed into an independent stream for a named role."""
-    text = ":".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
 def _manifest(config: ExperimentConfig) -> list[ManifestEntry]:
     if not os.path.exists(config.data.path):
         raise ConfigError(f"manifest not found: {config.data.path}")
@@ -388,34 +385,6 @@ def _grid(config: ExperimentConfig) -> list[GridPoint]:
     ]
 
 
-def _metric_row(
-    fold: str, rep: int, seed: int, metrics: RoundMetrics, n_train: int, aggregations: int
-) -> dict:
-    return {
-        "fold": fold,
-        "repetition": rep,
-        "seed": seed,
-        "scope": metrics.scope,
-        "accuracy": metrics.accuracy,
-        "tpr": metrics.tpr,
-        "tnr": metrics.tnr,
-        "f1": metrics.f1,
-        "n_train": n_train,
-        "aggregations": aggregations,
-    }
-
-
-def _mean_metrics(per_client: list[dict[str, RoundMetrics]], scope: str) -> RoundMetrics:
-    values = [m[scope] for m in per_client]
-    return RoundMetrics(
-        accuracy=float(np.mean([v.accuracy for v in values])),
-        tpr=float(np.mean([v.tpr for v in values])),
-        tnr=float(np.mean([v.tnr for v in values])),
-        f1=float(np.mean([v.f1 for v in values])),
-        scope=scope,
-    )
-
-
 def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: ExperimentConfig):
     ddof = config.threshold_ddof
 
@@ -424,10 +393,6 @@ def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: E
         logger({**info, "threshold": state.global_threshold}, model)
 
     return wrapped
-
-
-def _test_pair(partition: DevicePartition, bounds) -> tuple[np.ndarray, np.ndarray]:
-    return scale(partition.test.features, bounds), partition.test.labels
 
 
 def _run_cell(
@@ -459,7 +424,7 @@ def _run_cell(
         log_path = os.path.join(rounds_dir, f"fold-{fold}-rep-{rep}.jsonl")
 
     groups = [[d] for d in train_ids] if config.approach == "naive" else [train_ids]
-    per_group: list[dict[str, RoundMetrics]] = []
+    per_group: list[tuple[dict, dict]] = []  # (known, new-device) metrics
     device_rows: list[dict] = []
     for ids in groups:
         bounds = merge_bounds([local_min_max(partitions[d].train.features) for d in ids])
@@ -492,25 +457,31 @@ def _run_cell(
         threshold = None
         if not config.supervised:
             threshold = select_thresholds(clients, model, config.threshold_ddof).global_threshold
-        known = [_test_pair(partitions[d], bounds) for d in ids]
-        per_group.append(evaluate(model, threshold, known, _test_pair(partitions[fold], bounds)))
-        for d, pair in zip(ids, known):
-            own = evaluate(model, threshold, [pair])
+        tests = [partitions[d].test for d in (*ids, fold)]
+        scaled = [(scale(t.features, bounds), t.labels) for t in tests]
+        *known, new = evaluate(model, threshold, scaled)
+        pooled = sum(known, ConfusionCounts())
+        per_group.append((metrics_from_counts(pooled), metrics_from_counts(new)))
+        for d, counts in zip(ids, known):
             device_rows.append(
-                {"fold": fold, "repetition": rep, "device_id": d, **_plain(own[KNOWN_SCOPE])}
+                {"fold": fold, "repetition": rep, "device_id": d, **metrics_from_counts(counts)}
             )
 
     n_train = clients[0].n_train
     aggregations = schedule(base_config, n_train)[0] if federated else 0
     rows = [
-        _metric_row(fold, rep, cell_seed, _mean_metrics(per_group, scope), n_train, aggregations)
-        for scope in (KNOWN_SCOPE, NEW_DEVICE_SCOPE)
+        {
+            "fold": fold,
+            "repetition": rep,
+            "seed": cell_seed,
+            "scope": scope,
+            **{m: float(np.mean([g[i][m] for g in per_group])) for m in METRIC_NAMES},
+            "n_train": n_train,
+            "aggregations": aggregations,
+        }
+        for i, scope in enumerate((KNOWN_SCOPE, NEW_DEVICE_SCOPE))
     ]
     return rows, device_rows
-
-
-def _plain(metrics: RoundMetrics) -> dict:
-    return {name: getattr(metrics, name) for name in METRIC_NAMES}
 
 
 def _repetitions(config: ExperimentConfig):
@@ -533,22 +504,10 @@ def _repetitions(config: ExperimentConfig):
         yield rep, partitions, _resolve_folds(config, list(partitions))
 
 
-def _collect_runs(config: ExperimentConfig, rounds_dir: str | None):
-    rows: list[dict] = []
-    device_rows: list[dict] = []
-    for rep, partitions, folds in _repetitions(config):
-        for fold in folds:
-            cell_rows, cell_devices = _run_cell(config, partitions, fold, rep, rounds_dir)
-            rows.extend(cell_rows)
-            device_rows.extend(cell_devices)
-    return rows, device_rows
-
-
 def summarize(rows: list[dict]) -> list[dict]:
     """Mean / min / max of every metric per evaluation scope."""
     out = []
-    scopes = sorted({r["scope"] for r in rows})
-    for scope in scopes:
+    for scope in sorted({r["scope"] for r in rows}):
         values = [r for r in rows if r["scope"] == scope]
         for metric in METRIC_NAMES:
             series = [v[metric] for v in values]
@@ -585,6 +544,33 @@ SUMMARY_COLUMNS = ["scope", "metric", "mean", "min", "max", "runs"]
 SWEEP_COLUMNS = ["attack", "rule", "f", "mean_f1", "min_f1", "max_f1", "runs"]
 
 
+@contextmanager
+def _staged_bundle(path: str, config: ExperimentConfig):
+    """Build a bundle in <path>.partial and swap it in for path on success.
+
+    Yields the staging directory, which already holds the config echo; the
+    caller writes every other file there. An exception deletes the staging
+    directory and leaves an earlier bundle at path as it was. Success
+    replaces that bundle whole, reports rendered from it included.
+    """
+    staging, retired = f"{path}.partial", f"{path}.old"
+    for leftover in (staging, retired):
+        shutil.rmtree(leftover, ignore_errors=True)
+    os.makedirs(staging)
+    try:
+        with open(os.path.join(staging, "config.json"), "w") as handle:
+            json.dump(config_to_dict(config), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        yield staging
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if os.path.exists(path):
+        os.rename(path, retired)
+    os.rename(staging, path)
+    shutil.rmtree(retired, ignore_errors=True)
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """In-memory view of one experiment bundle."""
@@ -605,34 +591,28 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     timing.json is a pure function of the config and its master seed.
     """
     bundle = os.path.join(results_dir(out_dir), config.name)
-    os.makedirs(bundle, exist_ok=True)
-    # Round logs of an earlier run into this bundle, and the trajectory
-    # rendered from them, would otherwise outlive it.
-    rounds_dir = os.path.join(bundle, "rounds")
-    if os.path.isdir(rounds_dir):
-        shutil.rmtree(rounds_dir)
-    trajectory = os.path.join(bundle, "trajectory.csv")
-    if os.path.isfile(trajectory):
-        os.remove(trajectory)
-    if config.log_rounds:
-        os.makedirs(rounds_dir)
-    else:
+    with _staged_bundle(bundle, config) as staging:
         rounds_dir = None
+        if config.log_rounds:
+            rounds_dir = os.path.join(staging, "rounds")
+            os.makedirs(rounds_dir)
+        started = time.monotonic()
+        rows: list[dict] = []
+        device_rows: list[dict] = []
+        for rep, partitions, folds in _repetitions(config):
+            for fold in folds:
+                cell_rows, cell_devices = _run_cell(config, partitions, fold, rep, rounds_dir)
+                rows.extend(cell_rows)
+                device_rows.extend(cell_devices)
+        elapsed = time.monotonic() - started
 
-    started = time.monotonic()
-    rows, device_rows = _collect_runs(config, rounds_dir)
-    elapsed = time.monotonic() - started
-
-    summary = summarize(rows)
-    with open(os.path.join(bundle, "config.json"), "w") as handle:
-        json.dump(config_to_dict(config), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _write_csv(os.path.join(bundle, "runs.csv"), rows, RUN_COLUMNS)
-    _write_csv(os.path.join(bundle, "devices.csv"), device_rows, DEVICE_COLUMNS)
-    _write_csv(os.path.join(bundle, "summary.csv"), summary, SUMMARY_COLUMNS)
-    with open(os.path.join(bundle, "timing.json"), "w") as handle:
-        json.dump({"wall_seconds": elapsed}, handle)
-        handle.write("\n")
+        summary = summarize(rows)
+        _write_csv(os.path.join(staging, "runs.csv"), rows, RUN_COLUMNS)
+        _write_csv(os.path.join(staging, "devices.csv"), device_rows, DEVICE_COLUMNS)
+        _write_csv(os.path.join(staging, "summary.csv"), summary, SUMMARY_COLUMNS)
+        with open(os.path.join(staging, "timing.json"), "w") as handle:
+            json.dump({"wall_seconds": elapsed}, handle)
+            handle.write("\n")
     return ExperimentResult(config, rows, device_rows, summary, bundle)
 
 
@@ -697,11 +677,8 @@ def attack_sweep(
     ]
 
     bundle = os.path.join(results_dir(out_dir), f"{config.name}-sweep")
-    os.makedirs(bundle, exist_ok=True)
-    with open(os.path.join(bundle, "config.json"), "w") as handle:
-        json.dump(config_to_dict(config), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    _write_csv(os.path.join(bundle, "sweep.csv"), rows, SWEEP_COLUMNS)
+    with _staged_bundle(bundle, config) as staging:
+        _write_csv(os.path.join(staging, "sweep.csv"), rows, SWEEP_COLUMNS)
     return SweepResult(config, rows, bundle)
 
 
@@ -748,27 +725,21 @@ def cost_table(config: ExperimentConfig) -> list[dict]:
 
     mini_steps = config.epochs * round(n_train / b_mini)
     multi_steps_per_round = config.epochs * round(n_train / b_multi)
-    rows = [
+    return [
         {
-            "algorithm": "mini_batch",
-            "batch_size": b_mini,
-            "transmissions": mini_steps,
-            "local_steps": mini_steps,
+            "algorithm": algorithm,
+            "batch_size": batch,
+            "transmissions": sends,
+            "local_steps": steps,
             "model_bytes": size,
-            "total_bytes": mini_steps * size,
-            "traffic": human_bytes(mini_steps * size),
-        },
-        {
-            "algorithm": "multi_epoch",
-            "batch_size": b_multi,
-            "transmissions": config.rounds,
-            "local_steps": config.rounds * multi_steps_per_round,
-            "model_bytes": size,
-            "total_bytes": config.rounds * size,
-            "traffic": human_bytes(config.rounds * size),
-        },
+            "total_bytes": sends * size,
+            "traffic": human_bytes(sends * size),
+        }
+        for algorithm, batch, sends, steps in (
+            ("mini_batch", b_mini, mini_steps, mini_steps),
+            ("multi_epoch", b_multi, config.rounds, config.rounds * multi_steps_per_round),
+        )
     ]
-    return rows
 
 
 COST_COLUMNS = [
@@ -777,22 +748,16 @@ COST_COLUMNS = [
 ]
 
 
-def _read_csv(path: str) -> list[dict]:
-    with open(path, newline="") as handle:
-        return list(csv.DictReader(handle))
+# Statistic columns of summary.csv and sweep.csv, printed to four decimals.
+_FLOAT_COLUMNS = ("mean", "min", "max", "mean_f1", "min_f1", "max_f1")
 
 
 def _md_table(rows: list[dict], columns: list[str]) -> str:
     lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
     for row in rows:
-        lines.append("| " + " | ".join(_cell(row[c]) for c in columns) + " |")
+        cells = (f"{float(row[c]):.4f}" if c in _FLOAT_COLUMNS else str(row[c]) for c in columns)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
 
 
 def report(bundle: str, fmt: str = "md") -> list[str]:
@@ -807,70 +772,41 @@ def report(bundle: str, fmt: str = "md") -> list[str]:
     config_path = os.path.join(bundle, "config.json")
     if not os.path.isfile(config_path):
         raise ConfigError(f"not a result bundle (no config.json): {bundle}")
-    with open(config_path) as handle:
-        config = config_from_dict(json.load(handle))
+    config = load_config(config_path)
 
-    written = []
-    sweep_path = os.path.join(bundle, "sweep.csv")
-    is_sweep = os.path.isfile(sweep_path)
-    summary_rows = []
-    if not is_sweep:
-        summary_rows = _summary_for_report(bundle)
+    is_sweep = os.path.isfile(os.path.join(bundle, "sweep.csv"))
+    table = os.path.join(bundle, "sweep.csv" if is_sweep else "summary.csv")
+    rows = []
+    if os.path.isfile(table):
+        with open(table, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+    columns = SWEEP_COLUMNS if is_sweep else SUMMARY_COLUMNS
     costs = cost_table(config)
 
     if fmt == "csv":
-        if is_sweep:
-            out = os.path.join(bundle, "f1_vs_f.csv")
-            _write_csv(out, _read_csv(sweep_path), SWEEP_COLUMNS)
-            written.append(out)
-        else:
-            out = os.path.join(bundle, "metrics.csv")
-            _write_csv(out, summary_rows, SUMMARY_COLUMNS)
-            written.append(out)
-        out = os.path.join(bundle, "cost.csv")
-        _write_csv(out, costs, COST_COLUMNS)
-        written.append(out)
+        tables = [
+            ("f1_vs_f.csv" if is_sweep else "metrics.csv", rows, columns),
+            ("cost.csv", costs, COST_COLUMNS),
+        ]
         trajectory = _trajectory_rows(bundle)
         if trajectory is not None:
-            out = os.path.join(bundle, "trajectory.csv")
-            _write_csv(out, trajectory, TRAJECTORY_COLUMNS)
-            written.append(out)
-        return written
+            tables.append(("trajectory.csv", trajectory, TRAJECTORY_COLUMNS))
+        for name, table_rows, table_columns in tables:
+            _write_csv(os.path.join(bundle, name), table_rows, table_columns)
+        return [os.path.join(bundle, name) for name, *_ in tables]
 
-    parts = [f"# {config.name}\n"]
-    if is_sweep:
-        parts.append("## F1 by attack, rule, and attacker count\n")
-        parts.append(_md_table(_sweep_rows_typed(sweep_path), SWEEP_COLUMNS))
-    else:
-        parts.append("## Detection metrics\n")
-        parts.append(_md_table(summary_rows, SUMMARY_COLUMNS))
-    parts.append("\n## Per-client cost\n")
-    parts.append(_md_table(costs, COST_COLUMNS))
+    heading = "F1 by attack, rule, and attacker count" if is_sweep else "Detection metrics"
+    parts = [
+        f"# {config.name}\n",
+        f"## {heading}\n",
+        _md_table(rows, columns),
+        "\n## Per-client cost\n",
+        _md_table(costs, COST_COLUMNS),
+    ]
     out = os.path.join(bundle, "report.md")
     with open(out, "w") as handle:
         handle.write("\n".join(parts))
-    written.append(out)
-    return written
-
-
-def _summary_for_report(bundle: str) -> list[dict]:
-    path = os.path.join(bundle, "summary.csv")
-    if not os.path.isfile(path):
-        return []
-    rows = _read_csv(path)
-    for row in rows:
-        for key in ("mean", "min", "max"):
-            row[key] = float(row[key])
-        row["runs"] = int(row["runs"])
-    return rows
-
-
-def _sweep_rows_typed(path: str) -> list[dict]:
-    rows = _read_csv(path)
-    for row in rows:
-        for key in ("mean_f1", "min_f1", "max_f1"):
-            row[key] = float(row[key])
-    return rows
+    return [out]
 
 
 TRAJECTORY_COLUMNS = ["fold", "repetition", "round", "lr", "mean_loss", "threshold"]

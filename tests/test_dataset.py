@@ -267,8 +267,9 @@ class TestRebalance:
             "train": ([0, 2, 4, 6, 7, 9, 10], [0] * 7),
             "unused": ([], []),
             "test": (
-                [0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6, 6, 7, 7, 22, 23, 24, 26, 28, 29],
-                [1] * 18 + [0] * 6,
+                [22, 23, 24, 26, 28, 29, 30, 30, 31, 31, 31, 31, 31, 32, 32, 32, 33, 33, 34, 35, 36,
+                 36, 37, 37],
+                [0] * 6 + [1] * 18,
             ),
             "threshold_sel": ([12, 14, 15, 17, 18, 19, 20], [0] * 7),
         }
@@ -371,6 +372,19 @@ class TestManifest:
         assert np.all(got.train.labels == 0)
         assert int(np.sum(got.test.labels)) == 10
         assert len(got.threshold_sel) == math.floor(0.395 * 20)
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_capture_order_runs_on_across_files(self, tmp_path, mode):
+        # The attack file follows the benign one, so its records come later.
+        entries = load_manifest(str(self.write_fleet(tmp_path)))
+        (got,) = partition_from_manifest(entries, mode, schema=3)
+        parts = [got.train, got.unused, got.test]
+        if got.threshold_sel is not None:
+            parts.append(got.threshold_sel)
+        seq = np.concatenate([p.seq_index for p in parts])
+        assert sorted(seq.tolist()) == list(range(30))
+        labels = np.concatenate([p.labels for p in parts])
+        assert set(seq[labels == 1].tolist()) == set(range(20, 30))
 
     def test_unsupervised_device_without_benign_capture_named(self, tmp_path):
         manifest = self.write_fleet(tmp_path)

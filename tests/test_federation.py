@@ -342,21 +342,22 @@ class TestMetrics:
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 1, 1, 1)
 
     def test_metrics_formulas(self):
-        m = metrics_from_counts(ConfusionCounts(tp=2, tn=1, fp=1, fn=1), "known")
-        assert m.accuracy == pytest.approx(3 / 5)
-        assert m.tpr == pytest.approx(2 / 3)
-        assert m.tnr == pytest.approx(1 / 2)
-        assert m.f1 == pytest.approx(2 / (2 + 0.5 * 2))
+        m = metrics_from_counts(ConfusionCounts(tp=2, tn=1, fp=1, fn=1))
+        assert list(m) == ["accuracy", "tpr", "tnr", "f1"]
+        assert m["accuracy"] == pytest.approx(3 / 5)
+        assert m["tpr"] == pytest.approx(2 / 3)
+        assert m["tnr"] == pytest.approx(1 / 2)
+        assert m["f1"] == pytest.approx(2 / (2 + 0.5 * 2))
 
     def test_f1_zero_when_no_true_positives(self):
-        m = metrics_from_counts(ConfusionCounts(tp=0, tn=5, fp=0, fn=5), "known")
-        assert m.f1 == 0.0
+        m = metrics_from_counts(ConfusionCounts(tp=0, tn=5, fp=0, fn=5))
+        assert m["f1"] == 0.0
 
     def test_constant_positive_predictor_on_imbalanced_data(self):
         # 95 benign / 5 attack, everything flagged: F1 is about 10%.
-        m = metrics_from_counts(ConfusionCounts(tp=5, tn=0, fp=95, fn=0), "known")
-        assert m.f1 == pytest.approx(5 / (5 + 0.5 * 95), rel=1e-12)
-        assert m.f1 < 0.10
+        m = metrics_from_counts(ConfusionCounts(tp=5, tn=0, fp=95, fn=0))
+        assert m["f1"] == pytest.approx(5 / (5 + 0.5 * 95), rel=1e-12)
+        assert m["f1"] < 0.10
 
     def test_evaluate_pools_known_devices(self):
         arch = classifier_preset("A", input_dim=2)
@@ -367,17 +368,21 @@ class TestMetrics:
         x2 = np.array([[1.0, 0.0], [0.0, 0.0]])
         y2 = np.array([0, 1])  # both wrong on purpose
         got = evaluate(params, None, [(x1, y1), (x2, y2)])
-        assert got["known"].accuracy == pytest.approx(0.5)
-        assert "new_device" not in got
+        assert got == [ConfusionCounts(tp=1, tn=1), ConfusionCounts(fp=1, fn=1)]
+        pooled = sum(got, ConfusionCounts())
+        assert metrics_from_counts(pooled)["accuracy"] == pytest.approx(0.5)
 
     def test_evaluate_new_device_scope(self):
         arch = classifier_preset("A", input_dim=2)
         params = ModelParameters(arch, np.array([100.0, 0.0, -50.0]))
         x = np.array([[1.0, 0.0]])
-        got = evaluate(params, None, [(x, np.array([1]))], (x, np.array([0])))
-        assert got["known"].accuracy == 1.0
-        assert got["new_device"].accuracy == 0.0
-        assert got["new_device"].scope == "new_device"
+        known, new = evaluate(params, None, [(x, np.array([1])), (x, np.array([0]))])
+        assert metrics_from_counts(known)["accuracy"] == 1.0
+        assert metrics_from_counts(new)["accuracy"] == 0.0
+
+    def test_metrics_need_records(self):
+        with pytest.raises(ConfigError, match="zero records"):
+            metrics_from_counts(ConfusionCounts())
 
 
 class TestBuildClient:

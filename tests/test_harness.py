@@ -9,6 +9,7 @@ from fediot.aggregation import AggregationSpec
 from fediot.dataset import BalanceSpec, generate_synthetic_fleet, load_device_csv
 from fediot import cli
 from fediot.errors import ConfigError
+from fediot.federation import predict, run_federated
 from fediot.harness import (
     DataSource,
     ExperimentConfig,
@@ -53,6 +54,16 @@ def tiny_dict(**overrides):
 
 def tiny_config(**overrides):
     return config_from_dict(tiny_dict(**overrides))
+
+
+def _snapshot(bundle):
+    # Every file of a bundle by its relative path, with its bytes.
+    files = {}
+    for root, _, names in os.walk(bundle):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as handle:
+                files[os.path.relpath(os.path.join(root, name), bundle)] = handle.read()
+    return files
 
 
 class TestConfigParsing:
@@ -112,6 +123,12 @@ class TestConfigParsing:
     def test_empty_fold_list_rejected(self):
         with pytest.raises(ConfigError, match="folds"):
             tiny_config(protocol={"folds": []})
+
+    @pytest.mark.parametrize("name", ["a.partial", "a.old"])
+    def test_staging_suffix_in_name_rejected(self, name):
+        # Running config "a" would clear that bundle as a leftover.
+        with pytest.raises(ConfigError, match="staging"):
+            tiny_config(name=name)
 
     def test_half_specified_grid_rejected(self):
         raw = tiny_dict()
@@ -266,6 +283,56 @@ class TestRunExperiment:
         assert {os.path.basename(f) for f in files} == {"metrics.csv", "cost.csv"}
         assert not os.path.exists(os.path.join(result.path, "trajectory.csv"))
 
+    def test_rerun_replaces_rendered_reports(self, tmp_path):
+        bundle = run_experiment(tiny_config(), str(tmp_path)).path
+        report(bundle, "md")
+        report(bundle, "csv")
+        raw = tiny_dict(protocol={"folds": "all", "repetitions": 1, "master_seed": 99})
+        run_experiment(config_from_dict(raw), str(tmp_path))
+        assert sorted(os.listdir(bundle)) == [
+            "config.json", "devices.csv", "runs.csv", "summary.csv", "timing.json",
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["tiny"]
+
+    def test_interrupted_rerun_leaves_the_earlier_bundle(self, tmp_path, monkeypatch):
+        raw = tiny_dict()
+        raw["training"]["log_rounds"] = True
+        raw["protocol"]["folds"] = ["dev-0", "dev-1"]
+        bundle = run_experiment(config_from_dict(raw), str(tmp_path)).path
+        before = _snapshot(bundle)
+        assert len([name for name in before if name.startswith("rounds/")]) == 2
+
+        calls = []
+
+        def fail_in_second_cell(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return run_federated(*args, **kwargs)
+
+        monkeypatch.setattr("fediot.harness.run_federated", fail_in_second_cell)
+        raw["protocol"]["master_seed"] = 99
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_experiment(config_from_dict(raw), str(tmp_path))
+        assert _snapshot(bundle) == before
+        assert sorted(os.listdir(tmp_path)) == ["tiny"]
+
+    @pytest.mark.parametrize(
+        "approach, per_cell", [("federated", 3), ("naive", 4), ("centralized", 3)]
+    )
+    def test_each_test_set_predicted_once_per_group(self, tmp_path, monkeypatch, approach, per_cell):
+        # 3 devices: a cell trains on 2 and holds 1 out. Each group of
+        # training devices predicts its known test sets and the held-out one.
+        calls = []
+
+        def counting(model, x, threshold=None):
+            calls.append(x)
+            return predict(model, x, threshold)
+
+        monkeypatch.setattr("fediot.federation.predict", counting)
+        run_experiment(tiny_config(approach=approach), str(tmp_path))
+        assert len(calls) == 3 * per_cell
+
     def test_too_many_attackers_rejected(self, tmp_path):
         raw = tiny_dict()
         raw["attack"] = {"kind": "model_cancel", "f": 2}  # only K=2 clients
@@ -318,21 +385,12 @@ class TestRunExperiment:
         raw["training"]["log_rounds"] = True
         raw["protocol"]["folds"] = ["dev-0"]
         bundle = run_experiment(config_from_dict(raw), str(tmp_path)).path
-
-        def snapshot():
-            files = {}
-            for root, _, names in os.walk(bundle):
-                for name in names:
-                    with open(os.path.join(root, name), "rb") as handle:
-                        files[os.path.relpath(os.path.join(root, name), bundle)] = handle.read()
-            return files
-
-        before = snapshot()
+        before = _snapshot(bundle)
         assert "rounds/fold-dev-0-rep-0.jsonl" in before
         raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError):
             run_experiment(config_from_dict(raw), str(tmp_path))
-        assert snapshot() == before
+        assert _snapshot(bundle) == before
 
     def test_results_env_var_used(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDIOT_RESULTS_DIR", str(tmp_path / "env"))
@@ -524,6 +582,17 @@ class TestReport:
         assert len(rows) == 60
         assert rows[0]["fold"] == "dev-0"
         assert float(rows[0]["mean_loss"]) > 0
+
+    def test_sweep_rerun_replaces_rendered_reports(self, tmp_path):
+        raw = tiny_dict()
+        raw["data"]["devices"] = 7
+        raw["protocol"]["folds"] = ["dev-0"]
+        bundle = attack_sweep(config_from_dict(raw), [0], str(tmp_path)).path
+        report(bundle, "md")
+        report(bundle, "csv")
+        attack_sweep(config_from_dict(raw), [0], str(tmp_path))
+        assert sorted(os.listdir(bundle)) == ["config.json", "sweep.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["tiny-sweep"]
 
     def test_sweep_report(self, tmp_path):
         raw = tiny_dict()
