@@ -1,9 +1,10 @@
 """Aggregation rules that combine client models into one global model.
 
-Plain averaging is the baseline. Coordinate-wise median and trimmed mean
-drop extreme values per coordinate, and resampling re-draws the set of
-models before any rule runs. All rules are order-independent and operate
-coordinate by coordinate on the flat parameter vectors.
+Every rule reduces one (k, d) float64 array, a row per client's flat
+parameter vector, along the client axis. Plain averaging is the baseline;
+coordinate-wise median and trimmed mean drop extreme values per coordinate,
+and resampling redraws the k rows before the rule runs. aggregate is the one
+function that takes client models: it stacks them once and builds the model.
 """
 from __future__ import annotations
 
@@ -44,6 +45,11 @@ class AggregationSpec:
         if self.resample_s < 0:
             raise ConfigError(f"resample_s must be >= 0, got {self.resample_s}")
 
+    @property
+    def min_models(self) -> int:
+        """Fewest client models the rule accepts: TM(c) must keep one per coordinate."""
+        return 2 * self.trim_c + 1
+
     def describe(self) -> str:
         name = {"avg": "AVG", "med": "MED", "tm": f"TM({self.trim_c})"}[self.rule]
         if self.resample_s:
@@ -51,58 +57,36 @@ class AggregationSpec:
         return name
 
 
-def _stack(models: list[ModelParameters]) -> np.ndarray:
-    if not models:
-        raise ConfigError("cannot aggregate zero models")
-    arch = models[0].arch
-    for m in models[1:]:
-        if m.arch != arch:
-            raise SchemaError(f"architecture mismatch: {m.arch} != {arch}")
-    return np.stack([m.flat for m in models])
+def average(updates: np.ndarray) -> np.ndarray:
+    """Coordinate-wise mean of the (k, d) client rows."""
+    return updates.mean(axis=0)
 
 
-def average(models: list[ModelParameters]) -> ModelParameters:
-    """Coordinate-wise mean of the client models."""
-    stacked = _stack(models)
-    return ModelParameters(models[0].arch, stacked.mean(axis=0))
-
-
-def coordinate_median(models: list[ModelParameters]) -> ModelParameters:
+def coordinate_median(updates: np.ndarray) -> np.ndarray:
     """Coordinate-wise median; an even count averages the two middle values."""
-    stacked = _stack(models)
-    return ModelParameters(models[0].arch, np.median(stacked, axis=0))
+    return np.median(updates, axis=0)
 
 
-def trimmed_mean(models: list[ModelParameters], trim_c: int) -> ModelParameters:
+def trimmed_mean(updates: np.ndarray, trim_c: int) -> np.ndarray:
     """Mean after removing the trim_c largest and smallest values per coordinate."""
-    stacked = _stack(models)
-    k = stacked.shape[0]
-    if trim_c < 1:
-        raise ConfigError(f"trim_c must be >= 1, got {trim_c}")
-    if k - 2 * trim_c < 1:
-        raise ConfigError(f"trimming {trim_c} per side leaves no model out of {k}")
-    trimmed = np.sort(stacked, axis=0)[trim_c : k - trim_c]
-    return ModelParameters(models[0].arch, trimmed.mean(axis=0))
+    return np.sort(updates, axis=0)[trim_c : updates.shape[0] - trim_c].mean(axis=0)
 
 
-def s_resample(
-    models: list[ModelParameters], s: int, rng: np.random.Generator
-) -> list[ModelParameters]:
-    """Redraw K models, each the mean of s draws, no input used more than s times.
+def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
+    """Redraw the k rows, each the mean of s draws, no input used more than s times.
 
-    Every output slot draws uniformly with rejection until it finds a model
-    used fewer than s times, so across all K outputs each input is used
+    Every output slot draws uniformly with rejection until it finds a row
+    used fewer than s times, so across all k outputs each input is used
     exactly s times. Averaging the outputs therefore reproduces the plain
     average of the inputs; the redraw only dilutes minority outliers before
     a robust rule runs.
     """
-    stacked = _stack(models)
-    k = stacked.shape[0]
+    k = updates.shape[0]
     if s < 1:
         raise ConfigError(f"resample_s must be >= 1, got {s}")
     usage = np.zeros(k, dtype=np.int64)
-    outputs = []
-    for _ in range(k):
+    out = np.empty_like(updates)
+    for row in range(k):
         chosen = np.empty(s, dtype=np.intp)
         for slot in range(s):
             for _ in range(MAX_RESAMPLE_DRAWS):
@@ -112,11 +96,9 @@ def s_resample(
                     chosen[slot] = j
                     break
             else:
-                raise RuntimeError(
-                    f"resampling drew {MAX_RESAMPLE_DRAWS} times without finding a free model"
-                )
-        outputs.append(ModelParameters(models[0].arch, stacked[chosen].mean(axis=0)))
-    return outputs
+                raise RuntimeError(f"resampling found no free row in {MAX_RESAMPLE_DRAWS} draws")
+        out[row] = updates[chosen].mean(axis=0)
+    return out
 
 
 def aggregate(
@@ -124,13 +106,26 @@ def aggregate(
     spec: AggregationSpec,
     rng: np.random.Generator | None = None,
 ) -> ModelParameters:
-    """Apply one aggregation spec: optional resampling, then the rule."""
+    """Combine the client models under one spec into the new global model.
+
+    Stacks the flat vectors once into a (k, d) array, resamples it if the
+    spec says so, reduces it with the rule, and wraps the result.
+    """
+    k = len(models)
+    if k < spec.min_models:
+        raise ConfigError(f"{spec.describe()} needs at least {spec.min_models} models, got {k}")
+    arch = models[0].arch
+    if any(m.arch != arch for m in models):
+        raise SchemaError(f"architecture mismatch: {sorted({str(m.arch) for m in models})}")
+    updates = np.stack([m.flat for m in models])
     if spec.resample_s:
         if rng is None:
             raise ConfigError("resampling needs a seeded random generator")
-        models = s_resample(models, spec.resample_s, rng)
+        updates = s_resample(updates, spec.resample_s, rng)
     if spec.rule == "avg":
-        return average(models)
-    if spec.rule == "med":
-        return coordinate_median(models)
-    return trimmed_mean(models, spec.trim_c)
+        flat = average(updates)
+    elif spec.rule == "med":
+        flat = coordinate_median(updates)
+    else:
+        flat = trimmed_mean(updates, spec.trim_c)
+    return ModelParameters(arch, flat)

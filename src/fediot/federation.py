@@ -155,8 +155,9 @@ def build_client(
 
 
 def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> AttackSpec | None:
-    if not clients:
-        raise ConfigError("cannot train an empty fleet")
+    rule = config.aggregation
+    if len(clients) < rule.min_models:  # an empty fleet included
+        raise ConfigError(f"{rule.describe()} needs at least {rule.min_models} clients, got {len(clients)}")
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate client ids: {sorted(ids)}")
@@ -289,7 +290,8 @@ def run_federated(
                 else:
                     losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
         kept, gone = _survivors(updates, clients, config, server_rng)
-        if kept:
+        # A round left with fewer models than the rule needs keeps the global model.
+        if len(kept) >= config.aggregation.min_models:
             model = aggregate(kept, config.aggregation, server_rng)
         if on_round is not None:
             on_round(

@@ -138,8 +138,8 @@ class ExperimentConfig:
     model_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.name.endswith((".partial", ".old")):
-            raise ConfigError(f"name {self.name!r} ends like a staging directory (.partial/.old)")
+        if self.name.endswith((".partial", ".old", ".sweep")):
+            raise ConfigError(f"name {self.name!r} ends like a staging or sweep directory")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.approach not in APPROACHES:
@@ -417,7 +417,8 @@ def _run_cell(
     federated = config.approach == "federated"
     base_config = _federation_config(config, rep, fold)
     if not federated:
-        base_config = replace(base_config, algorithm="mini_batch")
+        # A group of one client has nothing to aggregate.
+        base_config = replace(base_config, algorithm="mini_batch", aggregation=AggregationSpec("avg"))
     cell_seed = derive_seed(config.master_seed, rep, fold, "cell")
     log_path = None
     if federated and rounds_dir is not None and config.log_rounds:
@@ -647,9 +648,9 @@ def attack_sweep(
             raise ConfigError(f"f must be >= 0, got {f}")
         if f >= k:
             raise ConfigError(f"f={f} attackers need more than {k} clients")
-    deepest = max(rule.trim_c for rule in SWEEP_RULES)
-    if k - 2 * deepest < 1:
-        raise ConfigError(f"TM({deepest}) needs more than {k} clients")
+    deepest = max(SWEEP_RULES, key=lambda rule: rule.min_models)
+    if k < deepest.min_models:
+        raise ConfigError(f"{deepest.describe()} needs at least {deepest.min_models} clients, got {k}")
 
     cells = []  # (attack kind, rule, f, cell config, known-device F1 per run)
     for rule in SWEEP_RULES:
@@ -676,7 +677,7 @@ def attack_sweep(
         for kind, rule, f, _, f1s in cells
     ]
 
-    bundle = os.path.join(results_dir(out_dir), f"{config.name}-sweep")
+    bundle = os.path.join(results_dir(out_dir), f"{config.name}.sweep")
     with _staged_bundle(bundle, config) as staging:
         _write_csv(os.path.join(staging, "sweep.csv"), rows, SWEEP_COLUMNS)
     return SweepResult(config, rows, bundle)

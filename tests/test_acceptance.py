@@ -91,20 +91,19 @@ def test_aggregation_rules_match_sort_oracles():
         k = int(rng.integers(3, 10))
         arch = classifier_preset("A", input_dim=int(rng.integers(1, 65)))
         stacked = rng.normal(0.0, 10.0, size=(k, arch.n_parameters))
-        models = [ModelParameters(arch, row) for row in stacked]
         srt = np.sort(stacked, axis=0)
 
-        got_avg = average(models).flat
+        got_avg = average(stacked)
         np.testing.assert_allclose(
             got_avg, stacked.sum(axis=0) / k, rtol=1e-12, atol=1e-12
         )
 
-        got_med = coordinate_median(models).flat
+        got_med = coordinate_median(stacked)
         middle = srt[k // 2] if k % 2 else (srt[k // 2 - 1] + srt[k // 2]) / 2
         np.testing.assert_array_equal(got_med, middle)
 
         trim_c = int(rng.integers(1, (k - 1) // 2 + 1))
-        got_tm = trimmed_mean(models, trim_c).flat
+        got_tm = trimmed_mean(stacked, trim_c)
         kept = srt[trim_c : k - trim_c]
         np.testing.assert_allclose(
             got_tm, kept.sum(axis=0) / kept.shape[0], rtol=1e-12, atol=1e-12

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,18 @@ from fediot.aggregation import (
     trimmed_mean,
 )
 from fediot.errors import ConfigError, SchemaError
-from fediot.neuralnet import ArchitectureSpec, ModelParameters, classifier_preset
+from fediot.harness import SWEEP_RULES
+from fediot.neuralnet import ModelParameters, classifier_preset
 
 
 def models_from_rows(rows):
     rows = np.asarray(rows, dtype=np.float64)
     arch = classifier_preset("A", input_dim=rows.shape[1] - 1)
     return [ModelParameters(arch, row) for row in rows]
+
+
+def rows(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 def sort_oracle_median(rows):
@@ -41,125 +48,120 @@ def sort_oracle_trimmed(rows, c):
 
 class TestAverage:
     def test_small_example(self):
-        got = average(models_from_rows([[0.0, 2.0], [4.0, 6.0]]))
-        np.testing.assert_array_equal(got.flat, [2.0, 4.0])
+        got = average(rows([[0.0, 2.0], [4.0, 6.0]]))
+        np.testing.assert_array_equal(got, [2.0, 4.0])
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
-        rows = rng.normal(size=(5, 8))
-        a = average(models_from_rows(rows))
-        b = average(models_from_rows(rows[::-1]))
-        np.testing.assert_allclose(a.flat, b.flat, rtol=1e-12)
+        updates = rng.normal(size=(5, 8))
+        a = average(updates)
+        b = average(updates[::-1])
+        np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            average([])
+            aggregate([], AggregationSpec("avg"))
 
     def test_architecture_mismatch_rejected(self):
         a = ModelParameters(classifier_preset("A", input_dim=2), np.zeros(3))
         b = ModelParameters(classifier_preset("A", input_dim=3), np.zeros(4))
         with pytest.raises(SchemaError):
-            average([a, b])
+            aggregate([a, b], AggregationSpec("avg"))
 
 
 class TestCoordinateMedian:
     def test_odd_count_picks_middle(self):
-        got = coordinate_median(models_from_rows([[1.0, 9.0], [5.0, 1.0], [9.0, 5.0]]))
-        np.testing.assert_array_equal(got.flat, [5.0, 5.0])
+        got = coordinate_median(rows([[1.0, 9.0], [5.0, 1.0], [9.0, 5.0]]))
+        np.testing.assert_array_equal(got, [5.0, 5.0])
 
     def test_even_count_averages_two_middles(self):
-        got = coordinate_median(models_from_rows([[1.0, 0], [3.0, 0], [5.0, 0], [100.0, 0]]))
-        assert got.flat[0] == 4.0
+        got = coordinate_median(rows([[1.0, 0], [3.0, 0], [5.0, 0], [100.0, 0]]))
+        assert got[0] == 4.0
 
     def test_matches_sort_oracle_bitwise(self):
         rng = np.random.default_rng(1)
         for k in (3, 4, 5, 8, 9):
-            rows = rng.normal(size=(k, 6)) * rng.uniform(0.1, 100)
-            got = coordinate_median(models_from_rows(rows))
-            np.testing.assert_array_equal(got.flat, sort_oracle_median(rows))
+            updates = rng.normal(size=(k, 6)) * rng.uniform(0.1, 100)
+            got = coordinate_median(updates)
+            np.testing.assert_array_equal(got, sort_oracle_median(updates))
 
     def test_ignores_one_wild_outlier(self):
-        rows = np.ones((5, 4))
-        rows[2] = 1e12
-        got = coordinate_median(models_from_rows(rows))
-        np.testing.assert_array_equal(got.flat, np.ones(4))
+        updates = np.ones((5, 4))
+        updates[2] = 1e12
+        got = coordinate_median(updates)
+        np.testing.assert_array_equal(got, np.ones(4))
 
 
 class TestTrimmedMean:
     def test_small_example(self):
-        rows = [[1.0, 0], [2.0, 0], [3.0, 0], [4.0, 0], [100.0, 0]]
-        got = trimmed_mean(models_from_rows(rows), trim_c=1)
-        assert got.flat[0] == 3.0
+        got = trimmed_mean(rows([[1.0, 0], [2.0, 0], [3.0, 0], [4.0, 0], [100.0, 0]]), trim_c=1)
+        assert got[0] == 3.0
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
         for k, c in ((5, 1), (8, 2), (9, 3), (4, 1)):
-            rows = rng.normal(size=(k, 7))
-            got = trimmed_mean(models_from_rows(rows), trim_c=c)
-            np.testing.assert_allclose(got.flat, sort_oracle_trimmed(rows, c), rtol=1e-12)
+            updates = rng.normal(size=(k, 7))
+            got = trimmed_mean(updates, trim_c=c)
+            np.testing.assert_allclose(got, sort_oracle_trimmed(updates, c), rtol=1e-12)
 
     def test_trims_by_value_per_coordinate(self):
         # The extreme value sits in a different model per coordinate.
-        rows = np.zeros((3, 2))
-        rows[0, 0] = 50.0
-        rows[2, 1] = -50.0
-        got = trimmed_mean(models_from_rows(rows), trim_c=1)
-        np.testing.assert_array_equal(got.flat, [0.0, 0.0])
+        updates = np.zeros((3, 2))
+        updates[0, 0] = 50.0
+        updates[2, 1] = -50.0
+        got = trimmed_mean(updates, trim_c=1)
+        np.testing.assert_array_equal(got, [0.0, 0.0])
 
     def test_over_trimming_rejected(self):
-        rows = np.zeros((4, 2))
+        models = models_from_rows(np.zeros((4, 2)))
+        with pytest.raises(ConfigError, match=r"TM\(2\) needs at least 5 models, got 4"):
+            aggregate(models, AggregationSpec("tm", trim_c=2))
         with pytest.raises(ConfigError):
-            trimmed_mean(models_from_rows(rows), trim_c=2)
-        with pytest.raises(ConfigError):
-            trimmed_mean(models_from_rows(rows), trim_c=0)
+            aggregate(models, AggregationSpec("tm", trim_c=0))
 
 
 class TestResampling:
-    def rand_models(self, k=8, d=5, seed=3):
+    def rand_updates(self, k=8, d=5, seed=3):
         rng = np.random.default_rng(seed)
-        return models_from_rows(rng.normal(size=(k, d + 1)) * 3)
+        return rng.normal(size=(k, d + 1)) * 3
 
     def test_s1_is_a_permutation(self):
-        models = self.rand_models()
-        out = s_resample(models, 1, np.random.default_rng(0))
-        original = {m.flat.tobytes() for m in models}
-        assert {m.flat.tobytes() for m in out} == original
+        updates = self.rand_updates()
+        out = s_resample(updates, 1, np.random.default_rng(0))
+        original = {row.tobytes() for row in updates}
+        assert {row.tobytes() for row in out} == original
 
     def test_mean_is_preserved(self):
-        models = self.rand_models()
+        updates = self.rand_updates()
         for s in (1, 2, 3):
-            out = s_resample(models, s, np.random.default_rng(s))
-            np.testing.assert_allclose(
-                average(out).flat, average(models).flat, rtol=1e-12, atol=1e-14
-            )
+            out = s_resample(updates, s, np.random.default_rng(s))
+            np.testing.assert_allclose(average(out), average(updates), rtol=1e-12, atol=1e-14)
 
     def test_output_count_matches_input_count(self):
-        models = self.rand_models(k=5)
-        assert len(s_resample(models, 3, np.random.default_rng(1))) == 5
+        updates = self.rand_updates(k=5)
+        assert s_resample(updates, 3, np.random.default_rng(1)).shape == updates.shape
 
     def test_deterministic_in_seed(self):
-        models = self.rand_models()
-        a = s_resample(models, 2, np.random.default_rng(7))
-        b = s_resample(models, 2, np.random.default_rng(7))
-        c = s_resample(models, 2, np.random.default_rng(8))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.flat, y.flat)
-        assert any(not np.array_equal(x.flat, y.flat) for x, y in zip(a, c))
+        updates = self.rand_updates()
+        a = s_resample(updates, 2, np.random.default_rng(7))
+        b = s_resample(updates, 2, np.random.default_rng(7))
+        c = s_resample(updates, 2, np.random.default_rng(8))
+        np.testing.assert_array_equal(a, b)
+        assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_each_output_mixes_at_most_s_inputs(self):
         # With s=2 every output is the midpoint of two inputs; recover the
-        # pair memberships from a d=1 model set with distinct values.
-        rows = np.array([[float(i), 0.0] for i in range(6)])
-        models = models_from_rows(rows)
-        out = s_resample(models, 2, np.random.default_rng(5))
-        doubled = sorted(round(2 * m.flat[0]) for m in out)
+        # pair memberships from a d=1 row set with distinct values.
+        updates = np.array([[float(i), 0.0] for i in range(6)])
+        out = s_resample(updates, 2, np.random.default_rng(5))
+        doubled = sorted(round(2 * row[0]) for row in out)
         # Total usage of each input is exactly s: the sum over outputs of
         # (2 * output) equals 2 * sum of inputs.
         assert sum(doubled) == 2 * sum(range(6))
 
     def test_bad_s_rejected(self):
         with pytest.raises(ConfigError):
-            s_resample(self.rand_models(), 0, np.random.default_rng(0))
+            s_resample(self.rand_updates(), 0, np.random.default_rng(0))
 
 
 class TestAggregateDispatch:
@@ -179,28 +181,62 @@ class TestAggregateDispatch:
         assert AggregationSpec("tm", trim_c=2).describe() == "TM(2)"
         assert AggregationSpec("tm", trim_c=2, resample_s=2).describe() == "2-RS+TM(2)"
 
+    def test_min_models(self):
+        assert AggregationSpec("avg").min_models == 1
+        assert AggregationSpec("med", resample_s=2).min_models == 1
+        assert AggregationSpec("tm", trim_c=2).min_models == 5
+        assert AggregationSpec("tm", trim_c=2, resample_s=2).min_models == 5
+
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(4)
-        models = models_from_rows(rng.normal(size=(7, 5)))
+        updates = rng.normal(size=(7, 5))
+        models = models_from_rows(updates)
         np.testing.assert_array_equal(
-            aggregate(models, AggregationSpec("avg")).flat, average(models).flat
+            aggregate(models, AggregationSpec("avg")).flat, average(updates)
         )
         np.testing.assert_array_equal(
-            aggregate(models, AggregationSpec("med")).flat, coordinate_median(models).flat
+            aggregate(models, AggregationSpec("med")).flat, coordinate_median(updates)
         )
         np.testing.assert_array_equal(
-            aggregate(models, AggregationSpec("tm", trim_c=2)).flat,
-            trimmed_mean(models, 2).flat,
+            aggregate(models, AggregationSpec("tm", trim_c=2)).flat, trimmed_mean(updates, 2)
         )
 
     def test_resample_then_average_equals_average(self):
         rng = np.random.default_rng(5)
-        models = models_from_rows(rng.normal(size=(8, 6)))
+        updates = rng.normal(size=(8, 6))
         spec = AggregationSpec("avg", resample_s=2)
-        got = aggregate(models, spec, np.random.default_rng(9))
-        np.testing.assert_allclose(got.flat, average(models).flat, rtol=1e-12, atol=1e-14)
+        got = aggregate(models_from_rows(updates), spec, np.random.default_rng(9))
+        np.testing.assert_allclose(got.flat, average(updates), rtol=1e-12, atol=1e-14)
 
     def test_resample_requires_rng(self):
         models = models_from_rows(np.zeros((4, 3)))
         with pytest.raises(ConfigError):
             aggregate(models, AggregationSpec("med", resample_s=2))
+
+
+def pinned_models(k, seed):
+    updates = np.random.default_rng(seed).normal(0.0, 3.0, size=(k, 257))
+    return models_from_rows(updates)
+
+
+# sha256 of aggregate(...).flat.tobytes(), recorded before the rules moved to
+# (k, d) arrays. Any faster rule must reproduce these bits exactly.
+PINNED_DIGESTS = {
+    "AVG": "1bf9bd2696618f35490660a272ee612aabeae2e4598244a097be29fa7ea2748d",
+    "MED": "3eaaeb7904d9dc7739876552472225c4da3a1c55bafdff5af0d3200b277e6734",
+    "TM(1)": "b9697b79e53f11874ffc87e7963ef9b3e77915d8f5441ab6d146e24270b5f369",
+    "TM(2)": "b6c804bdffa7e6788c138315c575fa9922d0e6a4280c45bbb3c602a0a4c7102b",
+    "2-RS+TM(2)": "ecd0b780203491ade6aba8d86b05a3cd7f91f595ed89ce312a0da514866a45a6",
+}
+
+
+@pytest.mark.parametrize("spec", SWEEP_RULES, ids=lambda spec: spec.describe())
+def test_sweep_rule_bits_are_pinned(spec):
+    got = aggregate(pinned_models(8, 2018), spec, np.random.default_rng(2006))
+    assert hashlib.sha256(got.flat.tobytes()).hexdigest() == PINNED_DIGESTS[spec.describe()]
+
+
+def test_odd_count_median_bits_are_pinned():
+    got = aggregate(pinned_models(5, 1803), AggregationSpec("med"))
+    digest = "9311d704671d4958dd48eef5f28464e6934b10d49e7d55f8c9354d0a28dd0f4f"
+    assert hashlib.sha256(got.flat.tobytes()).hexdigest() == digest

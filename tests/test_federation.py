@@ -173,6 +173,35 @@ class TestMiniBatch:
         b = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=2))
         assert not np.array_equal(a.flat, b.flat)
 
+    def test_round_below_the_rule_floor_keeps_the_global_model(self):
+        # TM(2) needs 5 models; with dropout some rounds keep fewer, and
+        # such a round skips aggregation exactly as a zero-survivor one does.
+        clients = [toy_client(f"c{i}", seed=i) for i in range(5)]
+        config = toy_config(
+            dropout_prob=0.2, server_seed=3, aggregation=AggregationSpec("tm", trim_c=2)
+        )
+        records = []
+        start = init_model(config.arch, config.init_seed)
+        run_federated(clients, config, lambda info, m: records.append((info["dropped"], m)))
+        previous = start
+        for dropped, model in records:
+            if dropped:
+                np.testing.assert_array_equal(model.flat, previous.flat)
+            else:
+                assert not np.array_equal(model.flat, previous.flat)
+            previous = model
+        assert any(d for d, _ in records) and any(not d for d, _ in records)
+
+    def test_fleet_below_the_rule_floor_rejected_before_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("fediot.federation.backward", no_training)
+        clients = [toy_client(f"c{i}", seed=i) for i in range(8)]
+        config = toy_config(aggregation=AggregationSpec("tm", trim_c=4))
+        with pytest.raises(ConfigError, match=r"TM\(4\) needs at least 9 clients, got 8"):
+            run_federated(clients, config)
+
 
 class TestMultiEpoch:
     def test_round_count_and_lr_decay(self):

@@ -124,7 +124,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="folds"):
             tiny_config(protocol={"folds": []})
 
-    @pytest.mark.parametrize("name", ["a.partial", "a.old"])
+    @pytest.mark.parametrize("name", ["a.partial", "a.old", "a.sweep"])
     def test_staging_suffix_in_name_rejected(self, name):
         # Running config "a" would clear that bundle as a leftover.
         with pytest.raises(ConfigError, match="staging"):
@@ -233,6 +233,23 @@ class TestRunExperiment:
             raw["training"]["rounds"] = 3
             result = run_experiment(config_from_dict(raw), str(tmp_path))
             assert all(r["aggregations"] == expected for r in result.rows), approach
+
+    def test_dropout_under_trimmed_mean_runs_to_the_end(self, tmp_path):
+        # K=6 under TM(2): rounds that keep 1-4 of 6 clients keep the model.
+        raw = tiny_dict(aggregation={"rule": "tm", "trim_c": 2})
+        raw["data"]["devices"] = 7
+        raw["training"]["dropout_prob"] = 0.5
+        raw["protocol"]["folds"] = ["dev-0"]
+        result = run_experiment(config_from_dict(raw), str(tmp_path))
+        assert all(r["aggregations"] == 60 for r in result.rows)
+
+    @pytest.mark.parametrize("approach", ["naive", "centralized"])
+    def test_single_client_groups_ignore_the_rule(self, tmp_path, approach):
+        # A group of one client has nothing to aggregate, whatever the rule.
+        plain = run_experiment(tiny_config(approach=approach), str(tmp_path / "avg"))
+        for rule in ({"rule": "tm", "trim_c": 1}, {"rule": "med", "resample_s": 2}):
+            config = tiny_config(approach=approach, aggregation=rule)
+            assert run_experiment(config, str(tmp_path / rule["rule"])).rows == plain.rows
 
     def test_no_client_loss_without_round_logs(self, tmp_path, monkeypatch):
         calls = []
@@ -592,7 +609,19 @@ class TestReport:
         report(bundle, "csv")
         attack_sweep(config_from_dict(raw), [0], str(tmp_path))
         assert sorted(os.listdir(bundle)) == ["config.json", "sweep.csv"]
-        assert sorted(os.listdir(tmp_path)) == ["tiny-sweep"]
+        assert sorted(os.listdir(tmp_path)) == ["tiny.sweep"]
+
+    def test_sweep_leaves_a_run_bundle_of_the_same_stem_alone(self, tmp_path):
+        raw = tiny_dict(name="tiny-sweep")
+        raw["data"]["devices"] = 7
+        raw["protocol"]["folds"] = ["dev-0"]
+        run = run_experiment(config_from_dict(raw), str(tmp_path))
+        before = _snapshot(run.path)
+        raw["name"] = "tiny"
+        sweep = attack_sweep(config_from_dict(raw), [0], str(tmp_path))
+        assert sweep.path != run.path
+        assert _snapshot(run.path) == before
+        assert sorted(os.listdir(tmp_path)) == ["tiny-sweep", "tiny.sweep"]
 
     def test_sweep_report(self, tmp_path):
         raw = tiny_dict()
