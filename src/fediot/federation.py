@@ -4,7 +4,9 @@ One round loop serves both schedules. Mini-batch aggregation averages after
 every single local step, so clients walk their data in lockstep and the
 fleet behaves like one SGD run over the union of batches. Multi-epoch
 aggregation lets every client train several full local epochs between the
-far fewer aggregation rounds.
+far fewer aggregation rounds. The loop trains the fleet as one (k, d)
+array of client parameter rows, with one batched backward pass per local
+step, and gives the same bits as k clients training one by one.
 
 Training is a pure function of its inputs: all randomness derives from the
 client seeds and the server seed, and rerunning a configuration reproduces
@@ -31,17 +33,16 @@ from .adversary import (
 )
 from .aggregation import AggregationSpec, aggregate
 from .dataset import DevicePartition
-from .errors import ConfigError, PoisonedUpdateError
+from .errors import ConfigError, PoisonedUpdateError, SchemaError
 from .neuralnet import (
     CLASSIFIER,
     ArchitectureSpec,
     ModelParameters,
-    backward,
     classify,
+    fleet_backward,
     init_model,
     loss,
     mse_per_sample,
-    sgd_step,
 )
 from .preprocess import ScalingBounds, scale
 
@@ -168,6 +169,13 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
     for c in clients:
         if supervised and c.y_train is None:
             raise ConfigError(f"{c.client_id}: classifier training needs labels")
+        if not supervised and c.y_train is not None:
+            raise ConfigError(f"{c.client_id}: autoencoder training takes no labels")
+        if c.x_train.ndim != 2 or c.x_train.shape[1] != config.arch.input_dim:
+            raise SchemaError(
+                f"{c.client_id}: training features {c.x_train.shape} do not match "
+                f"input_dim {config.arch.input_dim}"
+            )
     model_attacks = {c.attack for c in clients if c.attack.kind in MODEL_ATTACK_KINDS}
     if len(model_attacks) > 1:
         raise ConfigError(f"clients disagree on the model attack: {model_attacks}")
@@ -190,18 +198,11 @@ def _attack_factors(spec: AttackSpec | None, k: int) -> tuple[float | None, floa
     return None, alpha_cancel(k, spec.f)
 
 
-def _survivors(
-    updates: list[ModelParameters],
-    clients: list[ClientState],
-    config: FederationConfig,
-    server_rng: np.random.Generator,
-) -> tuple[list[ModelParameters], list[str]]:
+def _dropped(k: int, config: FederationConfig, server_rng: np.random.Generator) -> np.ndarray:
+    # Which of the k clients miss the round, drawn from the server stream.
     if config.dropout_prob <= 0:
-        return updates, []
-    dropped = server_rng.random(len(clients)) < config.dropout_prob
-    kept = [u for u, gone in zip(updates, dropped) if not gone]
-    gone_ids = [c.client_id for c, gone in zip(clients, dropped) if gone]
-    return kept, gone_ids
+        return np.zeros(k, dtype=bool)
+    return server_rng.random(k) < config.dropout_prob
 
 
 OnRound = Callable[[dict, ModelParameters], None]
@@ -238,12 +239,22 @@ def _batches(client: ClientState, config: FederationConfig) -> Iterator[np.ndarr
             yield order[start : start + b]
 
 
+def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
+    # Indices of the rows of a C-contiguous array holding a NaN or an
+    # infinity. The sum of squares is NaN or inf whenever one is present, so
+    # only then (or on an overflow of finite squares) is each row checked.
+    flat = rows.reshape(-1)
+    if np.isfinite(np.dot(flat, flat)):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~np.isfinite(rows).all(axis=1))
+
+
 def run_federated(
     clients: list[ClientState],
     config: FederationConfig,
     on_round: OnRound | None = None,
     initial_model: ModelParameters | None = None,
-) -> ModelParameters:
+) -> tuple[ModelParameters, int]:
     """Train a fleet under the schedule config.algorithm names.
 
     Every round broadcasts the global model, lets each client take its local
@@ -252,6 +263,17 @@ def run_federated(
     is config.epochs local epochs at the round's decayed rate. on_round
     receives one record per round plus the new global model; client losses
     are computed only for it.
+
+    The fleet trains as one array: the training clients' parameters are the
+    rows of one (k, d) buffer, every local step computes all their gradients
+    in one batched backward pass into a second buffer, and the update is
+    applied in place. Each row is bit for bit what a client training alone
+    would compute. A non-finite gradient or model raises PoisonedUpdateError
+    naming the first bad client in client order.
+
+    Returns the final global model and the number of rounds that aggregated;
+    a round whose dropout survivors fall below the rule's floor keeps the
+    global model and does not count.
     """
     attack_spec = _validate_fleet(clients, config)
     rounds, steps = schedule(config, clients[0].n_train)
@@ -259,40 +281,70 @@ def run_federated(
     grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))
     model = _starting_model(config, initial_model)
     server_rng = np.random.default_rng(config.server_seed)
-    streams = [_batches(c, config) for c in clients]
-    l2 = config.l2_lambda
+    arch, l2 = config.arch, config.l2_lambda
+    # Training clients own the first rows of the buffer, model-cancelling
+    # ones the rest; row_of maps client order to buffer rows.
+    trainers = [i for i, c in enumerate(clients) if c.attack.kind != "model_cancel"]
+    cancellers = [i for i, c in enumerate(clients) if c.attack.kind == "model_cancel"]
+    row_of = {i: row for row, i in enumerate(trainers + cancellers)}
+    boosted = [row for row, i in enumerate(trainers) if clients[i].attack.kind == "gradient_factor"]
+    params = np.zeros((len(clients), arch.n_parameters))
+    trained = params[: len(trainers)]
+    grads = np.empty_like(trained)
+    # Each client's model is a read-only view of its buffer row, built once:
+    # aggregate copies the rows before the next round writes them again.
+    shared = params.view()
+    shared.setflags(write=False)
+    client_models = [ModelParameters(arch, shared[row_of[i]]) for i in range(len(clients))]
+    batch_x = np.empty((len(trainers), config.batch_size, arch.input_dim))
+    batch_y = np.empty((len(trainers), config.batch_size)) if arch.kind == CLASSIFIER else None
+    streams = [_batches(clients[i], config) for i in trainers]
+    aggregations = 0
     for round_index in range(rounds):
         lr = config.lr_at(round_index)
-        updates = []
+        trained[:] = model.flat
+        for row, i in enumerate(cancellers, start=len(trainers)):
+            params[row] = cancel_update(model, cancel_alpha).flat
+        errors: dict[int, str] = {}  # client index -> its first failed check this round
+        for _ in range(steps):
+            batches = [next(stream) for stream in streams]
+            size = len(batches[0])  # equal for all: every client holds n_train records
+            for row, (i, batch) in enumerate(zip(trainers, batches)):
+                np.take(clients[i].x_train, batch, axis=0, out=batch_x[row, :size])
+                if batch_y is not None:
+                    batch_y[row, :size] = clients[i].y_train[batch]
+            y = None if batch_y is None else batch_y[:, :size]
+            fleet_backward(arch, trained, batch_x[:, :size], y, l2, out=grads)
+            for row in boosted:
+                grads[row] *= grad_alpha
+            for row in _non_finite_rows(grads):
+                errors.setdefault(trainers[row], "gradient contains non-finite values")
+            grads *= lr
+            trained -= grads
+            for row in _non_finite_rows(trained):
+                errors.setdefault(trainers[row], "model parameters contain non-finite values")
+        if errors:
+            first = min(errors)
+            raise PoisonedUpdateError(f"client {clients[first].client_id}: {errors[first]}")
         losses: dict[str, float | None] = {}
-        for c, stream in zip(clients, streams):
-            if c.attack.kind == "model_cancel":
-                updates.append(cancel_update(model, cancel_alpha))
-                losses[c.client_id] = None
-                continue
-            local = model
-            for _ in range(steps):
-                batch = next(stream)
-                yb = None if c.y_train is None else c.y_train[batch]
-                grad = backward(local, c.x_train[batch], yb, l2)
-                if c.attack.kind == "gradient_factor":
-                    grad = grad_alpha * grad
-                try:
-                    local = sgd_step(local, grad, lr)
-                except PoisonedUpdateError as exc:
-                    raise PoisonedUpdateError(f"client {c.client_id}: {exc}") from None
-            updates.append(local)
-            if on_round is not None:
-                # A mini-batch round reports the loss of its one step, a
-                # multi-epoch round that of the trained local model.
-                if mini_batch:
+        if on_round is not None:
+            # A mini-batch round reports the loss of its one step, a
+            # multi-epoch round that of the trained local model.
+            for i, c in enumerate(clients):
+                if c.attack.kind == "model_cancel":
+                    losses[c.client_id] = None
+                elif mini_batch:
+                    batch = batches[row_of[i]]
+                    yb = None if c.y_train is None else c.y_train[batch]
                     losses[c.client_id] = loss(model, c.x_train[batch], yb, l2)
                 else:
-                    losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
-        kept, gone = _survivors(updates, clients, config, server_rng)
+                    losses[c.client_id] = loss(client_models[i], c.x_train, c.y_train, l2)
+        dropped = _dropped(len(clients), config, server_rng)
+        kept = [local for local, gone in zip(client_models, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
         if len(kept) >= config.aggregation.min_models:
             model = aggregate(kept, config.aggregation, server_rng)
+            aggregations += 1
         if on_round is not None:
             on_round(
                 {
@@ -300,11 +352,11 @@ def run_federated(
                     "epoch": round_index * config.epochs // rounds if mini_batch else None,
                     "lr": lr,
                     "client_losses": losses,
-                    "dropped": gone,
+                    "dropped": [c.client_id for c, gone in zip(clients, dropped) if gone],
                 },
                 model,
             )
-    return model
+    return model, aggregations
 
 
 @dataclass(frozen=True)
@@ -471,7 +523,7 @@ def collaborative_grid_search(
             for c in clients
         ]
         sub_config = replace(config, arch=point.arch, l2_lambda=point.l2_lambda)
-        model = run_federated(sub_clients, sub_config)
+        model, _ = run_federated(sub_clients, sub_config)
         scores = []
         for c in clients:
             x_val = c.x_train[cut:]

@@ -52,7 +52,6 @@ from .federation import (
     evaluate,
     metrics_from_counts,
     run_federated,
-    schedule,
     select_thresholds,
 )
 from .neuralnet import ArchitectureSpec, autoencoder_preset, checkpoint_header, classifier_preset
@@ -449,11 +448,11 @@ def _run_cell(
             best, _ = collaborative_grid_search(clients, _grid(config), base_config)
             fed_config = replace(base_config, arch=best.arch, l2_lambda=best.l2_lambda)
         if log_path is None:
-            model = run_federated(clients, fed_config)
+            model, aggregations = run_federated(clients, fed_config)
         else:
             with RoundLogger(log_path) as logger:
                 hook = logger if config.supervised else _threshold_logger(logger, clients, config)
-                model = run_federated(clients, fed_config, hook)
+                model, aggregations = run_federated(clients, fed_config, hook)
 
         threshold = None
         if not config.supervised:
@@ -469,7 +468,6 @@ def _run_cell(
             )
 
     n_train = clients[0].n_train
-    aggregations = schedule(base_config, n_train)[0] if federated else 0
     rows = [
         {
             "fold": fold,
@@ -478,7 +476,7 @@ def _run_cell(
             "scope": scope,
             **{m: float(np.mean([g[i][m] for g in per_group])) for m in METRIC_NAMES},
             "n_train": n_train,
-            "aggregations": aggregations,
+            "aggregations": aggregations if federated else 0,
         }
         for i, scope in enumerate((KNOWN_SCOPE, NEW_DEVICE_SCOPE))
     ]

@@ -55,8 +55,7 @@ class ArchitectureSpec:
 
     @property
     def n_parameters(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(dims) - 1))
+        return _layout(self)[-1][2]
 
 
 def classifier_preset(name: str, input_dim: int = 115) -> ArchitectureSpec:
@@ -155,19 +154,37 @@ def _check_input(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_states(params: ModelParameters, x: np.ndarray):
-    # Returns per-layer inputs and pre-activations; the last pre-activation
-    # is the head logits (classifier) or reconstruction (autoencoder).
-    layers = params.layers()
+def _weights(arch: ArchitectureSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    # Per layer, views of a (k, d) parameter array: weights (k, fan_in, fan_out)
+    # and biases (k, 1, fan_out), so a writable array gives writable views.
+    k = params.shape[0]
+    return [
+        (params[:, w_off:b_off].reshape(k, fan_in, fan_out), params[:, b_off:end].reshape(k, 1, fan_out))
+        for w_off, b_off, end, fan_in, fan_out in _layout(arch)
+    ]
+
+
+def _forward_states(arch: ArchitectureSpec, params: np.ndarray, x: np.ndarray):
+    # k models on k batches: params is (k, d) and x is (k, n, F). Returns
+    # per-layer inputs and pre-activations; the last pre-activation is the
+    # head logits (classifier) or reconstruction (autoencoder). The matmul
+    # runs one BLAS call per model, the same call a single (n, F) batch makes.
+    layers = _weights(arch, params)
     inputs = []
     pre_acts = []
     a = x
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
-        z = a @ w + b
+        z = np.matmul(a, w)
+        z += b
         pre_acts.append(z)
         a = _elu(z) if i < len(layers) - 1 else z
     return inputs, pre_acts
+
+
+def _head(params: ModelParameters, x: np.ndarray) -> np.ndarray:
+    # Last pre-activation of one model on a checked (n, F) batch.
+    return _forward_states(params.arch, params.flat[None], x[None])[1][-1][0]
 
 
 def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
@@ -177,8 +194,7 @@ def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     reconstructed batch of shape (n, F) for an autoencoder.
     """
     x = _check_input(params, x)
-    _, pre_acts = _forward_states(params, x)
-    head = pre_acts[-1]
+    head = _head(params, x)
     if params.arch.kind == CLASSIFIER:
         return _sigmoid(head[:, 0])
     return head
@@ -207,8 +223,7 @@ def loss(
     use mean squared reconstruction error and take no labels.
     """
     x = _check_input(params, x)
-    _, pre_acts = _forward_states(params, x)
-    head = pre_acts[-1]
+    head = _head(params, x)
     if params.arch.kind == CLASSIFIER:
         if y is None:
             raise ConfigError("classifier loss requires labels")
@@ -225,6 +240,53 @@ def loss(
     return data
 
 
+def fleet_backward(
+    arch: ArchitectureSpec,
+    params: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray | None = None,
+    l2_lambda: float = 0.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradients of loss() for k models at once, one row each.
+
+    params is (k, d), one flat parameter vector per row; x is (k, n, F),
+    row i's batch for model i, and y its (k, n) labels. The gradients are
+    written into out, a (k, d) array (allocated when omitted), and each row
+    is bit for bit what backward() returns for that model and batch.
+    """
+    if x.ndim != 3 or x.shape[2] != arch.input_dim or params.shape != (x.shape[0], arch.n_parameters):
+        raise SchemaError(
+            f"parameters {params.shape} and batches {x.shape} do not fit {arch.n_parameters} "
+            f"parameters with input_dim {arch.input_dim}"
+        )
+    n = x.shape[1]
+    inputs, pre_acts = _forward_states(arch, params, x)
+    if arch.kind == CLASSIFIER:
+        if y is None:
+            raise ConfigError("classifier gradient requires labels")
+        y = np.asarray(y, dtype=np.float64)
+        dz = (_sigmoid(pre_acts[-1]) - y[:, :, None]) / n
+    else:
+        if y is not None:
+            raise ConfigError("autoencoder gradient takes no labels")
+        dz = 2.0 * (pre_acts[-1] - x) / (n * arch.output_dim)
+    if out is None:
+        out = np.empty_like(params)
+    layers = _weights(arch, params)
+    grads = _weights(arch, out)
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        dw, db = grads[i]
+        np.matmul(inputs[i].transpose(0, 2, 1), dz, out=dw)
+        if l2_lambda:
+            dw += 2.0 * l2_lambda * w
+        np.sum(dz, axis=1, keepdims=True, out=db)
+        if i > 0:
+            dz = np.matmul(dz, w.transpose(0, 2, 1)) * _elu_grad(pre_acts[i - 1])
+    return out
+
+
 def backward(
     params: ModelParameters,
     x: np.ndarray,
@@ -233,31 +295,9 @@ def backward(
 ) -> np.ndarray:
     """Gradient of loss() as one flat vector in parameter order."""
     x = _check_input(params, x)
-    inputs, pre_acts = _forward_states(params, x)
-    layers = params.layers()
-    n = x.shape[0]
-    if params.arch.kind == CLASSIFIER:
-        if y is None:
-            raise ConfigError("classifier gradient requires labels")
-        y = np.asarray(y, dtype=np.float64)
-        dz = (_sigmoid(pre_acts[-1]) - y[:, None]) / n
-    else:
-        if y is not None:
-            raise ConfigError("autoencoder gradient takes no labels")
-        dz = 2.0 * (pre_acts[-1] - x) / (n * params.arch.output_dim)
-    grad = np.empty(params.arch.n_parameters)
-    layout = _layout(params.arch)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        w_off, b_off, end, _, _ = layout[i]
-        dw = inputs[i].T @ dz
-        if l2_lambda:
-            dw += 2.0 * l2_lambda * w
-        grad[w_off:b_off] = dw.ravel()
-        grad[b_off:end] = dz.sum(axis=0)
-        if i > 0:
-            dz = (dz @ w.T) * _elu_grad(pre_acts[i - 1])
-    return grad
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64)[None]
+    return fleet_backward(params.arch, params.flat[None], x[None], y, l2_lambda)[0]
 
 
 def sgd_step(params: ModelParameters, grad: np.ndarray, lr: float) -> ModelParameters:
@@ -275,8 +315,7 @@ def mse_per_sample(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     if params.arch.kind != AUTOENCODER:
         raise ModelKindError("reconstruction error needs an autoencoder model")
     x = _check_input(params, x)
-    _, pre_acts = _forward_states(params, x)
-    return np.mean((pre_acts[-1] - x) ** 2, axis=1)
+    return np.mean((_head(params, x) - x) ** 2, axis=1)
 
 
 def checkpoint_header(arch: ArchitectureSpec) -> bytes:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fediot.aggregation import (
+    NETWORK_MAX_K,
     AggregationSpec,
     aggregate,
     average,
     coordinate_median,
     s_resample,
+    sort_rows,
     trimmed_mean,
 )
 from fediot.errors import ConfigError, SchemaError
@@ -118,6 +120,41 @@ class TestTrimmedMean:
             aggregate(models, AggregationSpec("tm", trim_c=2))
         with pytest.raises(ConfigError):
             aggregate(models, AggregationSpec("tm", trim_c=0))
+
+
+class TestSortRows:
+    @pytest.mark.parametrize("k", range(1, NETWORK_MAX_K + 1))
+    def test_network_sorts_every_zero_one_input(self, k):
+        # 0-1 principle: a comparator network that sorts all 2^k columns of
+        # zeros and ones sorts every input.
+        columns = np.arange(2**k)
+        bits = ((columns[None, :] >> np.arange(k)[:, None]) & 1).astype(np.float64)
+        expected = np.sort(bits, axis=0)
+        np.testing.assert_array_equal(sort_rows(bits), expected)
+
+    @pytest.mark.parametrize("k", range(1, 34))
+    def test_rules_match_numpy_bitwise_with_ties(self, k):
+        # Both sides of the network cutoff, with many equal values per column.
+        rng = np.random.default_rng(k)
+        updates = np.round(rng.normal(size=(k, 301)) * 2) + 0.25
+        assert coordinate_median(updates.copy()).tobytes() == np.median(updates, axis=0).tobytes()
+        for c in range(1, (k - 1) // 2 + 1):
+            expected = np.sort(updates, axis=0)[c : k - c].mean(axis=0)
+            assert trimmed_mean(updates.copy(), c).tobytes() == expected.tobytes()
+        sorted_in_place = updates.copy()
+        coordinate_median(sorted_in_place)
+        assert sorted_in_place.tobytes() == np.sort(updates, axis=0).tobytes()
+
+    @pytest.mark.parametrize("k", (2, 3, 8, 16, 17, 32))
+    def test_signed_zero_ties_agree_by_value(self, k):
+        # np.sort orders -0.0 and 0.0 arbitrarily, so compare values only.
+        rng = np.random.default_rng(k)
+        updates = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(k, 200))
+        np.testing.assert_array_equal(sort_rows(updates.copy()), np.sort(updates, axis=0))
+        np.testing.assert_array_equal(coordinate_median(updates.copy()), np.median(updates, axis=0))
+        expected = np.sort(updates, axis=0)[1 : k - 1].mean(axis=0) if k > 2 else None
+        if expected is not None:
+            np.testing.assert_array_equal(trimmed_mean(updates.copy(), 1), expected)
 
 
 class TestResampling:

@@ -1,0 +1,187 @@
+"""The fleet-array training loop against the per-client reference loop.
+
+run_federated trains every client as one row of a (k, d) array with one
+batched backward pass per local step. reference_run_federated below is the
+loop it replaced: each client steps alone through backward and sgd_step and
+hands a ModelParameters to aggregate. Both must give the same bytes, the
+same aggregation count, the same round records and the same errors.
+"""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fediot.adversary import AttackSpec, cancel_update
+from fediot.aggregation import AggregationSpec, aggregate
+from fediot.errors import PoisonedUpdateError
+from fediot.federation import (
+    ClientState,
+    FederationConfig,
+    _attack_factors,
+    _batches,
+    _dropped,
+    _starting_model,
+    _validate_fleet,
+    run_federated,
+    schedule,
+)
+from fediot.neuralnet import ArchitectureSpec, backward, loss, sgd_step
+
+
+def reference_run_federated(clients, config, on_round=None, initial_model=None):
+    """One client at a time: k backward and sgd_step calls per local step."""
+    attack_spec = _validate_fleet(clients, config)
+    rounds, steps = schedule(config, clients[0].n_train)
+    mini_batch = config.algorithm == "mini_batch"
+    grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))
+    model = _starting_model(config, initial_model)
+    server_rng = np.random.default_rng(config.server_seed)
+    streams = [_batches(c, config) for c in clients]
+    l2 = config.l2_lambda
+    aggregations = 0
+    for round_index in range(rounds):
+        lr = config.lr_at(round_index)
+        updates = []
+        losses = {}
+        for c, stream in zip(clients, streams):
+            if c.attack.kind == "model_cancel":
+                updates.append(cancel_update(model, cancel_alpha))
+                losses[c.client_id] = None
+                continue
+            local = model
+            for _ in range(steps):
+                batch = next(stream)
+                yb = None if c.y_train is None else c.y_train[batch]
+                grad = backward(local, c.x_train[batch], yb, l2)
+                if c.attack.kind == "gradient_factor":
+                    grad = grad_alpha * grad
+                try:
+                    local = sgd_step(local, grad, lr)
+                except PoisonedUpdateError as exc:
+                    raise PoisonedUpdateError(f"client {c.client_id}: {exc}") from None
+            updates.append(local)
+            if on_round is not None:
+                if mini_batch:
+                    losses[c.client_id] = loss(model, c.x_train[batch], yb, l2)
+                else:
+                    losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
+        dropped = _dropped(len(clients), config, server_rng)
+        kept = [u for u, gone in zip(updates, dropped) if not gone]
+        if len(kept) >= config.aggregation.min_models:
+            model = aggregate(kept, config.aggregation, server_rng)
+            aggregations += 1
+        if on_round is not None:
+            on_round(
+                {
+                    "round": round_index,
+                    "epoch": round_index * config.epochs // rounds if mini_batch else None,
+                    "lr": lr,
+                    "client_losses": losses,
+                    "dropped": [c.client_id for c, gone in zip(clients, dropped) if gone],
+                },
+                model,
+            )
+    return model, aggregations
+
+
+def _run(train, clients, config, with_log):
+    records = []
+
+    def hook(info, model):
+        # Records compare as the JSON lines RoundLogger writes, so NaN losses match.
+        records.append((json.dumps(info, sort_keys=True), model.flat.tobytes()))
+
+    try:
+        model, aggregations = train(clients, config, hook if with_log else None)
+    except PoisonedUpdateError as exc:
+        return ("error", str(exc))
+    return (model.flat.tobytes(), aggregations, records)
+
+
+ATTACKS = ("none", "flip_all", "gradient_factor", "model_cancel")
+RULES = (
+    AggregationSpec("avg"),
+    AggregationSpec("med"),
+    AggregationSpec("tm", trim_c=1),
+    AggregationSpec("tm", trim_c=3),
+    AggregationSpec("med", resample_s=2),
+    AggregationSpec("tm", trim_c=1, resample_s=2),
+    AggregationSpec("avg", resample_s=1),
+)
+
+
+@st.composite
+def fleets(draw):
+    k = draw(st.sampled_from((1, 2, 3, 8)))
+    supervised = draw(st.booleans())
+    features = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 13))
+    rule = draw(st.sampled_from([r for r in RULES if r.min_models <= k]))
+    kind = draw(st.sampled_from(ATTACKS if k > 1 else ("none",)))
+    if kind == "flip_all" and not supervised:
+        kind = "none"
+    f = draw(st.integers(1, k - 1)) if kind != "none" else 0
+    arch = (
+        ArchitectureSpec("classifier", draw(st.sampled_from(((), (3,), (3, 2)))), features, 1)
+        if supervised
+        else ArchitectureSpec("autoencoder", draw(st.sampled_from(((2,), (3, 2, 3)))), features, features)
+    )
+    config = FederationConfig(
+        arch=arch,
+        algorithm=draw(st.sampled_from(("mini_batch", "multi_epoch"))),
+        learning_rate=draw(st.sampled_from((0.05, 0.5))),
+        l2_lambda=draw(st.sampled_from((0.0, 1e-3))),
+        batch_size=draw(st.integers(1, 5)),
+        lr_decay=0.9,
+        aggregation=rule,
+        epochs=draw(st.integers(1, 2)),
+        rounds=draw(st.integers(1, 3)),
+        dropout_prob=draw(st.sampled_from((0.0, 0.0, 0.5))),
+        shuffle=draw(st.booleans()),
+        init_seed=draw(st.integers(0, 3)),
+        server_seed=draw(st.integers(0, 3)),
+    )
+    data = np.random.default_rng(draw(st.integers(0, 2**16)))
+    attack = AttackSpec(kind=kind, f=f)
+    clients = []
+    for i in range(k):
+        x = data.uniform(-1.0, 2.0, size=(n, features))
+        y = data.integers(0, 2, size=n) if supervised else None
+        clients.append(ClientState(f"c{i}", x, y, attack=attack if i >= k - f else AttackSpec(), seed=i))
+    if draw(st.integers(0, 9)) == 0:
+        # A non-finite feature poisons whichever client trains on it first.
+        victim = draw(st.integers(0, k - 1))
+        clients[victim].x_train[draw(st.integers(0, n - 1)), 0] = np.inf
+    return clients, config
+
+
+@settings(max_examples=300)
+@given(fleets(), st.booleans())
+def test_fleet_matches_the_per_client_loop_bit_for_bit(fleet, with_log):
+    clients, config = fleet
+    with np.errstate(all="ignore"):
+        expected = _run(reference_run_federated, clients, config, with_log)
+        got = _run(run_federated, clients, config, with_log)
+    assert got == expected
+
+
+@pytest.mark.parametrize("algorithm", ("mini_batch", "multi_epoch"))
+def test_first_bad_client_in_client_order_is_named(algorithm):
+    # Client c0 goes bad on its last batch, c1 on its first. The reference
+    # loop finishes c0's round before c1 starts, so it names c0 under
+    # multi-epoch aggregation and c1 under mini-batch; the fleet must agree.
+    rng = np.random.default_rng(0)
+    arch = ArchitectureSpec("classifier", (3,), 3, 1)
+    clients = []
+    for i, bad_row in enumerate((7, 0)):
+        x = rng.uniform(0, 1, size=(8, 3))
+        x[bad_row, 1] = np.nan
+        clients.append(ClientState(f"c{i}", x, rng.integers(0, 2, size=8), seed=i))
+    config = FederationConfig(arch=arch, algorithm=algorithm, batch_size=2, rounds=1, epochs=1, shuffle=False)
+    with np.errstate(all="ignore"):
+        expected = _run(reference_run_federated, clients, config, False)
+        got = _run(run_federated, clients, config, False)
+    assert expected[0] == "error"
+    assert got == expected

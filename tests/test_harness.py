@@ -5,7 +5,7 @@ import os
 import pytest
 
 from fediot.adversary import AttackSpec
-from fediot.aggregation import AggregationSpec
+from fediot.aggregation import AggregationSpec, aggregate
 from fediot.dataset import BalanceSpec, generate_synthetic_fleet, load_device_csv
 from fediot import cli
 from fediot.errors import ConfigError
@@ -234,14 +234,23 @@ class TestRunExperiment:
             result = run_experiment(config_from_dict(raw), str(tmp_path))
             assert all(r["aggregations"] == expected for r in result.rows), approach
 
-    def test_dropout_under_trimmed_mean_runs_to_the_end(self, tmp_path):
-        # K=6 under TM(2): rounds that keep 1-4 of 6 clients keep the model.
+    def test_dropout_under_trimmed_mean_runs_to_the_end(self, tmp_path, monkeypatch):
+        # K=6 under TM(2): rounds that keep 1-4 of 6 clients keep the model
+        # and are not counted as aggregations; 6 of the 60 rounds aggregate.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return aggregate(*args)
+
+        monkeypatch.setattr("fediot.federation.aggregate", counting)
         raw = tiny_dict(aggregation={"rule": "tm", "trim_c": 2})
         raw["data"]["devices"] = 7
         raw["training"]["dropout_prob"] = 0.5
         raw["protocol"]["folds"] = ["dev-0"]
         result = run_experiment(config_from_dict(raw), str(tmp_path))
-        assert all(r["aggregations"] == 60 for r in result.rows)
+        assert len(calls) == 6
+        assert all(r["aggregations"] == len(calls) for r in result.rows)
 
     @pytest.mark.parametrize("approach", ["naive", "centralized"])
     def test_single_client_groups_ignore_the_rule(self, tmp_path, approach):
