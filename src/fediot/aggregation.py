@@ -26,8 +26,9 @@ AGGREGATION_RULES = ("avg", "med", "tm")
 MAX_RESAMPLE_DRAWS = 10**6
 
 # Largest client count sorted by the comparator network; ndarray.sort(axis=0)
-# takes over above it. At d=13,456 the network costs about 0.4 ms at k=8 and
-# 3.7 ms at k=32, against 0.8 ms and 1.6 ms for the in-place sort.
+# takes over above it. At d=13,456 on a 2-vCPU x86_64 host the network took
+# 0.43 ms at k=8, 1.44 ms at k=16 and 4.6 ms at k=32, the in-place sort
+# 1.04, 1.41 and 2.25 ms (see BENCH_20261018_change.json for aggregate).
 NETWORK_MAX_K = 16
 
 
