@@ -6,9 +6,8 @@ coordinate-wise median and trimmed mean (Yin et al., ICML 2018) drop extreme
 values per coordinate, and resampling redraws the k rows before the rule
 runs. aggregate is the one function that takes client models: it stacks them
 once into an array of its own and builds the model. The median and the
-trimmed mean sort that array in place along the client axis, with an exact
-min/max sorting network for small k and ndarray.sort above it, so they
-allocate no further (k, d) array.
+trimmed mean sort that array in place along the client axis with an exact
+min/max sorting network, so they allocate no further (k, d) array.
 """
 from __future__ import annotations
 
@@ -24,12 +23,6 @@ AGGREGATION_RULES = ("avg", "med", "tm")
 
 # Rejection-sampling guard: one output slot may never need this many draws.
 MAX_RESAMPLE_DRAWS = 10**6
-
-# Largest client count sorted by the comparator network; ndarray.sort(axis=0)
-# takes over above it. At d=13,456 on a 2-vCPU x86_64 host the network took
-# 0.43 ms at k=8, 1.44 ms at k=16 and 4.6 ms at k=32, the in-place sort
-# 1.04, 1.41 and 2.25 ms (see BENCH_20261018_change.json for aggregate).
-NETWORK_MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -101,17 +94,12 @@ def _network(k: int) -> tuple[tuple[int, int], ...]:
 def sort_rows(updates: np.ndarray) -> np.ndarray:
     """Sort every column of a (k, d) array in place and return it.
 
-    Up to NETWORK_MAX_K rows a comparator network of np.minimum/np.maximum
-    passes does it, above that ndarray.sort(axis=0). Both yield each column's
+    A comparator network of np.minimum/np.maximum passes puts each column's
     values in ascending order, so results equal np.sort(updates, axis=0)
     except that equal values of opposite sign (-0.0, 0.0) may trade places.
     """
-    k = updates.shape[0]
-    if k > NETWORK_MAX_K:
-        updates.sort(axis=0)
-        return updates
     low = np.empty_like(updates[0])
-    for i, j in _network(k):
+    for i, j in _network(updates.shape[0]):
         np.minimum(updates[i], updates[j], out=low)
         np.maximum(updates[i], updates[j], out=updates[j])
         updates[i] = low

@@ -16,6 +16,7 @@ from fediot.federation import (
     FederationConfig,
     GridPoint,
     RoundLogger,
+    _non_finite_rows,
     build_client,
     collaborative_grid_search,
     confusion_counts,
@@ -314,6 +315,16 @@ class TestSchedules:
         clients[1].x_train[3, 0] = np.inf
         with pytest.raises(PoisonedUpdateError, match="client bad"):
             run_federated(clients, toy_config(algorithm=algorithm))
+
+    def test_non_finite_screen_finds_exactly_the_bad_rows(self):
+        # Squares of 1e200 overflow the screen's sum to inf; the exact
+        # per-row check must then report only the rows that hold NaN or inf.
+        rows = np.full((4, 3), 1e200)
+        assert _non_finite_rows(rows).size == 0
+        rows[1, 2] = np.nan
+        rows[3, 0] = -np.inf
+        assert _non_finite_rows(rows).tolist() == [1, 3]
+        assert _non_finite_rows(np.zeros((4, 3))).size == 0
 
 
 class TestThresholds:

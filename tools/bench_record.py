@@ -7,7 +7,8 @@ Usage, from the root of this repository:
 
 The record holds, for the measured checkout (this one by default):
 - the last result line of `perfbench/run.py --trace 0` for every gated
-  workload in BENCHMARK.json, run from that checkout with its own sources;
+  workload in BENCHMARK.json, run from that checkout with its own sources
+  for BENCHMARK.json's run_seconds at seed PERFBENCH_SEED;
 - the median time of one `aggregate` call per sweep rule at k = 8, 16 and
   32 client models of d = 13,456 parameters (the preset-B classifier);
 - the environment (python, numpy, BLAS, CPUs) and the checkout's git
@@ -28,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 AGGREGATE_KS = (8, 16, 32)
+# Workload input seed of every record, so a rerun measures the same inputs.
+PERFBENCH_SEED = 111
 
 # Runs inside the measured checkout's interpreter; prints one JSON object.
 AGGREGATE_PROBE = r"""
@@ -66,9 +69,9 @@ def _git(checkout: Path, *args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
-def _workload(checkout: Path, name: str, seed: int, seconds: float) -> dict:
+def _workload(checkout: Path, name: str, seconds: float) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", name,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(PERFBENCH_SEED), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -103,24 +106,22 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="record name suffix, e.g. parent or change")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, help="per workload; BENCHMARK.json's run_seconds by default")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = {}
     for workload in bench["workloads"]:
         name = workload["name"]
         print(f"running {name} for {seconds} s", file=sys.stderr)
-        workloads[name] = _workload(checkout, name, args.seed, seconds)
+        workloads[name] = _workload(checkout, name, seconds)
     record = {
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "git_rev": _git(checkout, "rev-parse", "HEAD") or None,
         "uncommitted_changes": bool(_git(checkout, "status", "--porcelain")),
         "environment": _environment(checkout),
-        "perfbench": {"seed": args.seed, "seconds": seconds, "trace": 0, "workloads": workloads},
+        "perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "workloads": workloads},
         "aggregate_ms": _aggregate_times(checkout),
     }
     stamp = datetime.date.today().strftime("%Y%m%d")
