@@ -6,7 +6,9 @@ fleet behaves like one SGD run over the union of batches. Multi-epoch
 aggregation lets every client train several full local epochs between the
 far fewer aggregation rounds. The loop trains the fleet as one (k, d)
 array of client parameter rows, with one batched backward pass per local
-step, and gives the same bits as k clients training one by one.
+step, and gives the same bits as k clients training one by one, except
+under honest mini-batch averaging: there a round takes the one SGD step on
+the union of the k batches (FederatedSGD), equal up to rounding.
 
 Training is a pure function of its inputs: all randomness derives from the
 client seeds and the server seed, and rerunning a configuration reproduces
@@ -251,6 +253,12 @@ def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~np.isfinite(rows).all(axis=1))
 
 
+def _takes_union_step(config: FederationConfig, attack_spec: AttackSpec | None) -> bool:
+    # Label flips act on the data only, so flipped fleets qualify too.
+    honest_avg = config.aggregation == AggregationSpec("avg") and attack_spec is None
+    return honest_avg and config.algorithm == "mini_batch" and config.dropout_prob == 0
+
+
 def run_federated(
     clients: list[ClientState],
     config: FederationConfig,
@@ -272,6 +280,12 @@ def run_federated(
     applied in place. Each row is bit for bit what a client training alone
     would compute. A non-finite gradient or model raises PoisonedUpdateError
     naming the first bad client in client order.
+
+    Honest AVG mini-batch rounds (no model attack, resampling or dropout)
+    instead take one SGD step on the k batches concatenated in client order,
+    equal to averaging the k client steps up to rounding (exact for k = 1).
+    A union step that turns non-finite reruns on the fleet array from the
+    same model and batches, which names the bad client or aggregates.
 
     Returns the final global model and the number of rounds that aggregated;
     a round whose dropout survivors fall below the rule's floor keeps the
@@ -303,33 +317,58 @@ def run_federated(
     batch_x = np.empty((len(trainers), config.batch_size, arch.input_dim))
     batch_y = np.empty((len(trainers), config.batch_size)) if arch.kind == CLASSIFIER else None
     streams = [_batches(clients[i], config) for i in trainers]
+    union = _takes_union_step(config, attack_spec)
+    union_grad = np.empty((1, arch.n_parameters)) if union else None
+
+    def gather(batches: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+        # The trainers' batches packed at the front of the buffers in client
+        # order: a (k, size, F) fleet batch that is also the union batch.
+        k, size = len(batches), len(batches[0])  # equal sizes: equal n_train
+        xs = batch_x.reshape(-1)[: k * size * arch.input_dim].reshape(k, size, arch.input_dim)
+        ys = None if batch_y is None else batch_y.reshape(-1)[: k * size].reshape(k, size)
+        for row, (i, batch) in enumerate(zip(trainers, batches)):
+            np.take(clients[i].x_train, batch, axis=0, out=xs[row])
+            if ys is not None:
+                ys[row] = clients[i].y_train[batch]
+        return xs, ys
+
     aggregations = 0
     for round_index in range(rounds):
         lr = config.lr_at(round_index)
-        trained[:] = model.flat
-        for row, i in enumerate(cancellers, start=len(trainers)):
-            params[row] = cancel_update(model, cancel_alpha).flat
-        errors: dict[int, str] = {}  # client index -> its first failed check this round
-        for _ in range(steps):
-            batches = [next(stream) for stream in streams]
-            size = len(batches[0])  # equal for all: every client holds n_train records
-            for row, (i, batch) in enumerate(zip(trainers, batches)):
-                np.take(clients[i].x_train, batch, axis=0, out=batch_x[row, :size])
-                if batch_y is not None:
-                    batch_y[row, :size] = clients[i].y_train[batch]
-            y = None if batch_y is None else batch_y[:, :size]
-            fleet_backward(arch, trained, batch_x[:, :size], y, l2, out=grads)
-            for row in boosted:
-                grads[row] *= grad_alpha
-            for row in _non_finite_rows(grads):
-                errors.setdefault(trainers[row], "gradient contains non-finite values")
-            grads *= lr
-            trained -= grads
-            for row in _non_finite_rows(trained):
-                errors.setdefault(trainers[row], "model parameters contain non-finite values")
-        if errors:
-            first = min(errors)
-            raise PoisonedUpdateError(f"client {clients[first].client_id}: {errors[first]}")
+        step_batches = ([next(stream) for stream in streams] for _ in range(steps))
+        union_model = None
+        if union:  # one step per round
+            batches = next(step_batches)
+            xs, ys = gather(batches)
+            y = None if ys is None else ys.reshape(1, -1)
+            fleet_backward(arch, model.flat[None], xs.reshape(1, -1, arch.input_dim), y, l2, out=union_grad)
+            union_grad *= lr
+            flat = model.flat - union_grad[0]
+            # The model is finite, so a non-finite gradient shows in flat too;
+            # such a round reruns on the fleet array, which names the bad client.
+            if _non_finite_rows(flat[None]).size:
+                step_batches = iter([batches])
+            else:
+                flat.setflags(write=False)
+                union_model = ModelParameters(arch, flat)
+        if union_model is None:
+            trained[:] = model.flat
+            for row, i in enumerate(cancellers, start=len(trainers)):
+                params[row] = cancel_update(model, cancel_alpha).flat
+            errors: dict[int, str] = {}  # client index -> its first failed check this round
+            for batches in step_batches:
+                fleet_backward(arch, trained, *gather(batches), l2, out=grads)
+                for row in boosted:
+                    grads[row] *= grad_alpha
+                for row in _non_finite_rows(grads):
+                    errors.setdefault(trainers[row], "gradient contains non-finite values")
+                grads *= lr
+                trained -= grads
+                for row in _non_finite_rows(trained):
+                    errors.setdefault(trainers[row], "model parameters contain non-finite values")
+            if errors:
+                first = min(errors)
+                raise PoisonedUpdateError(f"client {clients[first].client_id}: {errors[first]}")
         losses: dict[str, float | None] = {}
         if on_round is not None:
             # A mini-batch round reports the loss of its one step, a
@@ -347,7 +386,7 @@ def run_federated(
         kept = [local for local, gone in zip(client_models, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
         if len(kept) >= config.aggregation.min_models:
-            model = aggregate(kept, config.aggregation, server_rng)
+            model = aggregate(kept, config.aggregation, server_rng) if union_model is None else union_model
             aggregations += 1
         if on_round is not None:
             on_round(

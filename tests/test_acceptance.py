@@ -160,7 +160,8 @@ def test_every_preset_gradient_matches_finite_differences():
 def test_degenerate_federation_reduces_to_plain_sgd():
     # One client behind plain averaging is local SGD, bit for bit, and a
     # fleet holding aligned slices of every batch reproduces centralized
-    # SGD on the full batch.
+    # SGD on the full batch, bit for bit too: its union batch is the
+    # centralized batch row for row.
     rng = np.random.default_rng(13)
     arch = classifier_preset("A", input_dim=6)
     x = rng.uniform(0.0, 1.0, size=(80, 6))
@@ -214,7 +215,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
             central = sgd_step(central, grad, 0.3)
             aggregations += 1
     assert aggregations == 50
-    np.testing.assert_allclose(federated.flat, central.flat, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(federated.flat, central.flat)
 
 
 def test_model_cancellation_averages_to_exact_zero():

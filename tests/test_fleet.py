@@ -1,19 +1,25 @@
-"""The fleet-array training loop against the per-client reference loop.
+"""The training loop against its slow reference loops.
 
 run_federated trains every client as one row of a (k, d) array with one
 batched backward pass per local step. reference_run_federated below is the
 loop it replaced: each client steps alone through backward and sgd_step and
 hands a ModelParameters to aggregate. Both must give the same bytes, the
 same aggregation count, the same round records and the same errors.
+
+Honest AVG mini-batch rounds take one SGD step on the union of the client
+batches instead. union_reference_run_federated spells that step out with
+backward and sgd_step, and run_federated must match it bit for bit; against
+the per-client loop such runs agree to UNION_ATOL.
 """
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fediot.adversary import AttackSpec, cancel_update
+from fediot.adversary import MODEL_ATTACK_KINDS, AttackSpec, cancel_update
 from fediot.aggregation import AggregationSpec, aggregate
 from fediot.errors import PoisonedUpdateError
 from fediot.federation import (
@@ -86,6 +92,36 @@ def reference_run_federated(clients, config, on_round=None, initial_model=None):
     return model, aggregations
 
 
+def union_reference_run_federated(clients, config, on_round=None):
+    """Honest AVG mini-batch: one backward and sgd_step on the concatenated batches."""
+    rounds, _ = schedule(config, clients[0].n_train)
+    model = _starting_model(config, None)
+    streams = [_batches(c, config) for c in clients]
+    supervised = clients[0].y_train is not None
+    l2 = config.l2_lambda
+    for round_index in range(rounds):
+        batches = [next(stream) for stream in streams]
+        x = np.concatenate([c.x_train[b] for c, b in zip(clients, batches)])
+        y = np.concatenate([c.y_train[b] for c, b in zip(clients, batches)]) if supervised else None
+        losses = {
+            c.client_id: loss(model, c.x_train[b], c.y_train[b] if supervised else None, l2)
+            for c, b in zip(clients, batches)
+        }
+        model = sgd_step(model, backward(model, x, y, l2), config.learning_rate)
+        if on_round is not None:
+            on_round(
+                {
+                    "round": round_index,
+                    "epoch": round_index * config.epochs // rounds,
+                    "lr": config.learning_rate,
+                    "client_losses": losses,
+                    "dropped": [],
+                },
+                model,
+            )
+    return model, rounds
+
+
 def _run(train, clients, config, with_log):
     records = []
 
@@ -111,15 +147,26 @@ RULES = (
     AggregationSpec("avg", resample_s=1),
 )
 
+# A union-step run against the per-client loop. Each round sums the k*size
+# per-record gradient terms in one pass where the loop sums k partial sums
+# and averages k models, so a parameter moves by a few ulps of its size per
+# round. These fleets run at most 26 rounds with parameters and losses of
+# order 1; 3,000 sampled fleets drifted at most 4.4e-16. A real fault, such
+# as a client batch left out or counted twice, moves a parameter by about
+# lr * |gradient| / k, many orders above this bound.
+UNION_ATOL = 1e-12
+
 
 @st.composite
-def fleets(draw):
-    k = draw(st.sampled_from((1, 2, 3, 8)))
+def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True):
+    """Small random fleets; union=True draws only honest AVG mini-batch ones."""
+    k = draw(st.sampled_from(ks))
     supervised = draw(st.booleans())
     features = draw(st.integers(2, 5))
     n = draw(st.integers(1, 13))
-    rule = draw(st.sampled_from([r for r in RULES if r.min_models <= k]))
-    kind = draw(st.sampled_from(ATTACKS if k > 1 else ("none",)))
+    rule = draw(st.sampled_from([RULES[0]] if union else [r for r in RULES if r.min_models <= k]))
+    kinds = ("none", "flip_all") if union else ATTACKS
+    kind = draw(st.sampled_from(kinds if k > 1 else ("none",)))
     if kind == "flip_all" and not supervised:
         kind = "none"
     f = draw(st.integers(1, k - 1)) if kind != "none" else 0
@@ -130,7 +177,7 @@ def fleets(draw):
     )
     config = FederationConfig(
         arch=arch,
-        algorithm=draw(st.sampled_from(("mini_batch", "multi_epoch"))),
+        algorithm="mini_batch" if union else draw(st.sampled_from(("mini_batch", "multi_epoch"))),
         learning_rate=draw(st.sampled_from((0.05, 0.5))),
         l2_lambda=draw(st.sampled_from((0.0, 1e-3))),
         batch_size=draw(st.integers(1, 5)),
@@ -138,7 +185,7 @@ def fleets(draw):
         aggregation=rule,
         epochs=draw(st.integers(1, 2)),
         rounds=draw(st.integers(1, 3)),
-        dropout_prob=draw(st.sampled_from((0.0, 0.0, 0.5))),
+        dropout_prob=0.0 if union else draw(st.sampled_from((0.0, 0.0, 0.5))),
         shuffle=draw(st.booleans()),
         init_seed=draw(st.integers(0, 3)),
         server_seed=draw(st.integers(0, 3)),
@@ -149,22 +196,97 @@ def fleets(draw):
     for i in range(k):
         x = data.uniform(-1.0, 2.0, size=(n, features))
         y = data.integers(0, 2, size=n) if supervised else None
-        clients.append(ClientState(f"c{i}", x, y, attack=attack if i >= k - f else AttackSpec(), seed=i))
-    if draw(st.integers(0, 9)) == 0:
+        malicious = i >= k - f
+        if malicious and kind == "flip_all":
+            y = 1 - y  # the labels build_client hands a flipping client
+        clients.append(ClientState(f"c{i}", x, y, attack=attack if malicious else AttackSpec(), seed=i))
+    if infinities and draw(st.integers(0, 9)) == 0:
         # A non-finite feature poisons whichever client trains on it first.
         victim = draw(st.integers(0, k - 1))
         clients[victim].x_train[draw(st.integers(0, n - 1)), 0] = np.inf
     return clients, config
 
 
+def _on_union_path(clients, config):
+    rule = config.aggregation
+    return (
+        config.algorithm == "mini_batch"
+        and rule == AggregationSpec("avg")
+        and config.dropout_prob == 0
+        and not any(c.attack.kind in MODEL_ATTACK_KINDS for c in clients)
+    )
+
+
+def _fleet_path_only():
+    return mock.patch("fediot.federation._takes_union_step", return_value=False)
+
+
+def _assert_close(got, expected):
+    # Same errors, aggregation count and round fields; models and client
+    # losses within UNION_ATOL.
+    if "error" in (got[0], expected[0]):
+        assert got == expected
+        return
+    (flat, aggregations, records), (ref_flat, ref_aggregations, ref_records) = got, expected
+
+    def close(a, b):
+        np.testing.assert_allclose(a, b, rtol=0, atol=UNION_ATOL)
+
+    assert aggregations == ref_aggregations
+    close(np.frombuffer(flat), np.frombuffer(ref_flat))
+    assert len(records) == len(ref_records)
+    for (info, model), (ref_info, ref_model) in zip(records, ref_records):
+        info, ref_info = json.loads(info), json.loads(ref_info)
+        losses, ref_losses = info.pop("client_losses"), ref_info.pop("client_losses")
+        assert info == ref_info and losses.keys() == ref_losses.keys()
+        close(list(losses.values()), list(ref_losses.values()))
+        close(np.frombuffer(model), np.frombuffer(ref_model))
+
+
 @settings(max_examples=300)
 @given(fleets(), st.booleans())
 def test_fleet_matches_the_per_client_loop_bit_for_bit(fleet, with_log):
+    # Bit for bit on the fleet path and for one client; a union-step run
+    # with k >= 2 agrees to UNION_ATOL.
     clients, config = fleet
     with np.errstate(all="ignore"):
         expected = _run(reference_run_federated, clients, config, with_log)
         got = _run(run_federated, clients, config, with_log)
+    if _on_union_path(clients, config) and len(clients) > 1:
+        _assert_close(got, expected)
+    else:
+        assert got == expected
+
+
+@settings(max_examples=100)
+@given(fleets(union=True), st.booleans())
+def test_forced_fleet_path_keeps_honest_avg_bit_for_bit(fleet, with_log):
+    clients, config = fleet
+    with np.errstate(all="ignore"), _fleet_path_only():
+        expected = _run(reference_run_federated, clients, config, with_log)
+        got = _run(run_federated, clients, config, with_log)
     assert got == expected
+
+
+@settings(max_examples=200)
+@given(fleets(union=True, infinities=False), st.booleans())
+def test_honest_avg_mini_batch_is_one_union_batch_sgd_step(fleet, with_log):
+    clients, config = fleet
+    expected = _run(union_reference_run_federated, clients, config, with_log)
+    with mock.patch("fediot.federation.aggregate", side_effect=AssertionError("aggregate called")):
+        got = _run(run_federated, clients, config, with_log)
+    assert got == expected
+
+
+@settings(max_examples=50)
+@given(fleets(union=True, ks=(1,)), st.booleans())
+def test_one_client_union_step_is_the_fleet_step(fleet, with_log):
+    clients, config = fleet
+    with np.errstate(all="ignore"):
+        union = _run(run_federated, clients, config, with_log)
+        with _fleet_path_only():
+            fleet_path = _run(run_federated, clients, config, with_log)
+    assert union == fleet_path
 
 
 @pytest.mark.parametrize("algorithm", ("mini_batch", "multi_epoch"))

@@ -11,6 +11,8 @@ The record holds, for the measured checkout (this one by default):
   for BENCHMARK.json's run_seconds at seed PERFBENCH_SEED;
 - the median time of one `aggregate` call per sweep rule at k = 8, 16 and
   32 client models of d = 13,456 parameters (the preset-B classifier);
+- the median time of one mini-batch round of `run_federated` (batch size
+  8, preset-B classifier) under AVG and TM(2) at the same k;
 - the environment (python, numpy, BLAS, CPUs) and the checkout's git
   revision, with a flag for uncommitted changes.
 Each measurement runs in its own interpreter, with one BLAS thread.
@@ -28,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-AGGREGATE_KS = (8, 16, 32)
+PROBE_KS = (8, 16, 32)
 # Workload input seed of every record, so a rerun measures the same inputs.
 PERFBENCH_SEED = 111
 
@@ -57,6 +59,36 @@ for k in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
+# Times whole mini-batch training runs of ROUNDS rounds, one round per batch.
+ROUND_PROBE = r"""
+import json, statistics, sys, time
+import numpy as np
+from fediot.aggregation import AggregationSpec
+from fediot.federation import ClientState, FederationConfig, run_federated
+from fediot.neuralnet import classifier_preset
+
+arch = classifier_preset("B")
+batch, rounds = 8, 40
+out = {"d": arch.n_parameters, "batch_size": batch, "ms": {}}
+for k in json.loads(sys.argv[1]):
+    rng = np.random.default_rng(k)
+    n = batch * rounds
+    clients = [
+        ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), rng.integers(0, 2, n), seed=i)
+        for i in range(k)
+    ]
+    for spec in (AggregationSpec("avg"), AggregationSpec("tm", trim_c=2)):
+        config = FederationConfig(arch=arch, batch_size=batch, epochs=1, aggregation=spec)
+        run_federated(clients, config)
+        runs = []
+        for _ in range(5):
+            start = time.perf_counter()
+            run_federated(clients, config)
+            runs.append((time.perf_counter() - start) / rounds)
+        out["ms"].setdefault(spec.describe(), {})[str(k)] = 1e3 * statistics.median(runs)
+print(json.dumps(out))
+"""
+
 
 def _env(checkout: Path) -> dict:
     env = dict(os.environ, **BLAS_ENV)
@@ -79,11 +111,11 @@ def _workload(checkout: Path, name: str, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def _aggregate_times(checkout: Path) -> dict:
-    command = [sys.executable, "-c", AGGREGATE_PROBE, json.dumps(AGGREGATE_KS)]
+def _probe(checkout: Path, probe: str) -> dict:
+    command = [sys.executable, "-c", probe, json.dumps(PROBE_KS)]
     done = subprocess.run(command, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"aggregate probe failed:\n{done.stderr}")
+        raise SystemExit(f"probe failed:\n{done.stderr}")
     return json.loads(done.stdout)
 
 
@@ -122,7 +154,8 @@ def main(argv: list[str] | None = None) -> int:
         "uncommitted_changes": bool(_git(checkout, "status", "--porcelain")),
         "environment": _environment(checkout),
         "perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "workloads": workloads},
-        "aggregate_ms": _aggregate_times(checkout),
+        "aggregate_ms": _probe(checkout, AGGREGATE_PROBE),
+        "mini_batch_round_ms": _probe(checkout, ROUND_PROBE),
     }
     stamp = datetime.date.today().strftime("%Y%m%d")
     path = ROOT / f"BENCH_{stamp}_{args.label}.json"
