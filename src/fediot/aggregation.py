@@ -21,9 +21,6 @@ from .neuralnet import ModelParameters
 
 AGGREGATION_RULES = ("avg", "med", "tm")
 
-# Rejection-sampling guard: one output slot may never need this many draws.
-MAX_RESAMPLE_DRAWS = 10**6
-
 
 @dataclass(frozen=True)
 class AggregationSpec:
@@ -131,24 +128,21 @@ def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     used fewer than s times, so across all k outputs each input is used
     exactly s times. Averaging the outputs therefore reproduces the plain
     average of the inputs; the redraw only dilutes minority outliers before
-    a robust rule runs.
+    a robust rule runs. While a slot is open some row has a use left, so
+    each draw succeeds with probability at least 1/k and the loop ends.
     """
     k = updates.shape[0]
     if s < 1:
         raise ConfigError(f"resample_s must be >= 1, got {s}")
-    usage = np.zeros(k, dtype=np.int64)
+    usage = [0] * k
     out = np.empty_like(updates)
     for row in range(k):
-        chosen = np.empty(s, dtype=np.intp)
-        for slot in range(s):
-            for _ in range(MAX_RESAMPLE_DRAWS):
-                j = int(rng.integers(0, k))
-                if usage[j] < s:
-                    usage[j] += 1
-                    chosen[slot] = j
-                    break
-            else:
-                raise RuntimeError(f"resampling found no free row in {MAX_RESAMPLE_DRAWS} draws")
+        chosen = []
+        while len(chosen) < s:
+            j = int(rng.integers(0, k))
+            if usage[j] < s:
+                usage[j] += 1
+                chosen.append(j)
         out[row] = updates[chosen].mean(axis=0)
     return out
 

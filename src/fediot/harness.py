@@ -100,8 +100,17 @@ class DataSource:
     def __post_init__(self) -> None:
         if self.source not in ("synthetic", "manifest"):
             raise ConfigError(f"data source must be synthetic or manifest, got {self.source!r}")
-        if self.source == "synthetic" and self.devices < 2:
-            raise ConfigError("a fleet needs at least 2 devices (1 trains, 1 is held out)")
+        if self.source == "synthetic":
+            if self.devices < 2:
+                raise ConfigError("a fleet needs at least 2 devices (1 trains, 1 is held out)")
+            if self.samples_per_device < 1 or self.attack_patterns < 1:
+                raise ConfigError(f"samples_per_device and attack_patterns must be >= 1, got "
+                                  f"{self.samples_per_device}, {self.attack_patterns}")
+            if not 0 < self.benign_fraction < 1:
+                raise ConfigError(f"benign_fraction must lie in (0, 1), got {self.benign_fraction}")
+            if not (self.noise_sigma >= 0 and self.benign_spread >= 0):  # also rejects NaN
+                raise ConfigError(f"noise_sigma and benign_spread must be >= 0, got "
+                                  f"{self.noise_sigma}, {self.benign_spread}")
         if self.source == "manifest" and not self.path:
             raise ConfigError("manifest data source needs a path")
 

@@ -2,9 +2,11 @@
 
 Models are plain float64 parameter vectors plus an architecture descriptor,
 so federated aggregation can treat them as points in R^d. Hidden layers use
-ELU activations. Classifiers end in one sigmoid unit trained with binary
-cross entropy; autoencoders end in a linear reconstruction trained with mean
-squared error. Optional L2 regularization covers weights only, never biases.
+ELU activations with alpha fixed at 1, so ELU'(z) = exp(min(z, 0)) for every
+z, exactly 1 for z > 0. Classifiers end in one sigmoid unit trained with
+binary cross entropy; autoencoders end in a linear reconstruction trained
+with mean squared error. Optional L2 regularization covers weights only,
+never biases.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, ModelKindError, PoisonedUpdateError, SchemaError
 
-ELU_ALPHA = 1.0
 DECISION_THRESHOLD = 0.5
 
 CLASSIFIER = "classifier"
@@ -129,20 +130,17 @@ def init_model(arch: ArchitectureSpec, seed: int) -> ModelParameters:
 
 
 def _elu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, z, ELU_ALPHA * np.expm1(np.minimum(z, 0.0)))
+    return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
 
 
 def _elu_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0, 1.0, ELU_ALPHA * np.exp(np.minimum(z, 0.0)))
+    return np.exp(np.minimum(z, 0.0))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_input(params: ModelParameters, x: np.ndarray) -> np.ndarray:

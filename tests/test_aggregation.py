@@ -202,6 +202,39 @@ class TestResampling:
         with pytest.raises(ConfigError):
             s_resample(self.rand_updates(), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_capped_loop_and_leaves_same_generator_state(self, s):
+        # Later rounds and dropout draw from the same generator, so
+        # s_resample must consume exactly the draws the capped loop does.
+        for k in range(1, 34):
+            updates = self.rand_updates(k=k, d=4, seed=k)
+            for seed in (0, 1, 2006):
+                rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = s_resample(updates, s, rng)
+                want = capped_resample_reference(updates, s, reference_rng)
+                assert got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def capped_resample_reference(updates, s, rng, max_draws=10**6):
+    # Reference: the rejection loop with a cap of max_draws draws per output slot.
+    k = updates.shape[0]
+    usage = np.zeros(k, dtype=np.int64)
+    out = np.empty_like(updates)
+    for row in range(k):
+        chosen = np.empty(s, dtype=np.intp)
+        for slot in range(s):
+            for _ in range(max_draws):
+                j = int(rng.integers(0, k))
+                if usage[j] < s:
+                    usage[j] += 1
+                    chosen[slot] = j
+                    break
+            else:
+                raise RuntimeError(f"resampling found no free row in {max_draws} draws")
+        out[row] = updates[chosen].mean(axis=0)
+    return out
+
 
 class TestAggregateDispatch:
     def test_spec_validation(self):

@@ -140,6 +140,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="path"):
             tiny_config(data={"source": "manifest"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("attack_patterns", 0),
+        ("samples_per_device", 0),
+        ("benign_fraction", 0.0),
+        ("benign_fraction", 1.0),
+        ("benign_fraction", 1.5),
+        ("benign_fraction", -0.2),
+        ("benign_fraction", float("nan")),
+        ("noise_sigma", -1.0),
+        ("noise_sigma", float("nan")),
+        ("benign_spread", -0.5),
+        ("benign_spread", float("nan")),
+    ])
+    def test_bad_synthetic_fleet_rejected_at_load(self, key, value):
+        # Unchecked, each of these fails deep inside fleet generation or
+        # rebalancing, or (a negative noise_sigma) runs with the noise flipped.
+        raw = tiny_dict()
+        raw["data"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(tiny_dict()))

@@ -5,7 +5,6 @@ import pytest
 
 from fediot.errors import ConfigError, ModelKindError, PoisonedUpdateError, SchemaError
 from fediot.neuralnet import (
-    ELU_ALPHA,
     ArchitectureSpec,
     ModelParameters,
     autoencoder_preset,
@@ -18,6 +17,8 @@ from fediot.neuralnet import (
     mse_per_sample,
     save_checkpoint,
     sgd_step,
+    _elu_grad,
+    _sigmoid,
 )
 
 
@@ -29,7 +30,7 @@ def param_count_oracle(dims):
 
 
 def elu_oracle(z):
-    return z if z > 0 else ELU_ALPHA * (np.exp(z) - 1.0)
+    return z if z > 0 else np.exp(z) - 1.0
 
 
 def forward_oracle(params, x):
@@ -242,6 +243,42 @@ class TestBackward:
         coords = np.arange(arch.n_parameters)
         numeric = numeric_gradient(params, x, None, l2_lambda, coords)
         assert max_relative_error(analytic[coords], numeric) < 1e-4
+
+
+def elu_grad_reference(z):
+    # Reference: the derivative written out per branch.
+    return np.where(z > 0, 1.0, np.exp(np.minimum(z, 0.0)))
+
+
+def sigmoid_reference(z):
+    # Reference: each stable formula applied to its half through a boolean mask.
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def activation_inputs():
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+               745.0, -745.0, 709.8, -709.8, 1.7e308, -1.7e308, 1.0, -1.0]
+    rng = np.random.default_rng(11)
+    scaled = [rng.normal(scale=scale, size=4000) for scale in np.logspace(-310, 300, 15)]
+    return np.concatenate([special, *scaled])[:60000]
+
+
+class TestActivations:
+    @pytest.mark.parametrize("kernel, reference", [(_elu_grad, elu_grad_reference),
+                                                   (_sigmoid, sigmoid_reference)])
+    def test_matches_reference_bit_for_bit(self, kernel, reference):
+        z = activation_inputs()
+        # A 3-d fleet shape as the backward pass feeds it, and a flat one.
+        for shaped in (z, z.reshape(-1, 40, 1)):
+            got, want = kernel(shaped), reference(shaped)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestTraining:
