@@ -1,14 +1,11 @@
 """Federated training, anomaly thresholds, and evaluation.
 
-One round loop serves both schedules. Mini-batch aggregation averages after
-every single local step, so clients walk their data in lockstep and the
-fleet behaves like one SGD run over the union of batches. Multi-epoch
-aggregation lets every client train several full local epochs between the
-far fewer aggregation rounds. The loop trains the fleet as one (k, d)
-array of client parameter rows, with one batched backward pass per local
-step, and gives the same bits as k clients training one by one, except
-under honest mini-batch averaging: there a round takes the one SGD step on
-the union of the k batches (FederatedSGD), equal up to rounding.
+One round loop serves both schedules: mini-batch aggregation averages after
+every local step, multi-epoch aggregation after several local epochs. Each
+local step is one batched backward pass over the rows of a parameter
+buffer, one row per training client (the same bits as each client training
+alone) or, under honest mini-batch averaging, one row on the union of the k
+batches (FederatedSGD, equal up to rounding).
 
 Training is a pure function of its inputs: all randomness derives from the
 client seeds and the server seed, and rerunning a configuration reproduces
@@ -274,18 +271,15 @@ def run_federated(
     receives one record per round plus the new global model; client losses
     are computed only for it.
 
-    The fleet trains as one array: the training clients' parameters are the
-    rows of one (k, d) buffer, every local step computes all their gradients
-    in one batched backward pass into a second buffer, and the update is
-    applied in place. Each row is bit for bit what a client training alone
-    would compute. A non-finite gradient or model raises PoisonedUpdateError
-    naming the first bad client in client order.
-
-    Honest AVG mini-batch rounds (no model attack, resampling or dropout)
-    instead take one SGD step on the k batches concatenated in client order,
-    equal to averaging the k client steps up to rounding (exact for k = 1).
-    A union step that turns non-finite reruns on the fleet array from the
-    same model and batches, which names the bad client or aggregates.
+    One step body trains the first rows of a parameter buffer with one
+    batched backward pass on the training clients' batches. With one row per
+    client it is the fleet step, bit for bit what each client would compute
+    alone, and the rows go to aggregate. Honest AVG mini-batch rounds (no
+    model attack, resampling or dropout) run it with one row on the k batches
+    concatenated in client order: one SGD step on the union batch, equal to
+    averaging the k client steps up to rounding (exact for k = 1). A
+    non-finite union step reruns with k rows. A non-finite gradient or model
+    raises PoisonedUpdateError naming the first bad client in client order.
 
     Returns the final global model and the number of rounds that aggregated;
     a round whose dropout survivors fall below the rule's floor keeps the
@@ -297,96 +291,93 @@ def run_federated(
     grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))
     model = _starting_model(config, initial_model)
     server_rng = np.random.default_rng(config.server_seed)
-    arch, l2 = config.arch, config.l2_lambda
-    # Training clients own the first rows of the buffer, model-cancelling
-    # ones the rest; row_of maps client order to buffer rows.
+    arch, l2, dim = config.arch, config.l2_lambda, config.arch.input_dim
+    # Model-cancelling clients do not train and own no buffer row.
     trainers = [i for i, c in enumerate(clients) if c.attack.kind != "model_cancel"]
-    cancellers = [i for i, c in enumerate(clients) if c.attack.kind == "model_cancel"]
-    row_of = {i: row for row, i in enumerate(trainers + cancellers)}
+    k = len(trainers)
     boosted = [row for row, i in enumerate(trainers) if clients[i].attack.kind == "gradient_factor"]
-    params = np.zeros((len(clients), arch.n_parameters))
-    trained = params[: len(trainers)]
-    grads = np.empty_like(trained)
-    # Each client's model is a read-only view of its buffer row, built once.
+    params = np.zeros((k, arch.n_parameters))
+    grads = np.empty_like(params)
+    # Each trainer's model is a read-only view of its buffer row, built once.
     # Unlike other ModelParameters these change with every local step, so
     # they are valid only until the next step: aggregate copies the rows, and
     # nothing may keep the models themselves past the round.
     shared = params.view()
     shared.setflags(write=False)
-    client_models = [ModelParameters(arch, shared[row_of[i]]) for i in range(len(clients))]
-    batch_x = np.empty((len(trainers), config.batch_size, arch.input_dim))
-    batch_y = np.empty((len(trainers), config.batch_size)) if arch.kind == CLASSIFIER else None
+    trained = [ModelParameters(arch, row) for row in shared]
+    batch_x = np.empty((k, config.batch_size, dim))
+    batch_y = np.empty((k, config.batch_size)) if arch.kind == CLASSIFIER else None
     streams = [_batches(clients[i], config) for i in trainers]
     union = _takes_union_step(config, attack_spec)
-    union_grad = np.empty((1, arch.n_parameters)) if union else None
-
-    def gather(batches: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
-        # The trainers' batches packed at the front of the buffers in client
-        # order: a (k, size, F) fleet batch that is also the union batch.
-        k, size = len(batches), len(batches[0])  # equal sizes: equal n_train
-        xs = batch_x.reshape(-1)[: k * size * arch.input_dim].reshape(k, size, arch.input_dim)
-        ys = None if batch_y is None else batch_y.reshape(-1)[: k * size].reshape(k, size)
-        for row, (i, batch) in enumerate(zip(trainers, batches)):
-            np.take(clients[i].x_train, batch, axis=0, out=xs[row])
-            if ys is not None:
-                ys[row] = clients[i].y_train[batch]
-        return xs, ys
 
     aggregations = 0
     for round_index in range(rounds):
         lr = config.lr_at(round_index)
-        step_batches = ([next(stream) for stream in streams] for _ in range(steps))
-        union_model = None
-        if union:  # one step per round
-            batches = next(step_batches)
-            xs, ys = gather(batches)
-            y = None if ys is None else ys.reshape(1, -1)
-            fleet_backward(arch, model.flat[None], xs.reshape(1, -1, arch.input_dim), y, l2, out=union_grad)
-            union_grad *= lr
-            flat = model.flat - union_grad[0]
-            # The model is finite, so a non-finite gradient shows in flat too;
-            # such a round reruns on the fleet array, which names the bad client.
-            if _non_finite_rows(flat[None]).size:
-                step_batches = iter([batches])
-            else:
-                flat.setflags(write=False)
-                union_model = ModelParameters(arch, flat)
-        if union_model is None:
-            trained[:] = model.flat
-            for row, i in enumerate(cancellers, start=len(trainers)):
-                params[row] = cancel_update(model, cancel_alpha).flat
-            errors: dict[int, str] = {}  # client index -> its first failed check this round
-            for batches in step_batches:
-                fleet_backward(arch, trained, *gather(batches), l2, out=grads)
+        rows = 1 if union else k
+        # The round's replies in client order: each trainer's row view, which
+        # its local steps update in place, and each model canceller's update.
+        local_models = iter(trained)
+        replies = [
+            cancel_update(model, cancel_alpha) if c.attack.kind == "model_cancel" else next(local_models)
+            for c in clients
+        ]
+        errors: dict[int, str] = {}  # client index -> its first failed check this round
+        for step in range(steps):
+            # The batches packed in client order: a (k, size, F) fleet batch
+            # that is also the (1, k * size, F) union batch.
+            batches = [next(stream) for stream in streams]
+            size = len(batches[0])  # equal sizes: equal n_train
+            xs = batch_x.reshape(-1)[: k * size * dim].reshape(k, size, dim)
+            ys = None if batch_y is None else batch_y.reshape(-1)[: k * size].reshape(k, size)
+            for row, (i, batch) in enumerate(zip(trainers, batches)):
+                np.take(clients[i].x_train, batch, axis=0, out=xs[row])
+                if ys is not None:
+                    ys[row] = clients[i].y_train[batch]
+            while True:
+                fleet, fleet_grads = params[:rows], grads[:rows]
+                if step == 0:
+                    fleet[:] = model.flat
+                y = None if ys is None else ys.reshape(rows, -1)
+                fleet_backward(arch, fleet, xs.reshape(rows, -1, dim), y, l2, out=fleet_grads)
                 for row in boosted:
                     grads[row] *= grad_alpha
-                for row in _non_finite_rows(grads):
+                for row in _non_finite_rows(fleet_grads):
                     errors.setdefault(trainers[row], "gradient contains non-finite values")
-                grads *= lr
-                trained -= grads
-                for row in _non_finite_rows(trained):
+                fleet_grads *= lr
+                fleet -= fleet_grads
+                for row in _non_finite_rows(fleet):
                     errors.setdefault(trainers[row], "model parameters contain non-finite values")
-            if errors:
-                first = min(errors)
-                raise PoisonedUpdateError(f"client {clients[first].client_id}: {errors[first]}")
+                if rows == k or not errors:
+                    break
+                # A non-finite union step (the round's only step) reruns
+                # from the global model with one row per trainer, which
+                # names the bad client.
+                rows = k
+                errors.clear()
+        if errors:
+            first = min(errors)
+            raise PoisonedUpdateError(f"client {clients[first].client_id}: {errors[first]}")
         losses: dict[str, float | None] = {}
         if on_round is not None:
             # A mini-batch round reports the loss of its one step, a
-            # multi-epoch round that of the trained local model.
-            for i, c in enumerate(clients):
-                if c.attack.kind == "model_cancel":
-                    losses[c.client_id] = None
-                elif mini_batch:
-                    batch = batches[row_of[i]]
+            # multi-epoch round that of the trained local model; a model
+            # canceller reports none.
+            losses = dict.fromkeys(c.client_id for c in clients)
+            for i, batch, local in zip(trainers, batches, trained):
+                c = clients[i]
+                if mini_batch:
                     yb = None if c.y_train is None else c.y_train[batch]
                     losses[c.client_id] = loss(model, c.x_train[batch], yb, l2)
                 else:
-                    losses[c.client_id] = loss(client_models[i], c.x_train, c.y_train, l2)
+                    losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
         dropped = _dropped(len(clients), config, server_rng)
-        kept = [local for local, gone in zip(client_models, dropped) if not gone]
+        kept = [local for local, gone in zip(replies, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
         if len(kept) >= config.aggregation.min_models:
-            model = aggregate(kept, config.aggregation, server_rng) if union_model is None else union_model
+            if union and rows == 1:  # the union step already averaged the k client steps
+                model = ModelParameters(arch, params[0])
+            else:
+                model = aggregate(kept, config.aggregation, server_rng)
             aggregations += 1
         if on_round is not None:
             on_round(
@@ -551,44 +542,35 @@ def collaborative_grid_search(
         raise ConfigError(f"validation slice is empty: {n} records at {val_fraction}")
     cut = n - n_val
     rows = []
-    best: tuple[float, int] | None = None
-    for index, point in enumerate(grid):
-        supervised = point.arch.kind == CLASSIFIER
+    for point in grid:
         sub_clients = [
-            ClientState(
-                client_id=c.client_id,
+            replace(
+                c,
                 x_train=c.x_train[:cut],
                 y_train=None if c.y_train is None else c.y_train[:cut],
-                x_thr=c.x_thr,
-                attack=c.attack,
                 seed=_point_seed(point) ^ c.seed,
             )
             for c in clients
         ]
         sub_config = replace(config, arch=point.arch, l2_lambda=point.l2_lambda)
         model, _ = run_federated(sub_clients, sub_config)
-        scores = []
-        for c in clients:
-            x_val = c.x_train[cut:]
-            if supervised:
-                counts = confusion_counts(c.y_train[cut:], classify(model, x_val))
-                scores.append(metrics_from_counts(counts)["accuracy"])
-            else:
-                scores.append(loss(model, x_val))
-        mean_score = float(np.mean(scores))
+        if point.arch.kind == CLASSIFIER:
+            held_out = [(c.x_train[cut:], c.y_train[cut:]) for c in clients]
+            scores = [metrics_from_counts(counts)["accuracy"] for counts in evaluate(model, None, held_out)]
+        else:
+            scores = [loss(model, c.x_train[cut:]) for c in clients]
         rows.append(
             {
                 "arch": point.arch,
                 "l2_lambda": point.l2_lambda,
-                "mean_score": mean_score,
+                "mean_score": float(np.mean(scores)),
                 "per_client": {c.client_id: s for c, s in zip(clients, scores)},
             }
         )
-        if best is None:
-            best = (mean_score, index)
-        elif (mean_score > best[0]) if supervised else (mean_score < best[0]):
-            best = (mean_score, index)
-    return grid[best[1]], rows
+    # max and min keep the first best point, so ties go to the earliest.
+    pick = max if grid[0].arch.kind == CLASSIFIER else min
+    best, _ = pick(zip(grid, rows), key=lambda pair: pair[1]["mean_score"])
+    return best, rows
 
 
 class RoundLogger:

@@ -16,7 +16,9 @@ import math
 import os
 import shutil
 import time
-from contextlib import contextmanager
+import types
+import typing
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 
@@ -154,9 +156,8 @@ class ExperimentConfig:
             raise ConfigError(f"approach must be one of {APPROACHES}, got {self.approach!r}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        size = self.model_bytes
-        if size is not None and (isinstance(size, bool) or not isinstance(size, int) or size < 1):
-            raise ConfigError(f"model_bytes must be a positive integer, got {self.model_bytes!r}")
+        if self.model_bytes is not None and self.model_bytes < 1:
+            raise ConfigError(f"model_bytes must be a positive integer, got {self.model_bytes}")
         if isinstance(self.folds, str) and self.folds != "all":
             raise ConfigError(f"folds must be 'all' or a list of device ids, got {self.folds!r}")
         if not isinstance(self.folds, str) and not self.folds:
@@ -196,12 +197,29 @@ def _require_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _typed(value, hint, where: str):
+    # A JSON value checked against a field's type hint. Lists become tuples,
+    # ints are floats where the field is a float, and bools are no numbers.
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        for option in typing.get_args(hint):
+            with suppress(ConfigError):
+                return _typed(value, option, where)
+    elif origin is tuple and isinstance(value, list):
+        return tuple(_typed(item, typing.get_args(hint)[0], where) for item in value)
+    elif hint is float and type(value) in (int, float):
+        return float(value)
+    elif type(value) is hint:
+        return value
+    raise ConfigError(f"{where} must be {_json_type(hint)}, got {value!r}")
 
 
-def _folds(value):
-    return tuple(str(f) for f in value) if isinstance(value, list) else value
+def _json_type(hint) -> str:
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {_json_type(typing.get_args(hint)[0])}"
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return " or ".join(_json_type(option) for option in typing.get_args(hint))
+    return "null" if hint is type(None) else hint.__name__
 
 
 # Sections whose keys are the fields of one dataclass, stored whole in the
@@ -213,34 +231,19 @@ _DATACLASS_SECTIONS = {
     "attack": AttackSpec,
 }
 
-# Every other key: JSON section ("" is the top level) -> key ->
-# (ExperimentConfig field, coercion applied when reading; None keeps the value).
+# Every other key: JSON section ("" is the top level) -> key -> ExperimentConfig field.
 _FLAT_SECTIONS = {
-    "": {
-        "name": ("name", str),
-        "mode": ("mode", None),
-        "approach": ("approach", None),
-        "algorithm": ("algorithm", None),
-    },
-    "model": {"preset": ("preset", None), "l2_lambda": ("l2_lambda", float)},
-    "model.grid": {"presets": ("grid_presets", tuple), "l2_values": ("grid_l2", _floats)},
-    "training": {
-        "learning_rate": ("learning_rate", float),
-        "batch_size": ("batch_size", int),
-        "epochs": ("epochs", int),
-        "rounds": ("rounds", int),
-        "lr_decay": ("lr_decay", float),
-        "shuffle": ("shuffle", bool),
-        "dropout_prob": ("dropout_prob", float),
-        "log_rounds": ("log_rounds", bool),
-    },
-    "protocol": {
-        "folds": ("folds", _folds),
-        "repetitions": ("repetitions", int),
-        "master_seed": ("master_seed", int),
-    },
-    "report": {"sample_std": ("sample_std", bool), "model_bytes": ("model_bytes", None)},
+    "": {"name": "name", "mode": "mode", "approach": "approach", "algorithm": "algorithm"},
+    "model": {"preset": "preset", "l2_lambda": "l2_lambda"},
+    "model.grid": {"presets": "grid_presets", "l2_values": "grid_l2"},
+    "training": {key: key for key in ("learning_rate", "batch_size", "epochs", "rounds",
+                                      "lr_decay", "shuffle", "dropout_prob", "log_rounds")},
+    "protocol": {"folds": "folds", "repetitions": "repetitions", "master_seed": "master_seed"},
+    "report": {"sample_std": "sample_std", "model_bytes": "model_bytes"},
 }
+
+# Each field's declared type, the one check every JSON value passes at load.
+_HINTS = {cls: typing.get_type_hints(cls) for cls in (ExperimentConfig, *_DATACLASS_SECTIONS.values())}
 
 _REQUIRED = ("name", "mode", "approach", "data", "balance")
 
@@ -268,16 +271,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if section in raw:
             values = dict(raw[section])
             _require_keys(values, tuple(f.name for f in fields(cls)), section)
-            kwargs[section] = cls(**values)
+            hints = _HINTS[cls]
+            kwargs[section] = cls(**{k: _typed(v, hints[k], f"{section}.{k}") for k, v in values.items()})
     for section, keys in _FLAT_SECTIONS.items():
         values = raw
         for part in filter(None, section.split(".")):
             values = dict(values.get(part, {}))
         if section:
             _require_keys(values, _allowed_keys(section), section)
-        for key, (name, coerce) in keys.items():
+        for key, name in keys.items():
             if key in values:
-                kwargs[name] = values[key] if coerce is None else coerce(values[key])
+                where = f"{section}.{key}" if section else key
+                kwargs[name] = _typed(values[key], _HINTS[ExperimentConfig][name], where)
     return ExperimentConfig(**kwargs)
 
 
@@ -290,7 +295,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         target = out
         for part in filter(None, section.split(".")):
             target = target.setdefault(part, {})
-        for key, (name, _) in keys.items():
+        for key, name in keys.items():
             value = getattr(config, name)
             target[key] = list(value) if isinstance(value, tuple) else value
     return out
@@ -655,6 +660,8 @@ def attack_sweep(
             raise ConfigError(f"f must be >= 0, got {f}")
         if f >= k:
             raise ConfigError(f"f={f} attackers need more than {k} clients")
+        if f_values.count(f) > 1:
+            raise ConfigError(f"f={f} is listed more than once")
     deepest = max(SWEEP_RULES, key=lambda rule: rule.min_models)
     if k < deepest.min_models:
         raise ConfigError(f"{deepest.describe()} needs at least {deepest.min_models} clients, got {k}")
@@ -701,8 +708,9 @@ def human_bytes(n: int) -> str:
     """Decimal units, three significant digits: 2820000 -> '2.82 MB'."""
     value = float(n)
     for unit in ("B", "kB", "MB", "GB", "TB"):
-        if value < 1000 or unit == "TB":
-            return f"{value:.3g} {unit}"
+        text = f"{value:.3g}"  # 999.5 rounds to 1e+03: that is 1 of the next unit
+        if float(text) < 1000 or unit == "TB":
+            return f"{text} {unit}"
         value /= 1000.0
     raise AssertionError("unreachable")
 

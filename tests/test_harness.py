@@ -98,14 +98,18 @@ class TestConfigParsing:
 
     def test_roundtrip_with_grid_and_overrides(self):
         raw = tiny_dict()
-        raw["model"] = {"grid": {"presets": ["A", "B"], "l2_values": [0.0, 1e-4]}}
+        raw["model"] = {"grid": {"presets": ["A", "B"], "l2_values": [0, 1e-4]}}
         raw["report"] = {"model_bytes": 94000, "sample_std": True}
         raw["training"]["learning_rate"] = 1
+        raw["data"]["benign_spread"] = 2
         config = config_from_dict(raw)
         assert config.grid_presets == ("A", "B")
         assert config.threshold_ddof == 1
         echoed = config_to_dict(config)
+        # An int given for a float key, flat or in a dataclass section, echoes as a float.
         assert json.dumps(echoed["training"]["learning_rate"]) == "1.0"
+        assert json.dumps(echoed["data"]["benign_spread"]) == "2.0"
+        assert json.dumps(echoed["model"]["grid"]["l2_values"]) == "[0.0, 0.0001]"
         assert config_from_dict(echoed) == config
 
     def test_attack_needs_federated_approach(self):
@@ -159,6 +163,27 @@ class TestConfigParsing:
         raw = tiny_dict()
         raw["data"][key] = value
         with pytest.raises(ConfigError, match=key):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "shuffle", "false"),
+        ("report", "sample_std", "no"),
+        ("training", "batch_size", 8.9),
+        ("training", "learning_rate", True),
+        ("data", "has_header", "false"),
+        ("data", "devices", 3.0),
+        ("attack", "f", "1"),
+        ("protocol", "folds", ["dev-0", 1]),
+        ("report", "model_bytes", 9.5),
+        ("", "name", 3),
+    ])
+    def test_value_of_wrong_type_rejected_at_load(self, section, key, value):
+        # Coerced, "false" read as True, 8.9 as 8, and a has_header of
+        # "false" made load_device_csv drop every file's first record.
+        raw = tiny_dict()
+        (raw.setdefault(section, {}) if section else raw)[key] = value
+        where = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=rf"^{where} must be"):
             config_from_dict(raw)
 
     def test_load_config_from_file(self, tmp_path):
@@ -488,6 +513,11 @@ class TestAttackSweep:
         with pytest.raises(ConfigError, match="f=6"):
             attack_sweep(self.sweep_config(), [0, 6], str(tmp_path))
 
+    def test_repeated_f_rejected(self, tmp_path):
+        # Accepted, each f=1 cell ran twice and wrote its rows twice.
+        with pytest.raises(ConfigError, match="f=1 is listed more than once"):
+            attack_sweep(self.sweep_config(), [1, 0, 1], str(tmp_path))
+
     def test_non_federated_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="federated"):
             attack_sweep(self.sweep_config(approach="centralized"), [0], str(tmp_path))
@@ -597,6 +627,9 @@ class TestCostTable:
         assert human_bytes(810000) == "810 kB"
         assert human_bytes(2820000) == "2.82 MB"
         assert human_bytes(1600560000) == "1.6 GB"
+        # A value that rounds to 1000 carries to the next unit.
+        assert human_bytes(999_500) == "1 MB"
+        assert human_bytes(999_999_999) == "1 GB"
 
 
 class TestReport:
