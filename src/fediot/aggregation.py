@@ -6,8 +6,11 @@ coordinate-wise median and trimmed mean (Yin et al., ICML 2018) drop extreme
 values per coordinate, and resampling redraws the k rows before the rule
 runs. aggregate is the one function that takes client models: it stacks them
 once into an array of its own and builds the model. The median and the
-trimmed mean sort that array in place along the client axis with an exact
-min/max sorting network, so they allocate no further (k, d) array.
+trimmed mean sort that array along the client axis with an exact min/max
+sorting network that needs one spare row, not a further (k, d) array: it
+tracks which row holds each sorted position instead of moving rows back,
+and leaves the array overwritten. The rules add the rows they keep in the
+order .mean(axis=0) would, so no result bit depends on this.
 """
 from __future__ import annotations
 
@@ -88,37 +91,51 @@ def _network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def sort_rows(updates: np.ndarray) -> np.ndarray:
-    """Sort every column of a (k, d) array in place and return it.
+def sort_rows(updates: np.ndarray) -> list[np.ndarray]:
+    """Sort every column of a (k, d) array; return its k rows in ascending order.
 
     A comparator network of np.minimum/np.maximum passes puts each column's
-    values in ascending order, so results equal np.sort(updates, axis=0)
-    except that equal values of opposite sign (-0.0, 0.0) may trade places.
+    values in ascending order, so the returned rows equal those of
+    np.sort(updates, axis=0) except that equal values of opposite sign
+    (-0.0, 0.0) may trade places. Each comparator writes its minimum into a
+    spare row and its maximum in place, then the spare takes over the
+    minimum's slot: the sorted rows are views of updates plus one new row,
+    and updates itself is left overwritten, neither sorted nor intact.
     """
-    low = np.empty_like(updates[0])
-    for i, j in _network(updates.shape[0]):
-        np.minimum(updates[i], updates[j], out=low)
-        np.maximum(updates[i], updates[j], out=updates[j])
-        updates[i] = low
-    return updates
+    rows = list(updates)
+    spare = np.empty_like(updates[0])
+    for i, j in _network(len(rows)):
+        np.minimum(rows[i], rows[j], out=spare)
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i], spare = spare, rows[i]
+    return rows
+
+
+def _row_mean(rows: list[np.ndarray]) -> np.ndarray:
+    # Adds the rows in order, then divides: the sums .mean(axis=0) makes.
+    out = rows[0].copy()
+    for row in rows[1:]:
+        out += row
+    out /= len(rows)
+    return out
 
 
 def coordinate_median(updates: np.ndarray) -> np.ndarray:
     """Coordinate-wise median; an even count averages the two middle values.
 
-    Sorts updates in place along the client axis.
+    Overwrites updates (see sort_rows).
     """
     k = updates.shape[0]
     # The mean of the middle one or two rows, as np.median computes it.
-    return sort_rows(updates)[(k - 1) // 2 : k // 2 + 1].mean(axis=0)
+    return _row_mean(sort_rows(updates)[(k - 1) // 2 : k // 2 + 1])
 
 
 def trimmed_mean(updates: np.ndarray, trim_c: int) -> np.ndarray:
     """Mean after removing the trim_c largest and smallest values per coordinate.
 
-    Sorts updates in place along the client axis.
+    Overwrites updates (see sort_rows).
     """
-    return sort_rows(updates)[trim_c : updates.shape[0] - trim_c].mean(axis=0)
+    return _row_mean(sort_rows(updates)[trim_c : updates.shape[0] - trim_c])
 
 
 def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
@@ -130,20 +147,26 @@ def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     average of the inputs; the redraw only dilutes minority outliers before
     a robust rule runs. While a slot is open some row has a use left, so
     each draw succeeds with probability at least 1/k and the loop ends.
+    Each output row sums its draws in draw order and all rows are divided
+    by s at the end, the arithmetic of a per-row mean.
     """
     k = updates.shape[0]
     if s < 1:
         raise ConfigError(f"resample_s must be >= 1, got {s}")
     usage = [0] * k
     out = np.empty_like(updates)
-    for row in range(k):
-        chosen = []
-        while len(chosen) < s:
-            j = int(rng.integers(0, k))
-            if usage[j] < s:
-                usage[j] += 1
-                chosen.append(j)
-        out[row] = updates[chosen].mean(axis=0)
+    for row in out:
+        for draw in range(s):
+            while True:
+                j = int(rng.integers(0, k))
+                if usage[j] < s:
+                    break
+            usage[j] += 1
+            if draw:
+                row += updates[j]
+            else:
+                np.copyto(row, updates[j])
+    out /= s
     return out
 
 
@@ -155,8 +178,8 @@ def aggregate(
     """Combine the client models under one spec into the new global model.
 
     Stacks the flat vectors once into a (k, d) array, resamples it if the
-    spec says so, reduces it with the rule (which may reorder that array in
-    place), and wraps the result.
+    spec says so, reduces it with the rule (which may overwrite that array),
+    and wraps the result.
     """
     k = len(models)
     if k < spec.min_models:

@@ -19,7 +19,7 @@ import time
 import types
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -271,6 +271,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if section in raw:
             values = dict(raw[section])
             _require_keys(values, tuple(f.name for f in fields(cls)), section)
+            for f in fields(cls):
+                if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+                    raise ConfigError(f"config is missing {section}.{f.name}")
             hints = _HINTS[cls]
             kwargs[section] = cls(**{k: _typed(v, hints[k], f"{section}.{k}") for k, v in values.items()})
     for section, keys in _FLAT_SECTIONS.items():

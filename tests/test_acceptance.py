@@ -98,7 +98,7 @@ def test_aggregation_rules_match_sort_oracles():
             got_avg, stacked.sum(axis=0) / k, rtol=1e-12, atol=1e-12
         )
 
-        got_med = coordinate_median(stacked)
+        got_med = coordinate_median(stacked.copy())
         middle = srt[k // 2] if k % 2 else (srt[k // 2 - 1] + srt[k // 2]) / 2
         np.testing.assert_array_equal(got_med, middle)
 

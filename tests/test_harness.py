@@ -92,6 +92,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="balance"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("section, key", [
+        ("aggregation", "rule"),
+        ("balance", "samples_per_device"),
+        ("balance", "benign_fraction"),
+    ])
+    def test_missing_required_section_key_rejected(self, section, key):
+        # Built with cls(**values), such a section raised TypeError.
+        raw = tiny_dict()
+        raw.setdefault(section, {}).pop(key, None)
+        with pytest.raises(ConfigError, match=rf"^config is missing {section}\.{key}$"):
+            config_from_dict(raw)
+
     def test_roundtrip_through_dict(self):
         config = tiny_config()
         assert config_from_dict(config_to_dict(config)) == config

@@ -4,6 +4,7 @@ Usage, from the root of this repository:
 
     python3 tools/bench_record.py --label change
     python3 tools/bench_record.py --label parent --checkout /path/to/other/checkout
+    python3 tools/bench_record.py --label change --against /path/to/parent --pairs 10
 
 The record holds, for the measured checkout (this one by default):
 - the last result line of `perfbench/run.py --trace 0` for every gated
@@ -16,6 +17,14 @@ The record holds, for the measured checkout (this one by default):
 - the environment (python, numpy, BLAS, CPUs) and the checkout's git
   revision, with a flag for uncommitted changes.
 Each measurement runs in its own interpreter, with one BLAS thread.
+
+With --against, the record compares the measured checkout (the change) with
+the other one (the base). Each workload runs --pairs times on each side,
+the two sides taking turns and the side that goes first alternating from
+pair to pair, so drift of the host's speed hits both alike. For every
+end-to-end metric of BENCHMARK.json the record keeps both sides' runs,
+medians and quartiles, and the number of pairs the change won (strictly
+better in the metric's direction); each probe runs once per side.
 """
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -134,29 +144,91 @@ def _environment(checkout: Path) -> dict:
     }
 
 
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def _paired(change: Path, base: Path, bench: dict, pairs: int) -> dict:
+    # Per workload: both sides' end-to-end metrics over alternating runs.
+    seconds = bench["run_seconds"]
+    sides = {"change": change, "base": base}
+    out = {}
+    for workload in bench["workloads"]:
+        name = workload["name"]
+        runs = {side: [] for side in sides}
+        for pair in range(pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in order:
+                print(f"{name}: pair {pair + 1}/{pairs}, {side}", file=sys.stderr)
+                runs[side].append(_workload(sides[side], name, seconds))
+        metrics = {}
+        for metric in bench["end_to_end"]:
+            key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            values = {side: [r["metrics"][key]["value"] for r in runs[side]] for side in sides}
+            won = sum(sign * c < sign * b for c, b in zip(values["change"], values["base"]))
+            metrics[key] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                **{side: _summary(values[side]) for side in sides},
+                "change_won": won,
+            }
+        out[name] = {
+            "correct": {side: all(r["correct"] is True for r in runs[side]) for side in sides},
+            "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in sides},
+            "metrics": metrics,
+        }
+    return out
+
+
+def _revision(checkout: Path) -> dict:
+    return {
+        "path": str(checkout),
+        "git_rev": _git(checkout, "rev-parse", "HEAD") or None,
+        "uncommitted_changes": bool(_git(checkout, "status", "--porcelain")),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="record name suffix, e.g. parent or change")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
+    parser.add_argument("--against", type=Path, help="base checkout to compare with, run by run")
+    parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload with --against")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     checkout = args.checkout.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    workloads = {}
-    for workload in bench["workloads"]:
-        name = workload["name"]
-        print(f"running {name} for {seconds} s", file=sys.stderr)
-        workloads[name] = _workload(checkout, name, seconds)
     record = {
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "git_rev": _git(checkout, "rev-parse", "HEAD") or None,
-        "uncommitted_changes": bool(_git(checkout, "status", "--porcelain")),
-        "environment": _environment(checkout),
-        "perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "workloads": workloads},
-        "aggregate_ms": _probe(checkout, AGGREGATE_PROBE),
-        "mini_batch_round_ms": _probe(checkout, ROUND_PROBE),
     }
+    if args.against is None:
+        workloads = {}
+        for workload in bench["workloads"]:
+            name = workload["name"]
+            print(f"running {name} for {seconds} s", file=sys.stderr)
+            workloads[name] = _workload(checkout, name, seconds)
+        record.update(
+            _revision(checkout),
+            environment=_environment(checkout),
+            perfbench={"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "workloads": workloads},
+            aggregate_ms=_probe(checkout, AGGREGATE_PROBE),
+            mini_batch_round_ms=_probe(checkout, ROUND_PROBE),
+        )
+    else:
+        base = args.against.resolve()
+        sides = {"change": checkout, "base": base}
+        record.update(
+            checkouts={side: _revision(path) for side, path in sides.items()},
+            environment=_environment(checkout),
+            perfbench={"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": args.pairs,
+                       "workloads": _paired(checkout, base, bench, args.pairs)},
+            aggregate_ms={side: _probe(path, AGGREGATE_PROBE) for side, path in sides.items()},
+            mini_batch_round_ms={side: _probe(path, ROUND_PROBE) for side, path in sides.items()},
+        )
     stamp = datetime.date.today().strftime("%Y%m%d")
     path = ROOT / f"BENCH_{stamp}_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
