@@ -258,6 +258,12 @@ def _allowed_keys(section: str) -> tuple[str, ...]:
     return (*_FLAT_SECTIONS[section], *children)
 
 
+def _section(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    return dict(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document."""
     if not isinstance(raw, dict):
@@ -269,7 +275,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kwargs = {}
     for section, cls in _DATACLASS_SECTIONS.items():
         if section in raw:
-            values = dict(raw[section])
+            values = _section(raw[section], section)
             _require_keys(values, tuple(f.name for f in fields(cls)), section)
             for f in fields(cls):
                 if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
@@ -278,8 +284,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             kwargs[section] = cls(**{k: _typed(v, hints[k], f"{section}.{k}") for k, v in values.items()})
     for section, keys in _FLAT_SECTIONS.items():
         values = raw
-        for part in filter(None, section.split(".")):
-            values = dict(values.get(part, {}))
+        parts = section.split(".") if section else []
+        for n, part in enumerate(parts):
+            values = _section(values.get(part, {}), ".".join(parts[: n + 1]))
         if section:
             _require_keys(values, _allowed_keys(section), section)
         for key, name in keys.items():

@@ -22,9 +22,10 @@ With --against, the record compares the measured checkout (the change) with
 the other one (the base). Each workload runs --pairs times on each side,
 the two sides taking turns and the side that goes first alternating from
 pair to pair, so drift of the host's speed hits both alike. For every
-end-to-end metric of BENCHMARK.json the record keeps both sides' runs,
-medians and quartiles, and the number of pairs the change won (strictly
-better in the metric's direction); each probe runs once per side.
+end-to-end metric of BENCHMARK.json, and for every probe figure, the
+record keeps both sides' runs, medians and quartiles, and the number of
+pairs the change won (strictly better in the metric's direction; a probe
+figure is better when lower). The probes take turns the same way.
 """
 from __future__ import annotations
 
@@ -144,41 +145,59 @@ def _environment(checkout: Path) -> dict:
     }
 
 
-def _summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+def _alternate(sides: dict, pairs: int, what: str, run) -> dict:
+    # run(checkout) pairs times per side; the side that goes first alternates.
+    runs = {side: [] for side in sides}
+    for pair in range(pairs):
+        for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
+            print(f"{what}: pair {pair + 1}/{pairs}, {side}", file=sys.stderr)
+            runs[side].append(run(sides[side]))
+    return runs
 
 
-def _paired(change: Path, base: Path, bench: dict, pairs: int) -> dict:
-    # Per workload: both sides' end-to-end metrics over alternating runs.
-    seconds = bench["run_seconds"]
-    sides = {"change": change, "base": base}
+def _compare(change: list[float], base: list[float], lower_is_better: bool) -> dict:
+    # Both sides' runs, medians and quartiles, and the pairs the change won.
     out = {}
+    for side, values in (("change", change), ("base", base)):
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+        out[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+    sign = 1 if lower_is_better else -1
+    out["change_won"] = sum(sign * c < sign * b for c, b in zip(change, base))
+    return out
+
+
+def _paired(sides: dict, bench: dict, pairs: int) -> dict:
+    # Every gated workload's end-to-end metrics, then every probe figure.
+    seconds = bench["run_seconds"]
+    workloads = {}
     for workload in bench["workloads"]:
         name = workload["name"]
-        runs = {side: [] for side in sides}
-        for pair in range(pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                print(f"{name}: pair {pair + 1}/{pairs}, {side}", file=sys.stderr)
-                runs[side].append(_workload(sides[side], name, seconds))
+        runs = _alternate(sides, pairs, name, lambda checkout: _workload(checkout, name, seconds))
         metrics = {}
         for metric in bench["end_to_end"]:
-            key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+            key = metric["name"]
             values = {side: [r["metrics"][key]["value"] for r in runs[side]] for side in sides}
-            won = sum(sign * c < sign * b for c, b in zip(values["change"], values["base"]))
             metrics[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                **{side: _summary(values[side]) for side in sides},
-                "change_won": won,
+                **_compare(values["change"], values["base"], metric["better"] == "lower"),
             }
-        out[name] = {
+        workloads[name] = {
             "correct": {side: all(r["correct"] is True for r in runs[side]) for side in sides},
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in sides},
             "metrics": metrics,
         }
-    return out
+    record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": pairs,
+                            "workloads": workloads}}
+    for key, probe in (("aggregate_ms", AGGREGATE_PROBE), ("mini_batch_round_ms", ROUND_PROBE)):
+        runs = _alternate(sides, pairs, key, lambda checkout: _probe(checkout, probe))
+        record[key] = {}
+        for rule, by_k in runs["change"][0]["ms"].items():
+            record[key][rule] = {}
+            for k in by_k:
+                values = {side: [r["ms"][rule][k] for r in runs[side]] for side in sides}
+                record[key][rule][k] = _compare(values["change"], values["base"], True)
+    return record
 
 
 def _revision(checkout: Path) -> dict:
@@ -219,15 +238,11 @@ def main(argv: list[str] | None = None) -> int:
             mini_batch_round_ms=_probe(checkout, ROUND_PROBE),
         )
     else:
-        base = args.against.resolve()
-        sides = {"change": checkout, "base": base}
+        sides = {"change": checkout, "base": args.against.resolve()}
         record.update(
             checkouts={side: _revision(path) for side, path in sides.items()},
             environment=_environment(checkout),
-            perfbench={"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": args.pairs,
-                       "workloads": _paired(checkout, base, bench, args.pairs)},
-            aggregate_ms={side: _probe(path, AGGREGATE_PROBE) for side, path in sides.items()},
-            mini_batch_round_ms={side: _probe(path, ROUND_PROBE) for side, path in sides.items()},
+            **_paired(sides, bench, args.pairs),
         )
     stamp = datetime.date.today().strftime("%Y%m%d")
     path = ROOT / f"BENCH_{stamp}_{args.label}.json"
