@@ -99,8 +99,8 @@ def sort_rows(updates: np.ndarray) -> list[np.ndarray]:
     np.sort(updates, axis=0) except that equal values of opposite sign
     (-0.0, 0.0) may trade places. Each comparator writes its minimum into a
     spare row and its maximum in place, then the spare takes over the
-    minimum's slot: the sorted rows are views of updates plus one new row,
-    and updates itself is left overwritten, neither sorted nor intact.
+    minimum's slot. Each returned row is a view of updates or the one new
+    spare, and updates itself is left overwritten, neither sorted nor intact.
     """
     rows = list(updates)
     spare = np.empty_like(updates[0])

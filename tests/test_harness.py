@@ -104,23 +104,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"^config is missing {section}\.{key}$"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("section, value", [
+    @pytest.mark.parametrize("where, value", [
         ("aggregation", 3),
         ("balance", None),
         ("training", [1]),
         ("model", "B"),
+        ("model.grid", ["B"]),
     ])
-    def test_section_that_is_no_object_rejected(self, section, value):
+    def test_section_that_is_no_object_rejected(self, where, value):
         # dict(value) raised TypeError or ValueError for these.
         raw = tiny_dict()
-        raw[section] = value
-        with pytest.raises(ConfigError, match=rf"^{section} must be a JSON object$"):
-            config_from_dict(raw)
-
-    def test_grid_that_is_no_object_rejected(self):
-        raw = tiny_dict()
-        raw.setdefault("model", {})["grid"] = ["B"]
-        with pytest.raises(ConfigError, match=r"^model\.grid must be a JSON object$"):
+        *parents, name = where.split(".")
+        target = raw
+        for part in parents:
+            target = target.setdefault(part, {})
+        target[name] = value
+        with pytest.raises(ConfigError, match=rf"^{where} must be a JSON object$"):
             config_from_dict(raw)
 
     def test_roundtrip_through_dict(self):
