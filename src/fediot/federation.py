@@ -335,16 +335,16 @@ def run_federated(
                     ys[row] = clients[i].y_train[batch]
             while True:
                 fleet, fleet_grads = params[:rows], grads[:rows]
-                # The first step starts every row from the global model.
-                start = model.flat[None] if step == 0 else fleet
+                if step == 0:
+                    fleet[:] = model.flat
                 y = None if ys is None else ys.reshape(rows, -1)
-                fleet_backward(arch, start, xs.reshape(rows, -1, dim), y, l2, out=fleet_grads)
+                fleet_backward(arch, fleet, xs.reshape(rows, -1, dim), y, l2, out=fleet_grads)
                 for row in boosted:
                     grads[row] *= grad_alpha
                 for row in _non_finite_rows(fleet_grads):
                     errors.setdefault(trainers[row], "gradient contains non-finite values")
                 fleet_grads *= lr
-                np.subtract(start, fleet_grads, out=fleet)
+                fleet -= fleet_grads
                 for row in _non_finite_rows(fleet):
                     errors.setdefault(trainers[row], "model parameters contain non-finite values")
                 if rows == k or not errors:

@@ -248,14 +248,12 @@ def fleet_backward(
 ) -> np.ndarray:
     """Gradients of loss() for k models at once, one row each.
 
-    params is (k, d), one flat parameter vector per row, or (1, d), one
-    model for all k batches; x is (k, n, F), row i's batch for model i, and
-    y its (k, n) labels. The gradients are written into out, a (k, d) array
-    (allocated when omitted), and each row is bit for bit what backward()
-    returns for that model and batch.
+    params is (k, d), one flat parameter vector per row; x is (k, n, F),
+    row i's batch for model i, and y its (k, n) labels. The gradients are
+    written into out, a (k, d) array (allocated when omitted), and each row
+    is bit for bit what backward() returns for that model and batch.
     """
-    d = arch.n_parameters
-    if x.ndim != 3 or x.shape[2] != arch.input_dim or params.shape not in ((len(x), d), (1, d)):
+    if x.ndim != 3 or x.shape[2] != arch.input_dim or params.shape != (x.shape[0], arch.n_parameters):
         raise SchemaError(
             f"parameters {params.shape} and batches {x.shape} do not fit {arch.n_parameters} "
             f"parameters with input_dim {arch.input_dim}"
@@ -272,7 +270,7 @@ def fleet_backward(
             raise ConfigError("autoencoder gradient takes no labels")
         dz = 2.0 * (pre_acts[-1] - x) / (n * arch.output_dim)
     if out is None:
-        out = np.empty((len(x), d))
+        out = np.empty_like(params)
     layers = _weights(arch, params)
     grads = _weights(arch, out)
     for i in range(len(layers) - 1, -1, -1):

@@ -11,7 +11,6 @@ from fediot.neuralnet import (
     backward,
     classifier_preset,
     classify,
-    fleet_backward,
     forward,
     init_model,
     loss,
@@ -244,29 +243,6 @@ class TestBackward:
         coords = np.arange(arch.n_parameters)
         numeric = numeric_gradient(params, x, None, l2_lambda, coords)
         assert max_relative_error(analytic[coords], numeric) < 1e-4
-
-    @pytest.mark.parametrize("l2_lambda", [0.0, 1e-4])
-    @pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
-    def test_one_model_row_broadcasts_over_the_batches(self, kind, l2_lambda):
-        # A (1, d) params row trains k batches exactly as k copies of it do.
-        arch = ArchitectureSpec(kind, (6, 4), 5, 1 if kind == "classifier" else 5)
-        rng = np.random.default_rng(9)
-        row = rng.normal(scale=0.4, size=(1, arch.n_parameters))
-        k = 3
-        x = rng.uniform(0, 1, size=(k, 8, 5))
-        y = rng.integers(0, 2, size=(k, 8)) if kind == "classifier" else None
-        tiled = fleet_backward(arch, np.repeat(row, k, axis=0), x, y, l2_lambda)
-        out = np.empty((k, arch.n_parameters))
-        got = fleet_backward(arch, row, x, y, l2_lambda, out=out)
-        assert got is out
-        assert got.tobytes() == tiled.tobytes()
-        assert fleet_backward(arch, row, x, y, l2_lambda).tobytes() == tiled.tobytes()
-
-    def test_params_rows_must_be_one_or_one_per_batch(self):
-        arch = ArchitectureSpec("classifier", (4,), 5, 1)
-        x = np.zeros((3, 2, 5))
-        with pytest.raises(SchemaError):
-            fleet_backward(arch, np.zeros((2, arch.n_parameters)), x, np.zeros((3, 2)))
 
 
 def elu_grad_reference(z):

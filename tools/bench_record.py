@@ -3,29 +3,29 @@
 Usage, from the root of this repository:
 
     python3 tools/bench_record.py --label change
+    python3 tools/bench_record.py --label change --against /path/to/parent
     python3 tools/bench_record.py --label parent --checkout /path/to/other/checkout
-    python3 tools/bench_record.py --label change --against /path/to/parent --pairs 10
 
-The record holds, for the measured checkout (this one by default):
-- the last result line of `perfbench/run.py --trace 0` for every gated
-  workload in BENCHMARK.json, run from that checkout with its own sources
-  for BENCHMARK.json's run_seconds at seed PERFBENCH_SEED;
-- the median time of one `aggregate` call per sweep rule at k = 8, 16 and
-  32 client models of d = 13,456 parameters (the preset-B classifier);
-- the median time of one mini-batch round of `run_federated` (batch size
-  8, preset-B classifier) under AVG and TM(2) at the same k;
-- the environment (python, numpy, BLAS, CPUs) and the checkout's git
-  revision, with a flag for uncommitted changes.
-Each measurement runs in its own interpreter, with one BLAS thread.
+The measured checkout (this one by default) is the change; with --against,
+the other checkout is the base. Each side runs PAIRS times:
+- every gated workload of BENCHMARK.json, `perfbench/run.py --trace 0` for
+  its run_seconds at seed PERFBENCH_SEED, with that side's own sources;
+- the aggregate probe, the median time of one `aggregate` call per sweep
+  rule at k = 8, 16 and 32 client models of d = 13,456 parameters (the
+  preset-B classifier);
+- the round probe, the median time of one mini-batch round of
+  `run_federated` (batch size 8, preset-B classifier) under AVG and TM(2)
+  at the same k.
+With a base, the two sides take turns and the side that goes first
+alternates from pair to pair, so drift of the host's speed hits both
+alike. Each measurement runs in its own interpreter, with one BLAS thread.
 
-With --against, the record compares the measured checkout (the change) with
-the other one (the base). Each workload runs --pairs times on each side,
-the two sides taking turns and the side that goes first alternating from
-pair to pair, so drift of the host's speed hits both alike. For every
-end-to-end metric of BENCHMARK.json, and for every probe figure, the
-record keeps both sides' runs, medians and quartiles, and the number of
-pairs the change won (strictly better in the metric's direction; a probe
-figure is better when lower). The probes take turns the same way.
+For every end-to-end metric of BENCHMARK.json and every probe figure the
+record keeps each side's runs, median and quartiles; with a base, also
+the number of pairs the change won (strictly better in the metric's
+direction; a probe figure is better when lower). It also holds each
+checkout's git revision, with a flag for uncommitted changes, and the
+environment (python, numpy, BLAS, CPUs).
 """
 from __future__ import annotations
 
@@ -44,6 +44,8 @@ BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 PROBE_KS = (8, 16, 32)
 # Workload input seed of every record, so a rerun measures the same inputs.
 PERFBENCH_SEED = 111
+# Runs per side; a claimed gain needs at least ten pairs.
+PAIRS = 10
 
 # Runs inside the measured checkout's interpreter; prints one JSON object.
 AGGREGATE_PROBE = r"""
@@ -145,34 +147,35 @@ def _environment(checkout: Path) -> dict:
     }
 
 
-def _alternate(sides: dict, pairs: int, what: str, run) -> dict:
-    # run(checkout) pairs times per side; the side that goes first alternates.
+def _alternate(sides: dict, what: str, run) -> dict:
+    # run(checkout) PAIRS times per side; the side that goes first alternates.
     runs = {side: [] for side in sides}
-    for pair in range(pairs):
-        for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
-            print(f"{what}: pair {pair + 1}/{pairs}, {side}", file=sys.stderr)
+    for pair in range(PAIRS):
+        for side in sorted(sides, reverse=pair % 2 == 1):
+            print(f"{what}: pair {pair + 1}/{PAIRS}, {side}", file=sys.stderr)
             runs[side].append(run(sides[side]))
     return runs
 
 
-def _compare(change: list[float], base: list[float], lower_is_better: bool) -> dict:
-    # Both sides' runs, medians and quartiles, and the pairs the change won.
+def _compare(runs: dict, lower_is_better: bool) -> dict:
+    # Each side's runs, median and quartiles; with a base, the pairs the change won.
     out = {}
-    for side, values in (("change", change), ("base", base)):
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    for side, values in runs.items():
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
-    sign = 1 if lower_is_better else -1
-    out["change_won"] = sum(sign * c < sign * b for c, b in zip(change, base))
+    if "base" in runs:
+        sign = 1 if lower_is_better else -1
+        out["change_won"] = sum(sign * c < sign * b for c, b in zip(runs["change"], runs["base"]))
     return out
 
 
-def _paired(sides: dict, bench: dict, pairs: int) -> dict:
+def _measure(sides: dict, bench: dict) -> dict:
     # Every gated workload's end-to-end metrics, then every probe figure.
     seconds = bench["run_seconds"]
     workloads = {}
     for workload in bench["workloads"]:
         name = workload["name"]
-        runs = _alternate(sides, pairs, name, lambda checkout: _workload(checkout, name, seconds))
+        runs = _alternate(sides, name, lambda checkout: _workload(checkout, name, seconds))
         metrics = {}
         for metric in bench["end_to_end"]:
             key = metric["name"]
@@ -180,23 +183,23 @@ def _paired(sides: dict, bench: dict, pairs: int) -> dict:
             metrics[key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                **_compare(values["change"], values["base"], metric["better"] == "lower"),
+                **_compare(values, metric["better"] == "lower"),
             }
         workloads[name] = {
             "correct": {side: all(r["correct"] is True for r in runs[side]) for side in sides},
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in sides},
             "metrics": metrics,
         }
-    record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": pairs,
+    record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": PAIRS,
                             "workloads": workloads}}
     for key, probe in (("aggregate_ms", AGGREGATE_PROBE), ("mini_batch_round_ms", ROUND_PROBE)):
-        runs = _alternate(sides, pairs, key, lambda checkout: _probe(checkout, probe))
+        runs = _alternate(sides, key, lambda checkout: _probe(checkout, probe))
         record[key] = {}
         for rule, by_k in runs["change"][0]["ms"].items():
             record[key][rule] = {}
             for k in by_k:
                 values = {side: [r["ms"][rule][k] for r in runs[side]] for side in sides}
-                record[key][rule][k] = _compare(values["change"], values["base"], True)
+                record[key][rule][k] = _compare(values, True)
     return record
 
 
@@ -213,37 +216,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="record name suffix, e.g. parent or change")
     parser.add_argument("--checkout", type=Path, default=ROOT, help="checkout to measure")
     parser.add_argument("--against", type=Path, help="base checkout to compare with, run by run")
-    parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload with --against")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    checkout = args.checkout.resolve()
+    sides = {"change": args.checkout.resolve()}
+    if args.against is not None:
+        sides["base"] = args.against.resolve()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
     record = {
         "label": args.label,
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "checkouts": {side: _revision(path) for side, path in sides.items()},
+        "environment": _environment(sides["change"]),
+        **_measure(sides, bench),
     }
-    if args.against is None:
-        workloads = {}
-        for workload in bench["workloads"]:
-            name = workload["name"]
-            print(f"running {name} for {seconds} s", file=sys.stderr)
-            workloads[name] = _workload(checkout, name, seconds)
-        record.update(
-            _revision(checkout),
-            environment=_environment(checkout),
-            perfbench={"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "workloads": workloads},
-            aggregate_ms=_probe(checkout, AGGREGATE_PROBE),
-            mini_batch_round_ms=_probe(checkout, ROUND_PROBE),
-        )
-    else:
-        sides = {"change": checkout, "base": args.against.resolve()}
-        record.update(
-            checkouts={side: _revision(path) for side, path in sides.items()},
-            environment=_environment(checkout),
-            **_paired(sides, bench, args.pairs),
-        )
     stamp = datetime.date.today().strftime("%Y%m%d")
     path = ROOT / f"BENCH_{stamp}_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
