@@ -1,11 +1,12 @@
 """Federated training, anomaly thresholds, and evaluation.
 
 One round loop serves both schedules: mini-batch aggregation averages after
-every local step, multi-epoch aggregation after several local epochs. Each
-local step is one batched backward pass over the rows of a parameter
-buffer, one row per training client (the same bits as each client training
-alone) or, under honest mini-batch averaging, one row on the union of the k
-batches (FederatedSGD, equal up to rounding).
+every local step, multi-epoch aggregation after several local epochs. With
+no aggregation rule there is no server: one round in which every client
+trains alone. Each local step is one batched backward pass over the rows of
+a parameter buffer, one row per training client (the same bits as each
+client training alone) or, under honest mini-batch averaging, one row on
+the union of the k batches (FederatedSGD, equal up to rounding).
 
 Training is a pure function of its inputs: all randomness derives from the
 client seeds and the server seed, and rerunning a configuration reproduces
@@ -51,6 +52,9 @@ _SEED_SHUFFLE = 1
 
 METRIC_NAMES = ("accuracy", "tpr", "tnr", "f1")
 
+# Share of each client's training records the grid search holds out.
+VAL_FRACTION = 0.10
+
 
 def derive_seed(*parts) -> int:
     """Stretch a master seed into an independent stream for a named role."""
@@ -65,7 +69,8 @@ class FederationConfig:
     algorithm picks the schedule. 'mini_batch' aggregates after every local
     step at the constant learning_rate, for epochs passes over local data.
     'multi_epoch' runs rounds rounds of epochs local passes each, at
-    learning_rate * lr_decay**round.
+    learning_rate * lr_decay**round. aggregation None means no server: each
+    client trains alone for epochs passes at learning_rate.
     """
 
     arch: ArchitectureSpec
@@ -74,7 +79,7 @@ class FederationConfig:
     l2_lambda: float = 0.0
     batch_size: int = 64
     lr_decay: float = 1.0
-    aggregation: AggregationSpec = AggregationSpec("avg")
+    aggregation: AggregationSpec | None = AggregationSpec("avg")
     epochs: int = 4
     rounds: int = 30
     dropout_prob: float = 0.0
@@ -97,6 +102,8 @@ class FederationConfig:
             raise ConfigError(f"epochs and rounds must be >= 1, got {self.epochs}, {self.rounds}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ConfigError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
+        if self.dropout_prob > 0 and self.aggregation is None:
+            raise ConfigError("dropout needs a server, but aggregation is None")
 
     def lr_at(self, round_index: int) -> float:
         if self.algorithm == "mini_batch":
@@ -156,8 +163,9 @@ def build_client(
 
 def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> AttackSpec | None:
     rule = config.aggregation
-    if len(clients) < rule.min_models:  # an empty fleet included
-        raise ConfigError(f"{rule.describe()} needs at least {rule.min_models} clients, got {len(clients)}")
+    floor, name = (1, "training") if rule is None else (rule.min_models, rule.describe())
+    if len(clients) < floor:  # an empty fleet included
+        raise ConfigError(f"{name} needs at least {floor} clients, got {len(clients)}")
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate client ids: {sorted(ids)}")
@@ -180,6 +188,8 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
         raise ConfigError(f"clients disagree on the model attack: {model_attacks}")
     if model_attacks:
         spec = model_attacks.pop()
+        if rule is None:
+            raise ConfigError(f"the {spec.kind} attack needs a server, but aggregation is None")
         count = sum(1 for c in clients if c.attack == spec)
         if count != spec.f:
             raise ConfigError(f"attack says f={spec.f} but {count} clients are malicious")
@@ -221,8 +231,11 @@ def schedule(config: FederationConfig, n_train: int) -> tuple[int, int]:
     Mini-batch aggregation takes one local step per round, so config.epochs
     passes cost epochs * ceil(n_train / batch_size) rounds. Multi-epoch
     aggregation runs config.rounds rounds of config.epochs full local passes.
+    Without a server all epochs * ceil(n_train / batch_size) steps make one round.
     """
     steps_per_epoch = math.ceil(n_train / config.batch_size)
+    if config.aggregation is None:
+        return 1, config.epochs * steps_per_epoch
     if config.algorithm == "mini_batch":
         return config.epochs * steps_per_epoch, 1
     return config.rounds, config.epochs * steps_per_epoch
@@ -261,7 +274,7 @@ def run_federated(
     config: FederationConfig,
     on_round: OnRound | None = None,
     initial_model: ModelParameters | None = None,
-) -> tuple[ModelParameters, int]:
+) -> tuple[list[ModelParameters], int]:
     """Train a fleet under the schedule config.algorithm names.
 
     Every round broadcasts the global model, lets each client take its local
@@ -281,11 +294,17 @@ def run_federated(
     non-finite union step reruns with k rows. A non-finite gradient or model
     raises PoisonedUpdateError naming the first bad client in client order.
 
-    Returns the final global model and the number of rounds that aggregated;
-    a round whose dropout survivors fall below the rule's floor keeps the
-    global model and does not count.
+    With config.aggregation None (no server) each client trains alone as one
+    row, in one round of all its steps; such a run takes no on_round hook.
+
+    Returns ([final global model], or without a server one model per client
+    in client order) and the number of rounds that aggregated; a round whose
+    dropout survivors fall below the rule's floor keeps the global model and
+    does not count.
     """
     attack_spec = _validate_fleet(clients, config)
+    if config.aggregation is None and on_round is not None:
+        raise ConfigError("a run without a server has no rounds to report")
     rounds, steps = schedule(config, clients[0].n_train)
     mini_batch = config.algorithm == "mini_batch"
     grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))
@@ -373,7 +392,7 @@ def run_federated(
         dropped = _dropped(len(clients), config, server_rng)
         kept = [local for local, gone in zip(replies, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
-        if len(kept) >= config.aggregation.min_models:
+        if config.aggregation is not None and len(kept) >= config.aggregation.min_models:
             if union and rows == 1:  # the union step already averaged the k client steps
                 model = ModelParameters(arch, params[0])
             else:
@@ -390,7 +409,8 @@ def run_federated(
                 },
                 model,
             )
-    return model, aggregations
+    # Without a server the buffer rows, which no step writes any more, are the models.
+    return (trained if config.aggregation is None else [model]), aggregations
 
 
 @dataclass(frozen=True)
@@ -518,11 +538,10 @@ def collaborative_grid_search(
     clients: list[ClientState],
     grid: list[GridPoint],
     config: FederationConfig,
-    val_fraction: float = 0.10,
 ) -> tuple[GridPoint, list[dict]]:
     """Pick the grid point whose short federated run validates best on average.
 
-    Every client holds out the chronologically last val_fraction of its
+    Every client holds out the chronologically last VAL_FRACTION of its
     training records. Classifiers compare mean validation accuracy (higher
     wins), autoencoders mean validation loss (lower wins). Ties keep the
     earliest point in the grid.
@@ -537,9 +556,9 @@ def collaborative_grid_search(
     if len(kinds) > 1:
         raise ConfigError(f"grid mixes incomparable model kinds: {sorted(kinds)}")
     n = clients[0].n_train
-    n_val = int(val_fraction * n)
+    n_val = int(VAL_FRACTION * n)
     if n_val < 1:
-        raise ConfigError(f"validation slice is empty: {n} records at {val_fraction}")
+        raise ConfigError(f"validation slice is empty: {n} records at {VAL_FRACTION}")
     cut = n - n_val
     rows = []
     for point in grid:
@@ -553,7 +572,7 @@ def collaborative_grid_search(
             for c in clients
         ]
         sub_config = replace(config, arch=point.arch, l2_lambda=point.l2_lambda)
-        model, _ = run_federated(sub_clients, sub_config)
+        (model,), _ = run_federated(sub_clients, sub_config)
         if point.arch.kind == CLASSIFIER:
             held_out = [(c.x_train[cut:], c.y_train[cut:]) for c in clients]
             scores = [metrics_from_counts(counts)["accuracy"] for counts in evaluate(model, None, held_out)]

@@ -18,7 +18,7 @@ import shutil
 import time
 import types
 import typing
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 
@@ -56,7 +56,7 @@ from .federation import (
     run_federated,
     select_thresholds,
 )
-from .neuralnet import ArchitectureSpec, autoencoder_preset, checkpoint_header, classifier_preset
+from .neuralnet import ArchitectureSpec, autoencoder_preset, classifier_preset
 from .preprocess import local_min_max, merge_bounds, scale
 
 RESULTS_ENV_VAR = "FEDIOT_RESULTS_DIR"
@@ -162,8 +162,8 @@ class ExperimentConfig:
             raise ConfigError(f"folds must be 'all' or a list of device ids, got {self.folds!r}")
         if not isinstance(self.folds, str) and not self.folds:
             raise ConfigError("folds list is empty")
-        if self.attack.kind != "none" and self.approach != "federated":
-            raise ConfigError(f"attacks need the federated approach, not {self.approach}")
+        if (self.attack.kind != "none" or self.dropout_prob > 0) and self.approach != "federated":
+            raise ConfigError(f"attacks and dropout need the federated approach, not {self.approach}")
         if self.attack.kind in FLIP_KINDS and self.mode != "supervised":
             raise ConfigError("label flipping needs supervised training labels")
         if bool(self.grid_presets) != bool(self.grid_l2):
@@ -427,62 +427,61 @@ def _run_cell(
 ) -> tuple[list[dict], list[dict]]:
     """Train and evaluate one (fold, repetition) cell; return metric rows.
 
-    The training devices form groups that each train one model: one fleet
-    of all devices (federated), one client holding their pooled data
-    (centralized), or one single-client fleet per device (naive). The cell's
-    metrics are the mean over groups. Only federated training aggregates,
-    so only it counts aggregations and writes round logs.
+    The training devices form groups with one model and scaling bounds each:
+    one fleet of all devices (federated), one client holding their pooled
+    data (centralized), or each device alone (naive). One run_federated call
+    trains them all, without a server unless federated; under a grid search
+    the groups sharing a winner train in one call. The cell's metrics are the
+    mean over groups. Only federated training aggregates and writes round logs.
     """
     train_ids = [d for d in partitions if d != fold]
-    k = len(train_ids)
-    if config.attack.f >= k:
-        raise ConfigError(f"f={config.attack.f} attackers need more than {k} clients")
+    if config.attack.f >= len(train_ids):
+        raise ConfigError(f"f={config.attack.f} attackers need more than {len(train_ids)} clients")
     federated = config.approach == "federated"
     base_config = _federation_config(config, rep, fold)
     if not federated:
-        # A group of one client has nothing to aggregate.
-        base_config = replace(base_config, algorithm="mini_batch", aggregation=AggregationSpec("avg"))
-    cell_seed = derive_seed(config.master_seed, rep, fold, "cell")
+        # Mini-batch keeps the step budget: epochs * ceil(n_train / batch_size).
+        base_config = replace(base_config, algorithm="mini_batch", aggregation=None)
     log_path = None
     if federated and rounds_dir is not None and config.log_rounds:
         log_path = os.path.join(rounds_dir, f"fold-{fold}-rep-{rep}.jsonl")
 
     groups = [[d] for d in train_ids] if config.approach == "naive" else [train_ids]
-    per_group: list[tuple[dict, dict]] = []  # (known, new-device) metrics
-    device_rows: list[dict] = []
+    mal_rng = np.random.default_rng(derive_seed(config.master_seed, rep, fold, "malicious"))
+    attacks = dict.fromkeys(malicious_ids(train_ids, config.attack.f, mal_rng), config.attack)
+    bounds, clients = [], []  # per group
     for ids in groups:
-        bounds = merge_bounds([local_min_max(partitions[d].train.features) for d in ids])
+        bounds.append(merge_bounds([local_min_max(partitions[d].train.features) for d in ids]))
         members = [partitions[d] for d in ids]
         if config.approach == "centralized":
             members = [DevicePartition.concat("pooled", members)]
-        mal_rng = np.random.default_rng(derive_seed(config.master_seed, rep, fold, "malicious"))
-        bad = malicious_ids([p.device_id for p in members], config.attack.f, mal_rng)
-        clients = [
-            build_client(
-                p,
-                bounds,
-                config.supervised,
-                config.attack if p.device_id in bad else AttackSpec(),
-                derive_seed(config.master_seed, rep, fold, "client", p.device_id),
-            )
+        clients.append([
+            build_client(p, bounds[-1], config.supervised, attacks.get(p.device_id, AttackSpec()),
+                         derive_seed(config.master_seed, rep, fold, "client", p.device_id))
             for p in members
-        ]
-        fed_config = base_config
-        if config.grid_presets:
-            best, _ = collaborative_grid_search(clients, _grid(config), base_config)
-            fed_config = replace(base_config, arch=best.arch, l2_lambda=best.l2_lambda)
-        if log_path is None:
-            model, aggregations = run_federated(clients, fed_config)
-        else:
-            with RoundLogger(log_path) as logger:
-                hook = logger if config.supervised else _threshold_logger(logger, clients, config)
-                model, aggregations = run_federated(clients, fed_config, hook)
+        ])
+    configs = [base_config] * len(groups)
+    if config.grid_presets:
+        winners = (collaborative_grid_search(group, _grid(config), base_config)[0] for group in clients)
+        configs = [replace(base_config, arch=w.arch, l2_lambda=w.l2_lambda) for w in winners]
+    trained, aggregations = {}, 0  # configuration -> its groups' models, in group order
+    for fed_config in dict.fromkeys(configs):
+        fleet = [c for group, c_config in zip(clients, configs) if c_config == fed_config for c in group]
+        with RoundLogger(log_path) if log_path else nullcontext() as logger:
+            hook = logger if logger is None or config.supervised else _threshold_logger(logger, fleet, config)
+            models, count = run_federated(fleet, fed_config, hook)
+        trained[fed_config] = iter(models)
+        aggregations += count
 
+    per_group: list[tuple[dict, dict]] = []  # (known, new-device) metrics
+    device_rows: list[dict] = []
+    for ids, group, group_bounds, fed_config in zip(groups, clients, bounds, configs):
+        model = next(trained[fed_config])
         threshold = None
         if not config.supervised:
-            threshold = select_thresholds(clients, model, config.threshold_ddof).global_threshold
+            threshold = select_thresholds(group, model, config.threshold_ddof).global_threshold
         tests = [partitions[d].test for d in (*ids, fold)]
-        scaled = [(scale(t.features, bounds), t.labels) for t in tests]
+        scaled = [(scale(t.features, group_bounds), t.labels) for t in tests]
         *known, new = evaluate(model, threshold, scaled)
         pooled = sum(known, ConfusionCounts())
         per_group.append((metrics_from_counts(pooled), metrics_from_counts(new)))
@@ -491,16 +490,15 @@ def _run_cell(
                 {"fold": fold, "repetition": rep, "device_id": d, **metrics_from_counts(counts)}
             )
 
-    n_train = clients[0].n_train
     rows = [
         {
             "fold": fold,
             "repetition": rep,
-            "seed": cell_seed,
+            "seed": derive_seed(config.master_seed, rep, fold, "cell"),
             "scope": scope,
             **{m: float(np.mean([g[i][m] for g in per_group])) for m in METRIC_NAMES},
-            "n_train": n_train,
-            "aggregations": aggregations if federated else 0,
+            "n_train": clients[0][0].n_train,
+            "aggregations": aggregations,
         }
         for i, scope in enumerate((KNOWN_SCOPE, NEW_DEVICE_SCOPE))
     ]
@@ -708,10 +706,8 @@ def attack_sweep(
 
 
 def model_size_bytes(arch: ArchitectureSpec, override: int | None = None) -> int:
-    """Serialized model size: the checkpoint's byte count, or a stated override."""
-    if override is not None:
-        return override
-    return len(checkpoint_header(arch)) + 8 * arch.n_parameters
+    """Bytes one model upload moves: its float64 parameter vector, or a stated override."""
+    return 8 * arch.n_parameters if override is None else override
 
 
 def human_bytes(n: int) -> str:

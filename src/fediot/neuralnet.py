@@ -11,7 +11,6 @@ never biases.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ AUTOENCODER = "autoencoder"
 # Hidden layer widths for a 115-feature input, narrowest to deepest.
 CLASSIFIER_HIDDEN = {"A": (), "B": (115,), "C": (115, 58), "D": (115, 58, 29)}
 AUTOENCODER_HIDDEN = {"A": (29,), "B": (58, 29, 58), "C": (86, 58, 38, 29, 38, 58, 86)}
-
-_CHECKPOINT_MAGIC = b"FDNN0001"
 
 
 @dataclass(frozen=True)
@@ -291,7 +288,11 @@ def backward(
     y: np.ndarray | None = None,
     l2_lambda: float = 0.0,
 ) -> np.ndarray:
-    """Gradient of loss() as one flat vector in parameter order."""
+    """Gradient of loss() as one flat vector in parameter order.
+
+    Training calls fleet_backward; this one-model form is the tests' oracle
+    and a layer the benchmark tracer wraps by name.
+    """
     x = _check_input(params, x)
     if y is not None:
         y = np.asarray(y, dtype=np.float64)[None]
@@ -299,7 +300,11 @@ def backward(
 
 
 def sgd_step(params: ModelParameters, grad: np.ndarray, lr: float) -> ModelParameters:
-    """One plain gradient descent update: w <- w - lr * grad."""
+    """One plain gradient descent update: w <- w - lr * grad.
+
+    Training updates its buffer rows in place; this form is the tests' oracle
+    and a layer the benchmark tracer wraps by name.
+    """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.flat.shape:
         raise SchemaError(f"gradient shape {grad.shape} != parameters {params.flat.shape}")
@@ -314,26 +319,3 @@ def mse_per_sample(params: ModelParameters, x: np.ndarray) -> np.ndarray:
         raise ModelKindError("reconstruction error needs an autoencoder model")
     x = _check_input(params, x)
     return np.mean((_head(params, x) - x) ** 2, axis=1)
-
-
-def checkpoint_header(arch: ArchitectureSpec) -> bytes:
-    """The checkpoint bytes before the parameters: magic tag, header length, JSON header."""
-    header = {
-        "kind": arch.kind,
-        "hidden_layers": list(arch.hidden_layers),
-        "input_dim": arch.input_dim,
-        "output_dim": arch.output_dim,
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return _CHECKPOINT_MAGIC + len(blob).to_bytes(4, "little") + blob
-
-
-def save_checkpoint(params: ModelParameters, path: str) -> None:
-    """Write a self-describing checkpoint, byte-stable for equal inputs.
-
-    The file holds a magic tag, the length of a JSON architecture header,
-    the header, and the parameters as raw little-endian float64 values.
-    """
-    with open(path, "wb") as handle:
-        handle.write(checkpoint_header(params.arch))
-        handle.write(params.flat.astype("<f8").tobytes())

@@ -174,7 +174,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         epochs=10,
         shuffle=False,
     )
-    solo, _ = run_federated([ClientState("solo", x, y)], config)
+    (solo,), _ = run_federated([ClientState("solo", x, y)], config)
     model = init_model(arch, config.init_seed)
     steps = 0
     for _ in range(10):
@@ -206,7 +206,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         epochs=5,
         shuffle=False,
     )
-    federated, _ = run_federated(clients, config)
+    (federated,), _ = run_federated(clients, config)
     central = init_model(arch, config.init_seed)
     aggregations = 0
     for _ in range(5):
@@ -246,7 +246,7 @@ def test_model_cancellation_averages_to_exact_zero():
             epochs=1,
             shuffle=False,
         )
-        got, _ = run_federated(clients, config, initial_model=start)
+        (got,), _ = run_federated(clients, config, initial_model=start)
         assert np.all(got.flat == 0.0)
 
 

@@ -110,7 +110,7 @@ class TestMiniBatch:
     def test_single_client_avg_is_plain_sgd(self):
         client = toy_client("solo", n=40, seed=3)
         config = toy_config(epochs=5, learning_rate=0.2, l2_lambda=1e-4, batch_size=8)
-        got, _ = run_federated([client], config)
+        (got,), _ = run_federated([client], config)
         model = init_model(config.arch, config.init_seed)
         for _ in range(5):
             for start in range(0, 40, 8):
@@ -140,7 +140,7 @@ class TestMiniBatch:
             ClientState(f"c{i}", slices_x[i], slices_y[i], seed=i) for i in range(k)
         ]
         config = toy_config(d=d, epochs=4, learning_rate=0.3, batch_size=small_b)
-        federated, _ = run_federated(clients, config)
+        (federated,), _ = run_federated(clients, config)
         central = init_model(config.arch, config.init_seed)
         for _ in range(4):
             for start in range(0, n, big_b):
@@ -151,8 +151,8 @@ class TestMiniBatch:
     def test_deterministic_with_shuffling(self):
         clients = [toy_client("a", seed=5), toy_client("b", seed=6)]
         config = toy_config(shuffle=True)
-        a, _ = run_federated(clients, config)
-        b, _ = run_federated(clients, config)
+        (a,), _ = run_federated(clients, config)
+        (b,), _ = run_federated(clients, config)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_warm_start_arch_mismatch_rejected(self):
@@ -163,15 +163,15 @@ class TestMiniBatch:
     def test_dropout_all_rounds_keeps_initial_model(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
         config = toy_config(dropout_prob=0.999, server_seed=4)
-        got, _ = run_federated(clients, config)
+        (got,), _ = run_federated(clients, config)
         init = init_model(config.arch, config.init_seed)
         # With dropout this close to 1 every draw drops both clients here.
         np.testing.assert_array_equal(got.flat, init.flat)
 
     def test_dropout_depends_on_server_seed(self):
         clients = [toy_client("a"), toy_client("b", seed=1)]
-        a, _ = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=1))
-        b, _ = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=2))
+        (a,), _ = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=1))
+        (b,), _ = run_federated(clients, toy_config(dropout_prob=0.5, server_seed=2))
         assert not np.array_equal(a.flat, b.flat)
 
     def test_round_below_the_rule_floor_keeps_the_global_model(self):
@@ -217,7 +217,7 @@ class TestMultiEpoch:
         config = toy_config(
             algorithm="multi_epoch", rounds=1, epochs=3, learning_rate=0.1, batch_size=8
         )
-        got, _ = run_federated([client], config)
+        (got,), _ = run_federated([client], config)
         model = init_model(config.arch, config.init_seed)
         for _ in range(3):
             for start in range(0, 24, 8):
@@ -229,8 +229,8 @@ class TestMultiEpoch:
     def test_deterministic(self):
         clients = [toy_client("a", seed=1), toy_client("b", seed=2)]
         config = toy_config(algorithm="multi_epoch", shuffle=True, rounds=2)
-        a, _ = run_federated(clients, config)
-        b, _ = run_federated(clients, config)
+        (a,), _ = run_federated(clients, config)
+        (b,), _ = run_federated(clients, config)
         np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_unknown_algorithm_rejected(self):
@@ -284,7 +284,7 @@ class TestSchedules:
         config = toy_config(
             d=3, algorithm=algorithm, epochs=1, rounds=1, learning_rate=0.5, batch_size=8
         )
-        got, _ = run_federated(clients, config)
+        (got,), _ = run_federated(clients, config)
         start = init_model(config.arch, config.init_seed)
         grad = backward(start, x, y)
         expected = start.flat + 0.5 * grad
@@ -306,7 +306,7 @@ class TestSchedules:
         config = toy_config(
             d=3, algorithm=algorithm, epochs=1, rounds=1, learning_rate=0.0, batch_size=32
         )
-        got, _ = run_federated(clients, config, initial_model=start)
+        (got,), _ = run_federated(clients, config, initial_model=start)
         assert np.all(got.flat == 0.0)
 
     @pytest.mark.parametrize("algorithm", SCHEDULES)

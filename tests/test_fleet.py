@@ -10,8 +10,13 @@ Honest AVG mini-batch rounds take one SGD step on the union of the client
 batches instead. union_reference_run_federated spells that step out with
 backward and sgd_step, and run_federated must match it bit for bit; against
 the per-client loop such runs agree to UNION_TOL.
+
+Without a server (aggregation None) every row is one client training alone:
+alone_reference_run_federated runs each client's one-client AVG mini-batch
+run in client order, as the harness once did for naive devices.
 """
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -89,7 +94,13 @@ def reference_run_federated(clients, config, on_round=None, initial_model=None):
                 },
                 model,
             )
-    return model, aggregations
+    return [model], aggregations
+
+
+def alone_reference_run_federated(clients, config, on_round=None):
+    """No server: each client's own one-client AVG mini-batch run, one after another."""
+    alone = replace(config, algorithm="mini_batch", aggregation=AggregationSpec("avg"))
+    return [reference_run_federated([c], alone)[0][0] for c in clients], 0
 
 
 def union_reference_run_federated(clients, config, on_round=None):
@@ -119,7 +130,7 @@ def union_reference_run_federated(clients, config, on_round=None):
                 },
                 model,
             )
-    return model, rounds
+    return [model], rounds
 
 
 def _run(train, clients, config, with_log):
@@ -130,10 +141,10 @@ def _run(train, clients, config, with_log):
         records.append((json.dumps(info, sort_keys=True), model.flat.tobytes()))
 
     try:
-        model, aggregations = train(clients, config, hook if with_log else None)
+        models, aggregations = train(clients, config, hook if with_log else None)
     except PoisonedUpdateError as exc:
         return ("error", str(exc))
-    return (model.flat.tobytes(), aggregations, records)
+    return (b"".join(m.flat.tobytes() for m in models), aggregations, records)
 
 
 ATTACKS = ("none", "flip_all", "gradient_factor", "model_cancel")
@@ -159,14 +170,16 @@ UNION_TOL = 1e-12
 
 
 @st.composite
-def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True):
-    """Small random fleets; union=True draws only honest AVG mini-batch ones."""
+def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True):
+    """Small random fleets; union=True draws only honest AVG mini-batch ones,
+    server=False only ones with no aggregation, model attack or dropout."""
     k = draw(st.sampled_from(ks))
     supervised = draw(st.booleans())
     features = draw(st.integers(2, 5))
     n = draw(st.integers(1, 13))
-    rule = draw(st.sampled_from([RULES[0]] if union else [r for r in RULES if r.min_models <= k]))
-    kinds = ("none", "flip_all") if union else ATTACKS
+    rules = [RULES[0]] if union else [r for r in RULES if r.min_models <= k]
+    rule = draw(st.sampled_from(rules)) if server else None
+    kinds = ("none", "flip_all") if union or not server else ATTACKS
     kind = draw(st.sampled_from(kinds if k > 1 else ("none",)))
     if kind == "flip_all" and not supervised:
         kind = "none"
@@ -186,7 +199,7 @@ def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True):
         aggregation=rule,
         epochs=draw(st.integers(1, 2)),
         rounds=draw(st.integers(1, 3)),
-        dropout_prob=0.0 if union else draw(st.sampled_from((0.0, 0.0, 0.5))),
+        dropout_prob=0.0 if union or not server else draw(st.sampled_from((0.0, 0.0, 0.5))),
         shuffle=draw(st.booleans()),
         init_seed=draw(st.integers(0, 3)),
         server_seed=draw(st.integers(0, 3)),
@@ -290,11 +303,29 @@ def test_one_client_union_step_is_the_fleet_step(fleet, with_log):
     assert union == fleet_path
 
 
-@pytest.mark.parametrize("algorithm", ("mini_batch", "multi_epoch"))
-def test_first_bad_client_in_client_order_is_named(algorithm):
+@settings(max_examples=150)
+@given(fleets(server=False))
+def test_no_server_rows_are_each_client_alone_bit_for_bit(fleet):
+    # Any schedule: without a server each row is its client's one-client AVG
+    # mini-batch run, and a poisoned client is named as the per-client runs,
+    # made in client order, name it.
+    clients, config = fleet
+    with np.errstate(all="ignore"):
+        expected = _run(alone_reference_run_federated, clients, config, False)
+        got = _run(run_federated, clients, config, False)
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "algorithm, rule",
+    [("mini_batch", AggregationSpec("avg")), ("multi_epoch", AggregationSpec("avg")), ("mini_batch", None)],
+    ids=["mini_batch", "multi_epoch", "no_server"],
+)
+def test_first_bad_client_in_client_order_is_named(algorithm, rule):
     # Client c0 goes bad on its last batch, c1 on its first. The reference
     # loop finishes c0's round before c1 starts, so it names c0 under
-    # multi-epoch aggregation and c1 under mini-batch; the fleet must agree.
+    # multi-epoch aggregation and c1 under mini-batch. Without a server each
+    # client runs alone, c0 first, so c0 is named. The fleet must agree.
     rng = np.random.default_rng(0)
     arch = ArchitectureSpec("classifier", (3,), 3, 1)
     clients = []
@@ -302,9 +333,12 @@ def test_first_bad_client_in_client_order_is_named(algorithm):
         x = rng.uniform(0, 1, size=(8, 3))
         x[bad_row, 1] = np.nan
         clients.append(ClientState(f"c{i}", x, rng.integers(0, 2, size=8), seed=i))
-    config = FederationConfig(arch=arch, algorithm=algorithm, batch_size=2, rounds=1, epochs=1, shuffle=False)
+    config = FederationConfig(
+        arch=arch, algorithm=algorithm, aggregation=rule, batch_size=2, rounds=1, epochs=1, shuffle=False
+    )
+    reference = reference_run_federated if rule else alone_reference_run_federated
     with np.errstate(all="ignore"):
-        expected = _run(reference_run_federated, clients, config, False)
+        expected = _run(reference, clients, config, False)
         got = _run(run_federated, clients, config, False)
     assert expected[0] == "error"
     assert got == expected

@@ -33,7 +33,6 @@ from fediot.neuralnet import (
     autoencoder_preset,
     classifier_preset,
     init_model,
-    save_checkpoint,
 )
 
 
@@ -146,6 +145,14 @@ class TestConfigParsing:
         raw = tiny_dict(approach="centralized")
         raw["attack"] = {"kind": "model_cancel", "f": 1}
         with pytest.raises(ConfigError, match="federated"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("approach", ["naive", "centralized"])
+    def test_dropout_needs_federated_approach(self, approach):
+        # Without a server a dropped round would throw a local step away.
+        raw = tiny_dict(approach=approach)
+        raw["training"]["dropout_prob"] = 0.5
+        with pytest.raises(ConfigError, match="dropout need the federated approach"):
             config_from_dict(raw)
 
     def test_label_flip_needs_supervised_mode(self):
@@ -330,11 +337,56 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("approach", ["naive", "centralized"])
     def test_single_client_groups_ignore_the_rule(self, tmp_path, approach):
-        # A group of one client has nothing to aggregate, whatever the rule.
+        # Without a server nothing is aggregated, whatever the rule.
         plain = run_experiment(tiny_config(approach=approach), str(tmp_path / "avg"))
         for rule in ({"rule": "tm", "trim_c": 1}, {"rule": "med", "resample_s": 2}):
             config = tiny_config(approach=approach, aggregation=rule)
             assert run_experiment(config, str(tmp_path / rule["rule"])).rows == plain.rows
+
+    @pytest.mark.parametrize("approach, fleet", [("naive", 2), ("federated", 2), ("centralized", 1)])
+    def test_one_training_call_per_cell(self, tmp_path, monkeypatch, approach, fleet):
+        # 3 devices, 3 cells of 2 training devices each.
+        calls = []
+
+        def counting(clients, *args, **kwargs):
+            calls.append(len(clients))
+            return run_federated(clients, *args, **kwargs)
+
+        monkeypatch.setattr("fediot.harness.run_federated", counting)
+        result = run_experiment(tiny_config(approach=approach), str(tmp_path))
+        assert calls == [fleet] * 3
+        expected = 60 if approach == "federated" else 0
+        assert all(r["aggregations"] == expected for r in result.rows)
+
+    def test_naive_grid_trains_once_per_distinct_winner(self, tmp_path, monkeypatch):
+        # dev-1 picks preset B, every other device preset A: each cell of 3
+        # training devices trains one fleet per winner, and each device
+        # scores as the same cell without a grid at its winner's preset.
+        def pick(clients, grid, config):
+            (client,) = clients
+            return grid[1 if client.client_id == "dev-1" else 0], []
+
+        calls = []
+
+        def counting(clients, fed_config, *args):
+            calls.append((fed_config.arch.hidden_layers, [c.client_id for c in clients]))
+            return run_federated(clients, fed_config, *args)
+
+        monkeypatch.setattr("fediot.harness.collaborative_grid_search", pick)
+        monkeypatch.setattr("fediot.harness.run_federated", counting)
+        raw = tiny_dict(approach="naive")
+        raw["data"]["devices"] = 4
+        raw["model"] = {"preset": "A", "grid": {"presets": ["A", "B"], "l2_values": [0.0]}}
+        raw["protocol"]["folds"] = ["dev-0", "dev-2"]
+        grid_rows = run_experiment(config_from_dict(raw), str(tmp_path / "grid")).device_rows
+        a, b = CLASSIFIER_HIDDEN["A"], CLASSIFIER_HIDDEN["B"]
+        assert calls == [(b, ["dev-1"]), (a, ["dev-2", "dev-3"]), (a, ["dev-0", "dev-3"]), (b, ["dev-1"])]
+        for preset, devices in (("A", {"dev-0", "dev-2", "dev-3"}), ("B", {"dev-1"})):
+            raw["model"] = {"preset": preset}
+            rows = run_experiment(config_from_dict(raw), str(tmp_path / preset)).device_rows
+            assert [r for r in rows if r["device_id"] in devices] == [
+                r for r in grid_rows if r["device_id"] in devices
+            ]
 
     def test_no_client_loss_without_round_logs(self, tmp_path, monkeypatch):
         calls = []
@@ -643,13 +695,12 @@ class TestCostTable:
         assert rows[0]["batch_size"] == 8
         assert rows[1]["batch_size"] == 16
 
-    def test_measured_model_size_without_override(self, tmp_path):
+    def test_measured_model_size_without_override(self):
+        # One upload is the float64 parameter vector a round sends.
         archs = [classifier_preset(name) for name in CLASSIFIER_HIDDEN]
         archs += [autoencoder_preset(name) for name in AUTOENCODER_HIDDEN]
-        path = tmp_path / "model.bin"
         for arch in archs:
-            save_checkpoint(init_model(arch, 0), str(path))
-            assert model_size_bytes(arch) == path.stat().st_size
+            assert model_size_bytes(arch) == 8 * init_model(arch, 0).flat.size
         assert model_size_bytes(archs[0], 94000) == 94000
 
     def test_human_bytes(self):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from fediot.neuralnet import (
     init_model,
     loss,
     mse_per_sample,
-    save_checkpoint,
     sgd_step,
     _elu_grad,
     _sigmoid,
@@ -329,27 +326,3 @@ class TestKindErrors:
         with pytest.raises(ModelKindError):
             classify(params, np.zeros((2, 3)))
 
-
-class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        # Decode the documented layout: magic, header length, JSON header,
-        # little-endian float64 parameters.
-        params = init_model(autoencoder_preset("A", input_dim=7), seed=9)
-        path = str(tmp_path / "model.bin")
-        save_checkpoint(params, path)
-        blob = open(path, "rb").read()
-        assert blob[:8] == b"FDNN0001"
-        end = 12 + int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:end])
-        arch = ArchitectureSpec(
-            header["kind"], tuple(header["hidden_layers"]), header["input_dim"], header["output_dim"]
-        )
-        assert arch == params.arch
-        np.testing.assert_array_equal(np.frombuffer(blob[end:], dtype="<f8"), params.flat)
-
-    def test_serialization_is_byte_stable(self, tmp_path):
-        params = init_model(classifier_preset("B", input_dim=6), seed=11)
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        save_checkpoint(params, a)
-        save_checkpoint(params, b)
-        assert open(a, "rb").read() == open(b, "rb").read()

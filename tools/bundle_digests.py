@@ -10,6 +10,8 @@ shipped profiles, cut to RECORDS records per device, fold dev-0, one
 repetition, and EPOCHS epochs of ROUNDS rounds:
 - both modes x naive/federated/centralized x both schedules, round logs on;
 - a grid run with sample_std, in both modes;
+- naive and centralized grid runs in both modes, so every naive device's own
+  winner is in the check;
 - AVG, MED, TM(1), TM(2) and 2-RS+TM(1), each with no attack and with
   flip_all, gradient_factor and model_cancel at f = 1, under both
   schedules, round logs on;
@@ -83,6 +85,8 @@ def _matrix(fleet: str) -> list[tuple[str, dict, list[str]]]:
                                             algorithm=schedule, training=logs), []))
         grid = {"grid": {"presets": ["A", "B"], "l2_values": [0.0, 1e-4]}}
         runs.append(("run", _config(profile, f"{mode}-grid", model=grid, report={"sample_std": True}), []))
+        for approach in ("naive", "centralized"):
+            runs.append(("run", _config(profile, f"{mode}-{approach}-grid", approach=approach, model=grid), []))
     for rule, spec in RULES.items():
         for attack in ATTACKS:
             for schedule in SCHEDULES:
