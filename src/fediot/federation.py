@@ -188,8 +188,6 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
         raise ConfigError(f"clients disagree on the model attack: {model_attacks}")
     if model_attacks:
         spec = model_attacks.pop()
-        if rule is None:
-            raise ConfigError(f"the {spec.kind} attack needs a server, but aggregation is None")
         count = sum(1 for c in clients if c.attack == spec)
         if count != spec.f:
             raise ConfigError(f"attack says f={spec.f} but {count} clients are malicious")
@@ -295,7 +293,8 @@ def run_federated(
     raises PoisonedUpdateError naming the first bad client in client order.
 
     With config.aggregation None (no server) each client trains alone as one
-    row, in one round of all its steps; such a run takes no on_round hook.
+    row, in one round of all its steps; such a run takes no on_round hook
+    and no model attack.
 
     Returns ([final global model], or without a server one model per client
     in client order) and the number of rounds that aggregated; a round whose
@@ -303,8 +302,8 @@ def run_federated(
     does not count.
     """
     attack_spec = _validate_fleet(clients, config)
-    if config.aggregation is None and on_round is not None:
-        raise ConfigError("a run without a server has no rounds to report")
+    if config.aggregation is None and (on_round is not None or attack_spec is not None):
+        raise ConfigError("a run without a server takes no on_round hook and no model attack")
     rounds, steps = schedule(config, clients[0].n_train)
     mini_batch = config.algorithm == "mini_batch"
     grad_alpha, cancel_alpha = _attack_factors(attack_spec, len(clients))

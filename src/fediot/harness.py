@@ -18,7 +18,7 @@ import shutil
 import time
 import types
 import typing
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 
@@ -460,22 +460,25 @@ def _run_cell(
                          derive_seed(config.master_seed, rep, fold, "client", p.device_id))
             for p in members
         ])
-    configs = [base_config] * len(groups)
+    group_configs = [base_config] * len(groups)
     if config.grid_presets:
         winners = (collaborative_grid_search(group, _grid(config), base_config)[0] for group in clients)
-        configs = [replace(base_config, arch=w.arch, l2_lambda=w.l2_lambda) for w in winners]
+        group_configs = [replace(base_config, arch=w.arch, l2_lambda=w.l2_lambda) for w in winners]
     trained, aggregations = {}, 0  # configuration -> its groups' models, in group order
-    for fed_config in dict.fromkeys(configs):
-        fleet = [c for group, c_config in zip(clients, configs) if c_config == fed_config for c in group]
-        with RoundLogger(log_path) if log_path else nullcontext() as logger:
-            hook = logger if logger is None or config.supervised else _threshold_logger(logger, fleet, config)
-            models, count = run_federated(fleet, fed_config, hook)
+    for fed_config in dict.fromkeys(group_configs):
+        fleet = [c for group, g in zip(clients, group_configs) if g == fed_config for c in group]
+        if log_path is None:
+            models, count = run_federated(fleet, fed_config)
+        else:
+            with RoundLogger(log_path) as logger:
+                hook = logger if config.supervised else _threshold_logger(logger, fleet, config)
+                models, count = run_federated(fleet, fed_config, hook)
         trained[fed_config] = iter(models)
         aggregations += count
 
     per_group: list[tuple[dict, dict]] = []  # (known, new-device) metrics
     device_rows: list[dict] = []
-    for ids, group, group_bounds, fed_config in zip(groups, clients, bounds, configs):
+    for ids, group, group_bounds, fed_config in zip(groups, clients, bounds, group_configs):
         model = next(trained[fed_config])
         threshold = None
         if not config.supervised:

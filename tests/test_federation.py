@@ -97,6 +97,16 @@ class TestFleetValidation:
         with pytest.raises(ConfigError, match="f=2"):
             run_federated(clients, toy_config())
 
+    def test_no_server_takes_no_dropout_model_attack_or_round_hook(self):
+        with pytest.raises(ConfigError, match="dropout needs a server"):
+            toy_config(aggregation=None, dropout_prob=0.5)
+        attack = AttackSpec(kind="gradient_factor", f=1)
+        clients = [toy_client("a", attack=attack), toy_client("b", seed=1)]
+        with pytest.raises(ConfigError, match="no model attack"):
+            run_federated(clients, toy_config(aggregation=None))
+        with pytest.raises(ConfigError, match="no on_round hook"):
+            run_federated([toy_client("a")], toy_config(aggregation=None), on_round=lambda info, m: None)
+
 
 class TestMiniBatch:
     def test_aggregation_count_is_epochs_times_ceil_batches(self):
@@ -243,6 +253,8 @@ class TestSchedules:
         config = toy_config(epochs=3, rounds=5, batch_size=8)
         assert schedule(config, 20) == (3 * 3, 1)
         assert schedule(replace(config, algorithm="multi_epoch"), 20) == (5, 3 * 3)
+        for algorithm in SCHEDULES:  # no server: every step in one round
+            assert schedule(replace(config, algorithm=algorithm, aggregation=None), 20) == (1, 3 * 3)
 
     def test_mini_batch_rate_is_constant(self):
         config = toy_config(learning_rate=0.2, lr_decay=0.5)
