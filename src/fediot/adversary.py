@@ -99,9 +99,19 @@ def flip_labels(
     return SampleSet(samples.features, labels, samples.seq_index)
 
 
-def cancel_update(global_model: ModelParameters, alpha: float) -> ModelParameters:
-    """Reply with alpha times the received global model, skipping training."""
-    return ModelParameters(global_model.arch, alpha * global_model.flat)
+def cancel_update(
+    global_model: ModelParameters, alpha: float, out: np.ndarray | None = None
+) -> ModelParameters:
+    """Reply with alpha times the received global model, skipping training.
+
+    With out the product is written there, and the reply is a read-only view
+    of out that is valid only until out is next written.
+    """
+    flat = np.multiply(global_model.flat, alpha, out=out)
+    if out is not None:
+        flat = flat.view()
+        flat.setflags(write=False)
+    return ModelParameters(global_model.arch, flat)
 
 
 def malicious_ids(client_ids: list[str], f: int, rng: np.random.Generator) -> set[str]:

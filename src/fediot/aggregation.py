@@ -1,21 +1,25 @@
 """Aggregation rules that combine client models into one global model.
 
-Every rule reduces one (k, d) float64 array, a row per client's flat
-parameter vector, along the client axis. Plain averaging is the baseline;
-coordinate-wise median and trimmed mean (Yin et al., ICML 2018) drop extreme
-values per coordinate, and resampling redraws the k rows before the rule
-runs. aggregate is the one function that takes client models: it stacks them
-once into an array of its own and builds the model. The median and the
-trimmed mean sort that array along the client axis with an exact min/max
-sorting network that needs one spare row, not a further (k, d) array: it
-tracks which row holds each sorted position instead of moving rows back,
-and leaves the array overwritten. The rules add the rows they keep in the
-order .mean(axis=0) would, so no result bit depends on this.
+Every rule reduces a sequence of k float64 d-vectors, one per client's flat
+parameter vector, along the client axis: the rows of a (k, d) array or a
+list of row views. Plain averaging is the baseline; coordinate-wise median
+and trimmed mean (Yin et al., ICML 2018) drop extreme values per
+coordinate, and resampling redraws the k rows before the rule runs.
+reduce_rows dispatches one spec over such rows; the training loop hands it
+views of its parameter buffer in client order, and aggregate stacks client
+models into an array of its own first. The median and the trimmed mean sort
+the rows along the client axis with an exact min/max sorting network that
+needs one spare row, not a further (k, d) array: it tracks which row holds
+each sorted position instead of moving rows back, and leaves the rows
+overwritten. The rules add the rows they keep in order and then divide, the
+arithmetic of .mean(axis=0) on the stacked rows, so no result bit depends
+on how the rows are held.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,9 +65,9 @@ class AggregationSpec:
         return name
 
 
-def average(updates: np.ndarray) -> np.ndarray:
-    """Coordinate-wise mean of the (k, d) client rows."""
-    return updates.mean(axis=0)
+def average(updates: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinate-wise mean of the k client rows."""
+    return _row_mean(updates)
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,16 +95,16 @@ def _network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def sort_rows(updates: np.ndarray) -> list[np.ndarray]:
-    """Sort every column of a (k, d) array; return its k rows in ascending order.
+def sort_rows(updates: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Sort every column of k rows; return the k rows in ascending order.
 
     A comparator network of np.minimum/np.maximum passes puts each column's
     values in ascending order, so the returned rows equal those of
     np.sort(updates, axis=0) except that equal values of opposite sign
     (-0.0, 0.0) may trade places. Each comparator writes its minimum into a
     spare row and its maximum in place, then the spare takes over the
-    minimum's slot. Each returned row is a view of updates or the one new
-    spare, and updates itself is left overwritten, neither sorted nor intact.
+    minimum's slot. Each returned row is one of the input rows or the one new
+    spare, and the input rows are left overwritten, neither sorted nor intact.
     """
     rows = list(updates)
     spare = np.empty_like(updates[0])
@@ -111,8 +115,9 @@ def sort_rows(updates: np.ndarray) -> list[np.ndarray]:
     return rows
 
 
-def _row_mean(rows: list[np.ndarray]) -> np.ndarray:
-    # Adds the rows in order, then divides: the sums .mean(axis=0) makes.
+def _row_mean(rows: Sequence[np.ndarray]) -> np.ndarray:
+    # Adds the rows in order into a new vector, then divides: the sums
+    # .mean(axis=0) makes.
     out = rows[0].copy()
     for row in rows[1:]:
         out += row
@@ -120,25 +125,27 @@ def _row_mean(rows: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def coordinate_median(updates: np.ndarray) -> np.ndarray:
+def coordinate_median(updates: Sequence[np.ndarray]) -> np.ndarray:
     """Coordinate-wise median; an even count averages the two middle values.
 
-    Overwrites updates (see sort_rows).
+    Overwrites the rows (see sort_rows).
     """
-    k = updates.shape[0]
+    k = len(updates)
     # The mean of the middle one or two rows, as np.median computes it.
     return _row_mean(sort_rows(updates)[(k - 1) // 2 : k // 2 + 1])
 
 
-def trimmed_mean(updates: np.ndarray, trim_c: int) -> np.ndarray:
+def trimmed_mean(updates: Sequence[np.ndarray], trim_c: int) -> np.ndarray:
     """Mean after removing the trim_c largest and smallest values per coordinate.
 
-    Overwrites updates (see sort_rows).
+    Overwrites the rows (see sort_rows).
     """
-    return _row_mean(sort_rows(updates)[trim_c : updates.shape[0] - trim_c])
+    return _row_mean(sort_rows(updates)[trim_c : len(updates) - trim_c])
 
 
-def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndarray:
+def s_resample(
+    updates: Sequence[np.ndarray], s: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Redraw the k rows, each the mean of s draws, no input used more than s times.
 
     Every output slot draws uniformly with rejection until it finds a row
@@ -148,13 +155,16 @@ def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     a robust rule runs. While a slot is open some row has a use left, so
     each draw succeeds with probability at least 1/k and the loop ends.
     Each output row sums its draws in draw order and all rows are divided
-    by s at the end, the arithmetic of a per-row mean.
+    by s at the end, the arithmetic of a per-row mean. The (k, d) result is
+    written to out if given (it must not hold the input rows), else to a new
+    array.
     """
-    k = updates.shape[0]
+    k = len(updates)
     if s < 1:
         raise ConfigError(f"resample_s must be >= 1, got {s}")
     usage = [0] * k
-    out = np.empty_like(updates)
+    if out is None:
+        out = np.empty((k, len(updates[0])))
     for row in out:
         for draw in range(s):
             while True:
@@ -170,6 +180,33 @@ def s_resample(updates: np.ndarray, s: int, rng: np.random.Generator) -> np.ndar
     return out
 
 
+def reduce_rows(
+    updates: Sequence[np.ndarray],
+    spec: AggregationSpec,
+    rng: np.random.Generator | None = None,
+    resample_out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reduce k client rows under one spec into a new flat global vector.
+
+    Resamples the rows if the spec says so, into resample_out[:k] when a
+    (>= k, d) scratch array is given, then applies the rule, which may
+    overwrite the rows it reduces.
+    """
+    k = len(updates)
+    if k < spec.min_models:
+        raise ConfigError(f"{spec.describe()} needs at least {spec.min_models} models, got {k}")
+    if spec.resample_s:
+        if rng is None:
+            raise ConfigError("resampling needs a seeded random generator")
+        out = None if resample_out is None else resample_out[:k]
+        updates = s_resample(updates, spec.resample_s, rng, out=out)
+    if spec.rule == "avg":
+        return average(updates)
+    if spec.rule == "med":
+        return coordinate_median(updates)
+    return trimmed_mean(updates, spec.trim_c)
+
+
 def aggregate(
     models: list[ModelParameters],
     spec: AggregationSpec,
@@ -177,9 +214,8 @@ def aggregate(
 ) -> ModelParameters:
     """Combine the client models under one spec into the new global model.
 
-    Stacks the flat vectors once into a (k, d) array, resamples it if the
-    spec says so, reduces it with the rule (which may overwrite that array),
-    and wraps the result.
+    Stacks the flat vectors once into a (k, d) array of its own and reduces
+    its rows with reduce_rows.
     """
     k = len(models)
     if k < spec.min_models:
@@ -187,15 +223,4 @@ def aggregate(
     arch = models[0].arch
     if any(m.arch != arch for m in models):
         raise SchemaError(f"architecture mismatch: {sorted({str(m.arch) for m in models})}")
-    updates = np.stack([m.flat for m in models])
-    if spec.resample_s:
-        if rng is None:
-            raise ConfigError("resampling needs a seeded random generator")
-        updates = s_resample(updates, spec.resample_s, rng)
-    if spec.rule == "avg":
-        flat = average(updates)
-    elif spec.rule == "med":
-        flat = coordinate_median(updates)
-    else:
-        flat = trimmed_mean(updates, spec.trim_c)
-    return ModelParameters(arch, flat)
+    return ModelParameters(arch, reduce_rows(np.stack([m.flat for m in models]), spec, rng))

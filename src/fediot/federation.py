@@ -31,7 +31,7 @@ from .adversary import (
     cancel_update,
     flip_labels,
 )
-from .aggregation import AggregationSpec, aggregate
+from .aggregation import AggregationSpec, reduce_rows
 from .dataset import DevicePartition
 from .errors import ConfigError, PoisonedUpdateError, SchemaError
 from .neuralnet import (
@@ -284,13 +284,17 @@ def run_federated(
 
     One step body trains the first rows of a parameter buffer with one
     batched backward pass on the training clients' batches. With one row per
-    client it is the fleet step, bit for bit what each client would compute
-    alone, and the rows go to aggregate. Honest AVG mini-batch rounds (no
-    model attack, resampling or dropout) run it with one row on the k batches
-    concatenated in client order: one SGD step on the union batch, equal to
-    averaging the k client steps up to rounding (exact for k = 1). A
-    non-finite union step reruns with k rows. A non-finite gradient or model
-    raises PoisonedUpdateError naming the first bad client in client order.
+    trainer it is the fleet step, bit for bit what each client would compute
+    alone. The buffer holds one row per client, the trainers' first; each
+    model canceller's row is rewritten every round with its reply. The rule
+    reduces the rows of the clients that did not drop out, in client order,
+    and may overwrite them (see reduce_rows). Honest AVG mini-batch rounds
+    (no model attack, resampling or dropout) run the step with one row on
+    the k batches concatenated in client order: one SGD step on the union
+    batch, equal to averaging the k client steps up to rounding (exact for
+    k = 1). A non-finite union step reruns with k rows. A non-finite
+    gradient or model raises PoisonedUpdateError naming the first bad client
+    in client order.
 
     With config.aggregation None (no server) each client trains alone as one
     row, in one round of all its steps; such a run takes no on_round hook
@@ -302,7 +306,8 @@ def run_federated(
     does not count.
     """
     attack_spec = _validate_fleet(clients, config)
-    if config.aggregation is None and (on_round is not None or attack_spec is not None):
+    rule = config.aggregation
+    if rule is None and (on_round is not None or attack_spec is not None):
         raise ConfigError("a run without a server takes no on_round hook and no model attack")
     rounds, steps = schedule(config, clients[0].n_train)
     mini_batch = config.algorithm == "mini_batch"
@@ -310,17 +315,22 @@ def run_federated(
     model = _starting_model(config, initial_model)
     server_rng = np.random.default_rng(config.server_seed)
     arch, l2, dim = config.arch, config.l2_lambda, config.arch.input_dim
-    # Model-cancelling clients do not train and own no buffer row.
+    # Model-cancelling clients do not train; their rows follow the trainers'.
     trainers = [i for i, c in enumerate(clients) if c.attack.kind != "model_cancel"]
+    cancellers = [i for i, c in enumerate(clients) if c.attack.kind == "model_cancel"]
     k = len(trainers)
     boosted = [row for row, i in enumerate(trainers) if clients[i].attack.kind == "gradient_factor"]
-    params = np.zeros((k, arch.n_parameters))
-    grads = np.empty_like(params)
+    params = np.zeros((len(clients), arch.n_parameters))
+    grads = np.empty((k, arch.n_parameters))
+    slot = {i: row for row, i in enumerate(trainers + cancellers)}
+    client_rows = [params[slot[i]] for i in range(len(clients))]
+    # s-resampling writes its rows here, so a round allocates no (k, d) array.
+    resampled = np.empty_like(params) if rule is not None and rule.resample_s else None
     # Each trainer's model is a read-only view of its buffer row, built once.
-    # Unlike other ModelParameters these change with every local step, so
-    # they are valid only until the next step: aggregate copies the rows, and
-    # nothing may keep the models themselves past the round.
-    shared = params.view()
+    # Unlike other ModelParameters these change with every local step and
+    # every reduction, so they are valid only until the next step or
+    # aggregation, and nothing may keep the models themselves past the round.
+    shared = params[:k].view()
     shared.setflags(write=False)
     trained = [ModelParameters(arch, row) for row in shared]
     batch_x = np.empty((k, config.batch_size, dim))
@@ -332,13 +342,8 @@ def run_federated(
     for round_index in range(rounds):
         lr = config.lr_at(round_index)
         rows = 1 if union else k
-        # The round's replies in client order: each trainer's row view, which
-        # its local steps update in place, and each model canceller's update.
-        local_models = iter(trained)
-        replies = [
-            cancel_update(model, cancel_alpha) if c.attack.kind == "model_cancel" else next(local_models)
-            for c in clients
-        ]
+        for row in range(k, len(clients)):
+            cancel_update(model, cancel_alpha, out=params[row])
         errors: dict[int, str] = {}  # client index -> its first failed check this round
         for step in range(steps):
             # The batches packed in client order: a (k, size, F) fleet batch
@@ -359,12 +364,19 @@ def run_federated(
                 fleet_backward(arch, fleet, xs.reshape(rows, -1, dim), y, l2, out=fleet_grads)
                 for row in boosted:
                     grads[row] *= grad_alpha
-                for row in _non_finite_rows(fleet_grads):
-                    errors.setdefault(trainers[row], "gradient contains non-finite values")
+                # A non-finite gradient makes its updated row non-finite (at
+                # lr = 0 too: 0 * inf is NaN), so the gradients are screened
+                # only for a bad row. Above lr = 1 a finite gradient times lr
+                # can overflow, so the unscaled ones are screened first.
+                bad_grads = _non_finite_rows(fleet_grads) if lr > 1 else None
                 fleet_grads *= lr
                 fleet -= fleet_grads
-                for row in _non_finite_rows(fleet):
-                    errors.setdefault(trainers[row], "model parameters contain non-finite values")
+                bad = _non_finite_rows(fleet)
+                if bad.size:
+                    for row in _non_finite_rows(fleet_grads) if bad_grads is None else bad_grads:
+                        errors.setdefault(trainers[row], "gradient contains non-finite values")
+                    for row in bad:
+                        errors.setdefault(trainers[row], "model parameters contain non-finite values")
                 if rows == k or not errors:
                     break
                 # A non-finite union step (the round's only step) reruns
@@ -389,13 +401,15 @@ def run_federated(
                 else:
                     losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
         dropped = _dropped(len(clients), config, server_rng)
-        kept = [local for local, gone in zip(replies, dropped) if not gone]
+        kept = [row for row, gone in zip(client_rows, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
-        if config.aggregation is not None and len(kept) >= config.aggregation.min_models:
+        if rule is not None and len(kept) >= rule.min_models:
             if union and rows == 1:  # the union step already averaged the k client steps
                 model = ModelParameters(arch, params[0])
             else:
-                model = aggregate(kept, config.aggregation, server_rng)
+                flat = reduce_rows(kept, rule, server_rng, resampled)
+                flat.setflags(write=False)  # a new vector, so the model need not copy it
+                model = ModelParameters(arch, flat)
             aggregations += 1
         if on_round is not None:
             on_round(
@@ -409,7 +423,7 @@ def run_federated(
                 model,
             )
     # Without a server the buffer rows, which no step writes any more, are the models.
-    return (trained if config.aggregation is None else [model]), aggregations
+    return (trained if rule is None else [model]), aggregations
 
 
 @dataclass(frozen=True)
@@ -543,7 +557,8 @@ def collaborative_grid_search(
     Every client holds out the chronologically last VAL_FRACTION of its
     training records. Classifiers compare mean validation accuracy (higher
     wins), autoencoders mean validation loss (lower wins). Ties keep the
-    earliest point in the grid.
+    earliest point in the grid. Without a server (config.aggregation None)
+    the search runs on one client alone.
 
     Returns the winning point and one report row per grid point.
     """
@@ -551,6 +566,8 @@ def collaborative_grid_search(
         raise ConfigError("grid search needs at least one point")
     if not clients:
         raise ConfigError("grid search needs clients")
+    if config.aggregation is None and len(clients) > 1:
+        raise ConfigError(f"grid search without a server takes one client at a time, got {len(clients)}")
     kinds = {p.arch.kind for p in grid}
     if len(kinds) > 1:
         raise ConfigError(f"grid mixes incomparable model kinds: {sorted(kinds)}")

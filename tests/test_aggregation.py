@@ -8,6 +8,7 @@ from fediot.aggregation import (
     aggregate,
     average,
     coordinate_median,
+    reduce_rows,
     s_resample,
     sort_rows,
     trimmed_mean,
@@ -216,6 +217,21 @@ class TestResampling:
                 assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_out_buffer_matches_the_allocating_form(self, s):
+        # The rows of a larger, dirty scratch array take exactly the bits
+        # and draws of a fresh result.
+        scratch = np.full((12, 5), np.nan)
+        for k in (1, 2, 5, 8, 12):
+            updates = self.rand_updates(k=k, d=4, seed=k)
+            rng, fresh_rng = np.random.default_rng(k), np.random.default_rng(k)
+            got = s_resample(list(updates), s, rng, out=scratch[:k])
+            want = s_resample(updates, s, fresh_rng)
+            assert got.base is scratch
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state
+
+
 def capped_resample_reference(updates, s, rng, max_draws=10**6):
     # Reference: the rejection loop with a cap of max_draws draws per output slot.
     k = updates.shape[0]
@@ -279,6 +295,34 @@ class TestAggregateDispatch:
         spec = AggregationSpec("avg", resample_s=2)
         got = aggregate(models_from_rows(updates), spec, np.random.default_rng(9))
         np.testing.assert_allclose(got.flat, average(updates), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "spec", SWEEP_RULES + (AggregationSpec("avg", resample_s=2),), ids=lambda spec: spec.describe()
+    )
+    @pytest.mark.parametrize("k", (5, 8, 9))
+    def test_row_views_reduce_like_the_stacked_array(self, spec, k):
+        # The training loop hands reduce_rows views of scattered buffer rows
+        # and a scratch array for resampling; the bits and the generator's
+        # draws must be those of the stacked (k, d) array.
+        updates = np.random.default_rng(k).normal(0.0, 3.0, size=(k, 33))
+        buffer = np.empty((k + 2, 33))
+        slots = np.random.default_rng(k + 1).permutation(k + 2)[:k]
+        buffer[slots] = updates
+        rng, stacked_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = reduce_rows([buffer[j] for j in slots], spec, rng, np.full((k + 2, 33), np.nan))
+        want = reduce_rows(updates.copy(), spec, stacked_rng)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == aggregate(models_from_rows(updates), spec, np.random.default_rng(6)).flat.tobytes()
+        assert rng.bit_generator.state == stacked_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", (1, 2, 5, 8))
+    def test_each_rule_on_row_views_matches_the_stacked_array(self, k):
+        updates = np.random.default_rng(k).normal(size=(k, 17))
+        assert average(list(updates)).tobytes() == updates.mean(axis=0).tobytes()
+        assert coordinate_median(list(updates.copy())).tobytes() == coordinate_median(updates.copy()).tobytes()
+        for c in range(1, (k + 1) // 2):
+            got = trimmed_mean(list(updates.copy()), c)
+            assert got.tobytes() == trimmed_mean(updates.copy(), c).tobytes()
 
     def test_resample_requires_rng(self):
         models = models_from_rows(np.zeros((4, 3)))

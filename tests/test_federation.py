@@ -530,6 +530,15 @@ class TestGridSearch:
         assert best == good
         assert rows[1]["mean_score"] < rows[0]["mean_score"]
 
+    def test_no_server_grid_takes_one_client_at_a_time(self):
+        clients = self.separable_clients()
+        point = GridPoint(classifier_preset("A", input_dim=2), 0.0)
+        config = toy_config(d=2, aggregation=None)
+        with pytest.raises(ConfigError, match="one client at a time, got 2"):
+            collaborative_grid_search(clients, [point], config)
+        best, rows = collaborative_grid_search(clients[:1], [point], config)
+        assert best is point and list(rows[0]["per_client"]) == ["c0"]
+
     def test_mixed_kind_grid_rejected(self):
         clients = self.separable_clients()
         with pytest.raises(ConfigError):

@@ -206,11 +206,14 @@ def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True):
     )
     data = np.random.default_rng(draw(st.integers(0, 2**16)))
     attack = AttackSpec(kind=kind, f=f)
+    # Malicious clients sit anywhere, so a model canceller's buffer row (after
+    # the trainers') is often not its place in client order.
+    malicious_at = set(draw(st.permutations(range(k)))[:f])
     clients = []
     for i in range(k):
         x = data.uniform(-1.0, 2.0, size=(n, features))
         y = data.integers(0, 2, size=n) if supervised else None
-        malicious = i >= k - f
+        malicious = i in malicious_at
         if malicious and kind == "flip_all":
             y = 1 - y  # the labels build_client hands a flipping client
         clients.append(ClientState(f"c{i}", x, y, attack=attack if malicious else AttackSpec(), seed=i))
@@ -287,7 +290,7 @@ def test_forced_fleet_path_keeps_honest_avg_bit_for_bit(fleet, with_log):
 def test_honest_avg_mini_batch_is_one_union_batch_sgd_step(fleet, with_log):
     clients, config = fleet
     expected = _run(union_reference_run_federated, clients, config, with_log)
-    with mock.patch("fediot.federation.aggregate", side_effect=AssertionError("aggregate called")):
+    with mock.patch("fediot.federation.reduce_rows", side_effect=AssertionError("reduce_rows called")):
         got = _run(run_federated, clients, config, with_log)
     assert got == expected
 
@@ -341,4 +344,22 @@ def test_first_bad_client_in_client_order_is_named(algorithm, rule):
         expected = _run(reference, clients, config, False)
         got = _run(run_federated, clients, config, False)
     assert expected[0] == "error"
+    assert got == expected
+
+
+@pytest.mark.parametrize("lr", [0.0, 1.0, 1e10])
+def test_a_gradient_that_overflows_only_once_scaled_is_a_model_fault(lr):
+    # c1's gradient is finite but near 1e300; at lr = 1e10 the step, not
+    # the gradient, overflows, and the reference names a model fault. At
+    # lr = 0 and lr = 1 the run stays finite.
+    arch = ArchitectureSpec("classifier", (), 2, 1)
+    y = np.arange(4) % 2
+    clients = [ClientState("c0", np.ones((4, 2)), y, seed=0), ClientState("c1", np.full((4, 2), 1e300), y, seed=1)]
+    config = FederationConfig(
+        arch=arch, algorithm="multi_epoch", learning_rate=lr, batch_size=2, epochs=1, rounds=1, shuffle=False
+    )
+    with np.errstate(all="ignore"):
+        expected = _run(reference_run_federated, clients, config, False)
+        got = _run(run_federated, clients, config, False)
+    assert (expected[0] == "error") == (lr > 1)
     assert got == expected

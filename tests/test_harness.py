@@ -5,7 +5,7 @@ import os
 import pytest
 
 from fediot.adversary import AttackSpec
-from fediot.aggregation import AggregationSpec, aggregate
+from fediot.aggregation import AggregationSpec, reduce_rows
 from fediot.dataset import BalanceSpec, generate_synthetic_fleet, load_device_csv
 from fediot import cli
 from fediot.errors import ConfigError
@@ -324,9 +324,9 @@ class TestRunExperiment:
 
         def counting(*args):
             calls.append(1)
-            return aggregate(*args)
+            return reduce_rows(*args)
 
-        monkeypatch.setattr("fediot.federation.aggregate", counting)
+        monkeypatch.setattr("fediot.federation.reduce_rows", counting)
         raw = tiny_dict(aggregation={"rule": "tm", "trim_c": 2})
         raw["data"]["devices"] = 7
         raw["training"]["dropout_prob"] = 0.5

@@ -12,7 +12,14 @@ the other checkout is the base. Each side runs PAIRS times:
   its run_seconds at seed PERFBENCH_SEED, with that side's own sources;
 - the aggregate probe, the median time of one `aggregate` call per sweep
   rule at k = 8, 16 and 32 client models of d = 13,456 parameters (the
-  preset-B classifier);
+  preset-B classifier). Each call allocates and frees (k, d) arrays, which
+  in a fresh interpreter can hand pages back to the OS and fault them in
+  again, so it overstates the resampling rule;
+- the reduce probe, the same rules and sizes timed the way the training
+  loop reduces: `reduce_rows` over row views of a preallocated buffer,
+  refilled untimed before each call, with a preallocated resampling array
+  (a checkout without `reduce_rows` calls `aggregate` on models over the
+  buffer rows, as its loop did);
 - the round probe, the median time of one mini-batch round of
   `run_federated` (batch size 8, preset-B classifier) under AVG and TM(2)
   at the same k.
@@ -69,6 +76,41 @@ for k in json.loads(sys.argv[1]):
             aggregate(models, spec, rng)
             calls.append(time.perf_counter() - start)
         out["ms"].setdefault(spec.describe(), {})[str(k)] = 1e3 * statistics.median(calls)
+print(json.dumps(out))
+"""
+
+# Like AGGREGATE_PROBE, through the training loop's buffers; prints one JSON
+# object. A checkout without reduce_rows reduces as its loop did: aggregate
+# over read-only models on the buffer rows.
+REDUCE_PROBE = r"""
+import json, statistics, sys, time
+import numpy as np
+from fediot import aggregation
+from fediot.harness import SWEEP_RULES
+from fediot.neuralnet import ModelParameters, classifier_preset
+
+arch = classifier_preset("B")
+out = {"d": arch.n_parameters, "ms": {}}
+for k in json.loads(sys.argv[1]):
+    rows = np.random.default_rng(k).normal(0.0, 0.1, size=(k, arch.n_parameters))
+    buffer, resampled = np.empty_like(rows), np.empty_like(rows)
+    if hasattr(aggregation, "reduce_rows"):
+        views = list(buffer)
+        reduce = lambda spec, rng: aggregation.reduce_rows(views, spec, rng, resampled)
+    else:
+        shared = buffer.view()
+        shared.setflags(write=False)
+        models = [ModelParameters(arch, row) for row in shared]
+        reduce = lambda spec, rng: aggregation.aggregate(models, spec, rng)
+    for spec in SWEEP_RULES:
+        rng = np.random.default_rng(0)
+        calls = []
+        for _ in range(1 + max(20, 400 // k)):
+            np.copyto(buffer, rows)
+            start = time.perf_counter()
+            reduce(spec, rng)
+            calls.append(time.perf_counter() - start)
+        out["ms"].setdefault(spec.describe(), {})[str(k)] = 1e3 * statistics.median(calls[1:])
 print(json.dumps(out))
 """
 
@@ -192,7 +234,9 @@ def _measure(sides: dict, bench: dict) -> dict:
         }
     record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": PAIRS,
                             "workloads": workloads}}
-    for key, probe in (("aggregate_ms", AGGREGATE_PROBE), ("mini_batch_round_ms", ROUND_PROBE)):
+    probes = (("aggregate_ms", AGGREGATE_PROBE), ("reduce_rows_ms", REDUCE_PROBE),
+              ("mini_batch_round_ms", ROUND_PROBE))
+    for key, probe in probes:
         runs = _alternate(sides, key, lambda checkout: _probe(checkout, probe))
         record[key] = {}
         for rule, by_k in runs["change"][0]["ms"].items():
