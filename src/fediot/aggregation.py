@@ -190,7 +190,8 @@ def reduce_rows(
 
     Resamples the rows if the spec says so, into resample_out[:k] when a
     (>= k, d) scratch array is given, then applies the rule, which may
-    overwrite the rows it reduces.
+    overwrite the rows it reduces. A scratch array of fewer than k rows is
+    rejected with SchemaError.
     """
     k = len(updates)
     if k < spec.min_models:
@@ -198,6 +199,8 @@ def reduce_rows(
     if spec.resample_s:
         if rng is None:
             raise ConfigError("resampling needs a seeded random generator")
+        if resample_out is not None and len(resample_out) < k:
+            raise SchemaError(f"the resampling buffer holds {len(resample_out)} rows, {k} are needed")
         out = None if resample_out is None else resample_out[:k]
         updates = s_resample(updates, spec.resample_s, rng, out=out)
     if spec.rule == "avg":

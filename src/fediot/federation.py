@@ -15,10 +15,11 @@ the model bit for bit.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -321,11 +322,11 @@ def run_federated(
     k = len(trainers)
     boosted = [row for row, i in enumerate(trainers) if clients[i].attack.kind == "gradient_factor"]
     params = np.zeros((len(clients), arch.n_parameters))
-    grads = np.empty((k, arch.n_parameters))
+    # One row per client: the trainers' gradients, which are spent by the
+    # time the round reduces, so s-resampling writes its rows here.
+    grads = np.empty_like(params)
     slot = {i: row for row, i in enumerate(trainers + cancellers)}
     client_rows = [params[slot[i]] for i in range(len(clients))]
-    # s-resampling writes its rows here, so a round allocates no (k, d) array.
-    resampled = np.empty_like(params) if rule is not None and rule.resample_s else None
     # Each trainer's model is a read-only view of its buffer row, built once.
     # Unlike other ModelParameters these change with every local step and
     # every reduction, so they are valid only until the next step or
@@ -407,7 +408,7 @@ def run_federated(
             if union and rows == 1:  # the union step already averaged the k client steps
                 model = ModelParameters(arch, params[0])
             else:
-                flat = reduce_rows(kept, rule, server_rng, resampled)
+                flat = reduce_rows(kept, rule, server_rng, grads)
                 flat.setflags(write=False)  # a new vector, so the model need not copy it
                 model = ModelParameters(arch, flat)
             aggregations += 1
@@ -524,14 +525,21 @@ def predict(model: ModelParameters, x: np.ndarray, threshold: float | None = Non
 def evaluate(
     model: ModelParameters,
     threshold: float | None,
-    tests: list[tuple[np.ndarray, np.ndarray]],
+    tests: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> list[ConfusionCounts]:
     """Score a model on (scaled features, labels) test sets, one prediction pass each.
 
+    tests may be any iterable, a generator that scales each set on demand
+    included: a set is dropped once scored, before the next one is drawn.
     Returns one ConfusionCounts per set, in order; callers pool them by
     adding, so larger test sets weigh more.
     """
-    return [confusion_counts(y, predict(model, x, threshold)) for x, y in tests]
+
+    def score(x: np.ndarray, y: np.ndarray) -> ConfusionCounts:
+        return confusion_counts(y, predict(model, x, threshold))
+
+    # Unlike a for loop, starmap keeps no reference to a set past its call.
+    return list(itertools.starmap(score, tests))
 
 
 @dataclass(frozen=True)

@@ -363,14 +363,29 @@ def synthetic_streams(config: ExperimentConfig, rep: int) -> list[SampleSet]:
     )
 
 
-def _split_fleet(config: ExperimentConfig, rep: int) -> list[DevicePartition]:
-    """Every device's stream of one repetition, split chronologically."""
-    if config.data.source == "manifest":
-        return partition_from_manifest(
-            _manifest(config), config.mode, config.data.schema, config.data.has_header
-        )
+def _fleet(
+    config: ExperimentConfig, rep: int, manifest_split: list[DevicePartition] | None
+) -> dict[str, DevicePartition]:
+    """One repetition's rebalanced partitions, by device id.
+
+    A manifest fleet rebalances its split, read once for all repetitions. A
+    synthetic fleet is split and rebalanced device by device: each raw
+    stream is dropped as it is split, and its split parts once they are
+    rebalanced, so next to the rebalanced devices only the raw streams not
+    yet reached are held.
+    """
+
+    def balanced(p: DevicePartition) -> DevicePartition:
+        return rebalance(p, config.balance, derive_seed(config.master_seed, rep, "balance", p.device_id))
+
+    if manifest_split is not None:
+        return {p.device_id: balanced(p) for p in manifest_split}
     streams = synthetic_streams(config, rep)
-    return [chronological_split(s, config.mode, f"dev-{i}") for i, s in enumerate(streams)]
+    partitions = {}
+    for i in range(len(streams)):
+        device = f"dev-{i}"
+        partitions[device] = balanced(chronological_split(streams.pop(0), config.mode, device))
+    return partitions
 
 
 def _resolve_folds(config: ExperimentConfig, device_ids: list[str]) -> list[str]:
@@ -483,8 +498,9 @@ def _run_cell(
         threshold = None
         if not config.supervised:
             threshold = select_thresholds(group, model, config.threshold_ddof).global_threshold
-        tests = [partitions[d].test for d in (*ids, fold)]
-        scaled = [(scale(t.features, group_bounds), t.labels) for t in tests]
+        tests = (partitions[d].test for d in (*ids, fold))
+        # Each test set is scaled as evaluate reaches it: one scaled copy at a time.
+        scaled = ((scale(t.features, group_bounds), t.labels) for t in tests)
         *known, new = evaluate(model, threshold, scaled)
         pooled = sum(known, ConfusionCounts())
         per_group.append((metrics_from_counts(pooled), metrics_from_counts(new)))
@@ -512,20 +528,20 @@ def _repetitions(config: ExperimentConfig):
     """Each repetition's rebalanced partitions and folds.
 
     A synthetic fleet is drawn from each repetition's own seed; a manifest
-    fleet is read and split once, and only its rebalancing is redone.
+    fleet is read and split once, and only its rebalancing is redone. The
+    yielded dict is emptied when the next repetition is asked for, so the
+    consumer's reference no longer keeps the previous fleet alive while the
+    next one is built: one repetition's fleet is held at a time.
     """
     manifest_split = None
+    if config.data.source == "manifest":
+        manifest_split = partition_from_manifest(
+            _manifest(config), config.mode, config.data.schema, config.data.has_header
+        )
     for rep in range(config.repetitions):
-        if config.data.source == "manifest" and manifest_split is None:
-            manifest_split = _split_fleet(config, rep)
-        # A synthetic split is a temporary: only the rebalanced fleet stays in memory.
-        partitions = {
-            p.device_id: rebalance(
-                p, config.balance, derive_seed(config.master_seed, rep, "balance", p.device_id)
-            )
-            for p in manifest_split or _split_fleet(config, rep)
-        }
+        partitions = _fleet(config, rep, manifest_split)
         yield rep, partitions, _resolve_folds(config, list(partitions))
+        partitions.clear()
 
 
 def summarize(rows: list[dict]) -> list[dict]:

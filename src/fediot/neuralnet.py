@@ -229,7 +229,8 @@ def loss(
     else:
         if y is not None:
             raise ConfigError("autoencoder loss takes no labels")
-        data = float(np.mean((head - x) ** 2))
+        head -= x  # the head is a fresh array: square the residual in it
+        data = float(np.mean(np.square(head, out=head)))
     if l2_lambda:
         data += l2_lambda * _weight_square_sum(params)
     return data
@@ -318,4 +319,6 @@ def mse_per_sample(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     if params.arch.kind != AUTOENCODER:
         raise ModelKindError("reconstruction error needs an autoencoder model")
     x = _check_input(params, x)
-    return np.mean((_head(params, x) - x) ** 2, axis=1)
+    residual = _head(params, x)
+    residual -= x
+    return np.mean(np.square(residual, out=residual), axis=1)

@@ -62,6 +62,9 @@ def scale(features: np.ndarray, bounds: ScalingBounds) -> np.ndarray:
             f"features shape {features.shape} does not match {bounds.x_min.shape[0]} bounds"
         )
     span = bounds.x_max - bounds.x_min
-    safe = np.where(span > 0, span, 1.0)
-    scaled = (features - bounds.x_min) / safe
-    return np.where(span > 0, scaled, 0.0)
+    constant = ~(span > 0)
+    # One new array, shifted, divided and zeroed in place.
+    scaled = np.subtract(features, bounds.x_min)
+    scaled /= np.where(constant, 1.0, span)
+    scaled[:, constant] = 0.0
+    return scaled

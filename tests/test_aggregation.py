@@ -317,6 +317,13 @@ class TestAggregateDispatch:
         if spec == AggregationSpec("avg"):
             assert got.tobytes() == updates.mean(axis=0).tobytes()
 
+    def test_short_resampling_buffer_rejected(self):
+        # Six buffer rows for eight updates would resample, and reduce, only six.
+        updates = np.random.default_rng(7).normal(size=(8, 5))
+        spec = AggregationSpec("tm", trim_c=2, resample_s=2)
+        with pytest.raises(SchemaError, match="6 rows"):
+            reduce_rows(list(updates), spec, np.random.default_rng(0), np.empty((6, 5)))
+
     def test_resample_requires_rng(self):
         models = models_from_rows(np.zeros((4, 3)))
         with pytest.raises(ConfigError):

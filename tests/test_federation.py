@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -423,6 +424,21 @@ class TestMetrics:
         assert got == [ConfusionCounts(tp=1, tn=1), ConfusionCounts(fp=1, fn=1)]
         pooled = sum(got, ConfusionCounts())
         assert metrics_from_counts(pooled)["accuracy"] == pytest.approx(0.5)
+
+    def test_evaluate_drops_each_set_before_drawing_the_next(self):
+        arch = classifier_preset("A", input_dim=2)
+        params = ModelParameters(arch, np.array([100.0, 0.0, -50.0]))
+        refs, alive = [], []
+
+        def scaled(label):
+            alive.append(sum(ref() is not None for ref in refs))
+            x = np.array([[1.0, 0.0]])
+            refs.append(weakref.ref(x))
+            return x, np.array([label])
+
+        got = evaluate(params, None, (scaled(label) for label in (1, 0, 1)))
+        assert got == [ConfusionCounts(tp=1), ConfusionCounts(fp=1), ConfusionCounts(tp=1)]
+        assert alive == [0, 0, 0]
 
     def test_evaluate_new_device_scope(self):
         arch = classifier_preset("A", input_dim=2)

@@ -1,12 +1,20 @@
 import copy
 import json
 import os
+import tracemalloc
+import weakref
 
 import pytest
 
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec, reduce_rows
-from fediot.dataset import BalanceSpec, generate_synthetic_fleet, load_device_csv
+from fediot.dataset import (
+    BalanceSpec,
+    chronological_split,
+    generate_synthetic_fleet,
+    load_device_csv,
+    rebalance,
+)
 from fediot import cli
 from fediot.errors import ConfigError
 from fediot.federation import predict, run_federated
@@ -17,6 +25,7 @@ from fediot.harness import (
     config_from_dict,
     config_to_dict,
     cost_table,
+    _repetitions,
     derive_seed,
     human_bytes,
     load_config,
@@ -550,6 +559,74 @@ class TestRunExperiment:
         monkeypatch.setenv("FEDIOT_RESULTS_DIR", str(tmp_path / "env"))
         result = run_experiment(tiny_config())
         assert result.path.startswith(str(tmp_path / "env"))
+
+
+class TestFleetMemory:
+    """Which copies of the fleet an op holds, seen through weak references."""
+
+    def test_fleet_split_device_by_device(self, tmp_path, monkeypatch):
+        # A device's raw stream and its split parts are gone before the next
+        # device is split.
+        refs, alive = [], []
+
+        def splitting(samples, *args):
+            alive.append(sum(ref() is not None for ref in refs))
+            part = chronological_split(samples, *args)
+            refs.extend((weakref.ref(samples), weakref.ref(part)))
+            return part
+
+        monkeypatch.setattr("fediot.harness.chronological_split", splitting)
+        protocol = {"folds": ["dev-0"], "repetitions": 1, "master_seed": 3}
+        run_experiment(tiny_config(protocol=protocol), str(tmp_path))
+        assert alive == [0, 0, 0]
+
+    def test_one_repetition_fleet_held_at_a_time(self, tmp_path, monkeypatch):
+        refs, alive = [], []
+
+        def drawing(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return generate_synthetic_fleet(*args, **kwargs)
+
+        def tracked(*args):
+            partition = rebalance(*args)
+            refs.append(weakref.ref(partition))
+            return partition
+
+        monkeypatch.setattr("fediot.harness.generate_synthetic_fleet", drawing)
+        monkeypatch.setattr("fediot.harness.rebalance", tracked)
+        protocol = {"folds": ["dev-0"], "repetitions": 2, "master_seed": 3}
+        run_experiment(tiny_config(protocol=protocol), str(tmp_path))
+        assert len(refs) == 6 and alive == [0, 0]
+
+    @pytest.mark.parametrize("profile", ["unsupervised", "supervised-50"])
+    def test_traced_peak_below_twice_the_fleet(self, tmp_path, profile):
+        # An op holds the rebalanced fleet, the clients' scaled training
+        # copies and one scaled test set at a time, not a second fleet.
+        # tracemalloc counts Python-level allocations, so the ratio does not
+        # depend on how the allocator hands memory back.
+        raw = config_to_dict(load_profile(profile))
+        raw["data"]["samples_per_device"] = raw["balance"]["samples_per_device"] = 800
+        raw["model"]["preset"] = "A"
+        raw["algorithm"] = "multi_epoch"
+        raw["training"].update(epochs=1, rounds=2, log_rounds=True)
+        raw["protocol"] = {"folds": ["dev-0"], "repetitions": 1, "master_seed": 0}
+        config = config_from_dict(raw)
+        _, partitions, _ = next(_repetitions(config))
+        fleet = sum(
+            part.features.nbytes
+            for p in partitions.values()
+            for part in (p.train, p.unused, p.test, p.threshold_sel)
+            if part is not None
+        )
+        del partitions
+        run_experiment(config, str(tmp_path))  # warm caches, as a second op finds them
+        tracemalloc.start()
+        try:
+            run_experiment(config, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / fleet <= 2.0
 
 
 class TestSummarize:

@@ -207,6 +207,16 @@ class TestLoss:
         out = forward(params, x)
         assert loss(params, x) == pytest.approx(np.mean((out - x) ** 2), rel=1e-12)
 
+    def test_reconstruction_errors_keep_the_input_and_the_bits(self):
+        arch = ArchitectureSpec("autoencoder", (2,), 3, 3)
+        params = init_model(arch, seed=0)
+        x = np.random.default_rng(2).normal(size=(6, 3))
+        before = x.copy()
+        residual = forward(params, x) - x
+        assert loss(params, x) == np.mean(residual**2)
+        assert mse_per_sample(params, x).tobytes() == np.mean(residual**2, axis=1).tobytes()
+        np.testing.assert_array_equal(x, before)
+
     def test_label_contract(self):
         clf = init_model(classifier_preset("A", input_dim=3), seed=0)
         ae = init_model(ArchitectureSpec("autoencoder", (2,), 3, 3), seed=0)

@@ -109,6 +109,16 @@ class TestScale:
         got = scale(np.array([[2.0], [-1.0]]), bounds)
         np.testing.assert_array_equal(got[:, 0], [2.0, -1.0])
 
+    def test_input_kept_and_bits_of_the_three_array_form(self):
+        features = np.random.default_rng(0).normal(size=(20, 4))
+        features[:, 2] = 1.5  # a constant column
+        before = features.copy()
+        bounds = local_min_max(features)
+        span = bounds.x_max - bounds.x_min
+        want = np.where(span > 0, (features - bounds.x_min) / np.where(span > 0, span, 1.0), 0.0)
+        assert scale(features, bounds).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(features, before)
+
     def test_shape_mismatch_rejected(self):
         bounds = ScalingBounds(np.zeros(2), np.ones(2))
         with pytest.raises(SchemaError):

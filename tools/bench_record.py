@@ -21,18 +21,24 @@ the other checkout is the base. Each side runs PAIRS times:
   (a checkout without `reduce_rows` calls `aggregate` on models over the
   buffer rows, as its loop did);
 - the round probe, the median time of one mini-batch round of
-  `run_federated` (batch size 8, preset-B classifier) under AVG and TM(2)
-  at the same k.
+  `run_federated` (batch size 8, preset-B classifier) under AVG, MED, TM(2)
+  and 2-RS+TM(2) at the same k.
 With a base, the two sides take turns and the side that goes first
 alternates from pair to pair, so drift of the host's speed hits both
 alike. Each measurement runs in its own interpreter, with one BLAS thread.
+Once per side, a further interpreter records the traced peak of each gated
+workload: the tracemalloc peak, in MB of 2^20 bytes, of one operation after
+the warm-up, with inputs built by that checkout's `perfbench/workloads.py`
+at PERFBENCH_SEED. It counts only what Python allocates, so unlike
+`peak_rss_mb` it does not depend on when the allocator returns memory.
 
 For every end-to-end metric of BENCHMARK.json and every probe figure the
 record keeps each side's runs, median and quartiles; with a base, also
 the number of pairs the change won (strictly better in the metric's
-direction; a probe figure is better when lower). It also holds each
-checkout's git revision, with a flag for uncommitted changes, and the
-environment (python, numpy, BLAS, CPUs).
+direction; a probe figure is better when lower). Each workload's entry
+also holds each side's traced peak. The record holds each checkout's git
+revision, with a flag for uncommitted changes, and the environment
+(python, numpy, BLAS, CPUs).
 """
 from __future__ import annotations
 
@@ -132,7 +138,9 @@ for k in json.loads(sys.argv[1]):
         ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), rng.integers(0, 2, n), seed=i)
         for i in range(k)
     ]
-    for spec in (AggregationSpec("avg"), AggregationSpec("tm", trim_c=2)):
+    rules = (AggregationSpec("avg"), AggregationSpec("med"), AggregationSpec("tm", trim_c=2),
+             AggregationSpec("tm", trim_c=2, resample_s=2))
+    for spec in rules:
         config = FederationConfig(arch=arch, batch_size=batch, epochs=1, aggregation=spec)
         run_federated(clients, config)
         runs = []
@@ -141,6 +149,27 @@ for k in json.loads(sys.argv[1]):
             run_federated(clients, config)
             runs.append((time.perf_counter() - start) / rounds)
         out["ms"].setdefault(spec.describe(), {})[str(k)] = 1e3 * statistics.median(runs)
+print(json.dumps(out))
+"""
+
+# One operation of each named workload after its warm-up, under tracemalloc;
+# prints {workload: peak MB}. Runs with the measured checkout as the working
+# directory and builds the inputs through its perfbench/workloads.py.
+TRACED_PEAK_PROBE = r"""
+import json, sys, tempfile, tracemalloc
+sys.path.insert(0, "perfbench")
+import workloads
+
+out = {}
+for name in json.loads(sys.argv[1]):
+    workload = workloads.WORKLOADS[name]
+    with tempfile.TemporaryDirectory() as work:
+        prep = workload.prepare(int(sys.argv[2]), work, True)
+        workload.warmup(prep)
+        tracemalloc.start()
+        workload.run(prep)
+        out[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
 print(json.dumps(out))
 """
 
@@ -166,8 +195,8 @@ def _workload(checkout: Path, name: str, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def _probe(checkout: Path, probe: str) -> dict:
-    command = [sys.executable, "-c", probe, json.dumps(PROBE_KS)]
+def _probe(checkout: Path, probe: str, *args: str) -> dict:
+    command = [sys.executable, "-c", probe, *args]
     done = subprocess.run(command, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"probe failed:\n{done.stderr}")
@@ -212,8 +241,14 @@ def _compare(runs: dict, lower_is_better: bool) -> dict:
 
 
 def _measure(sides: dict, bench: dict) -> dict:
-    # Every gated workload's end-to-end metrics, then every probe figure.
+    # Each side's traced peaks, every gated workload's end-to-end metrics,
+    # then every probe figure.
     seconds = bench["run_seconds"]
+    names = [workload["name"] for workload in bench["workloads"]]
+    traced_peaks = {}
+    for side, checkout in sorted(sides.items()):
+        print(f"traced peaks: {side}", file=sys.stderr)
+        traced_peaks[side] = _probe(checkout, TRACED_PEAK_PROBE, json.dumps(names), str(PERFBENCH_SEED))
     workloads = {}
     for workload in bench["workloads"]:
         name = workload["name"]
@@ -230,6 +265,7 @@ def _measure(sides: dict, bench: dict) -> dict:
         workloads[name] = {
             "correct": {side: all(r["correct"] is True for r in runs[side]) for side in sides},
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in sides},
+            "traced_peak_mb": {side: traced_peaks[side][name] for side in sides},
             "metrics": metrics,
         }
     record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": PAIRS,
@@ -237,7 +273,7 @@ def _measure(sides: dict, bench: dict) -> dict:
     probes = (("aggregate_ms", AGGREGATE_PROBE), ("reduce_rows_ms", REDUCE_PROBE),
               ("mini_batch_round_ms", ROUND_PROBE))
     for key, probe in probes:
-        runs = _alternate(sides, key, lambda checkout: _probe(checkout, probe))
+        runs = _alternate(sides, key, lambda checkout: _probe(checkout, probe, json.dumps(PROBE_KS)))
         record[key] = {}
         for rule, by_k in runs["change"][0]["ms"].items():
             record[key][rule] = {}
