@@ -8,6 +8,11 @@ a parameter buffer, one row per training client (the same bits as each
 client training alone) or, under honest mini-batch averaging, one row on
 the union of the k batches (FederatedSGD, equal up to rounding).
 
+Clients hold their device's raw records, views of its partition, plus the
+group's scaling bounds: a step scales the fleet batch it gathers, and every
+other read scales one client's rows at a time into a reused buffer, so the
+training records are held once, unscaled.
+
 Training is a pure function of its inputs: all randomness derives from the
 client seeds and the server seed, and rerunning a configuration reproduces
 the model bit for bit.
@@ -116,9 +121,11 @@ class FederationConfig:
 class ClientState:
     """One client's ready-to-train view of its device data.
 
-    Features are already scaled with the fleet bounds, and poisoned labels
-    are already flipped. The seed drives every random choice the client
-    makes, so a client is replayable.
+    x_train and x_thr are the device's raw records. Wherever they are read
+    they are min-max scaled with bounds, the group's scaling bounds; a
+    client without bounds uses its rows as given. Poisoned labels are
+    already flipped. The seed drives every random choice the client makes,
+    so a client is replayable.
     """
 
     client_id: str
@@ -127,6 +134,7 @@ class ClientState:
     x_thr: np.ndarray | None = None
     attack: AttackSpec = field(default_factory=AttackSpec)
     seed: int = 0
+    bounds: ScalingBounds | None = None
 
     @property
     def n_train(self) -> int:
@@ -140,7 +148,10 @@ def build_client(
     attack: AttackSpec,
     seed: int,
 ) -> ClientState:
-    """Scale a device partition into a ClientState, poisoning labels if told to."""
+    """A ClientState on a device partition's raw rows, poisoning labels if told to.
+
+    The client's features are views of the partition's, read through bounds.
+    """
     train = partition.train
     if attack.kind in FLIP_KINDS:
         train = flip_labels(train, attack.kind, attack.p_poison, np.random.default_rng([seed, _SEED_FLIP]))
@@ -149,17 +160,33 @@ def build_client(
         if train.labels is None:
             raise ConfigError(f"{partition.device_id}: supervised training needs labels")
         y_train = train.labels
-    x_thr = None
-    if partition.threshold_sel is not None:
-        x_thr = scale(partition.threshold_sel.features, bounds)
     return ClientState(
         client_id=partition.device_id,
-        x_train=scale(train.features, bounds),
+        x_train=train.features,
         y_train=y_train,
-        x_thr=x_thr,
+        x_thr=None if partition.threshold_sel is None else partition.threshold_sel.features,
         attack=attack,
         seed=seed,
+        bounds=bounds,
     )
+
+
+class ScaledRows:
+    """Scales one client's rows at a time into one buffer kept across calls.
+
+    The array a call returns is valid until the next call. A client without
+    bounds gets its rows back as given.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = np.empty(0)
+
+    def __call__(self, client: ClientState, x: np.ndarray) -> np.ndarray:
+        if client.bounds is None:
+            return x
+        if self._buffer.size < x.size:
+            self._buffer = np.empty(x.size)
+        return scale(x, client.bounds, out=self._buffer[: x.size].reshape(x.shape))
 
 
 def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> AttackSpec | None:
@@ -173,6 +200,8 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
     sizes = {c.n_train for c in clients}
     if len(sizes) > 1:
         raise ConfigError(f"clients must hold equally many training records, got {sorted(sizes)}")
+    if len({c.bounds is None for c in clients}) > 1:
+        raise ConfigError("clients must all carry scaling bounds or none do")
     supervised = config.arch.kind == CLASSIFIER
     for c in clients:
         if supervised and c.y_train is None:
@@ -183,6 +212,11 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
             raise SchemaError(
                 f"{c.client_id}: training features {c.x_train.shape} do not match "
                 f"input_dim {config.arch.input_dim}"
+            )
+        if c.bounds is not None and c.bounds.x_min.shape != (config.arch.input_dim,):
+            raise SchemaError(
+                f"{c.client_id}: scaling bounds for {c.bounds.x_min.shape[0]} features do not "
+                f"match input_dim {config.arch.input_dim}"
             )
     model_attacks = {c.attack for c in clients if c.attack.kind in MODEL_ATTACK_KINDS}
     if len(model_attacks) > 1:
@@ -262,6 +296,20 @@ def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~np.isfinite(rows).all(axis=1))
 
 
+def _batch_scaling(trainers: list[ClientState], shape: tuple[int, int, int]):
+    # Per trainer row, its x_min and guarded span repeated over the batch
+    # rows, and the constant-feature mask when a feature is constant, so a
+    # step scales its gathered batch with scale()'s elementwise operations.
+    # None when the clients carry no bounds.
+    if trainers[0].bounds is None:
+        return None
+    x_min, span, constant = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    for row, c in enumerate(trainers):
+        x_min[row] = c.bounds.x_min
+        span[row], constant[row] = c.bounds.guarded_span()
+    return x_min, span, (constant if constant.any() else None)
+
+
 def _takes_union_step(config: FederationConfig, attack_spec: AttackSpec | None) -> bool:
     # Label flips act on the data only, so flipped fleets qualify too.
     honest_avg = config.aggregation == AggregationSpec("avg") and attack_spec is None
@@ -295,7 +343,8 @@ def run_federated(
     batch, equal to averaging the k client steps up to rounding (exact for
     k = 1). A non-finite union step reruns with k rows. A non-finite
     gradient or model raises PoisonedUpdateError naming the first bad client
-    in client order.
+    in client order. Each step gathers its fleet batch from the clients' raw
+    rows and scales it in place with each client's bounds.
 
     With config.aggregation None (no server) each client trains alone as one
     row, in one round of all its steps; such a run takes no on_round hook
@@ -334,8 +383,11 @@ def run_federated(
     shared = params[:k].view()
     shared.setflags(write=False)
     trained = [ModelParameters(arch, row) for row in shared]
-    batch_x = np.empty((k, config.batch_size, dim))
-    batch_y = np.empty((k, config.batch_size)) if arch.kind == CLASSIFIER else None
+    b = min(config.batch_size, clients[0].n_train)  # no batch is longer
+    batch_x = np.empty((k, b, dim))
+    batch_y = np.empty((k, b)) if arch.kind == CLASSIFIER else None
+    scaling = _batch_scaling([clients[i] for i in trainers], batch_x.shape)
+    scratch = ScaledRows()  # for a multi-epoch round's logged losses
     streams = [_batches(clients[i], config) for i in trainers]
     union = _takes_union_step(config, attack_spec)
 
@@ -354,9 +406,16 @@ def run_federated(
             xs = batch_x.reshape(-1)[: k * size * dim].reshape(k, size, dim)
             ys = None if batch_y is None else batch_y.reshape(-1)[: k * size].reshape(k, size)
             for row, (i, batch) in enumerate(zip(trainers, batches)):
-                np.take(clients[i].x_train, batch, axis=0, out=xs[row])
+                # The method form skips np.take's Python wrapper.
+                clients[i].x_train.take(batch, axis=0, out=xs[row])
                 if ys is not None:
                     ys[row] = clients[i].y_train[batch]
+            if scaling is not None:
+                x_min, span, constant = scaling
+                np.subtract(xs, x_min[:, :size], out=xs)
+                np.divide(xs, span[:, :size], out=xs)
+                if constant is not None:
+                    np.copyto(xs, 0.0, where=constant[:, :size])
             while True:
                 fleet, fleet_grads = params[:rows], grads[:rows]
                 if step == 0:
@@ -390,17 +449,16 @@ def run_federated(
             raise PoisonedUpdateError(f"client {clients[first].client_id}: {errors[first]}")
         losses: dict[str, float | None] = {}
         if on_round is not None:
-            # A mini-batch round reports the loss of its one step, a
-            # multi-epoch round that of the trained local model; a model
-            # canceller reports none.
+            # A mini-batch round reports the loss of its one step on the
+            # batch that step gathered and scaled, a multi-epoch round that
+            # of the trained local model; a model canceller reports none.
             losses = dict.fromkeys(c.client_id for c in clients)
-            for i, batch, local in zip(trainers, batches, trained):
+            for row, (i, local) in enumerate(zip(trainers, trained)):
                 c = clients[i]
                 if mini_batch:
-                    yb = None if c.y_train is None else c.y_train[batch]
-                    losses[c.client_id] = loss(model, c.x_train[batch], yb, l2)
+                    losses[c.client_id] = loss(model, xs[row], None if ys is None else ys[row], l2)
                 else:
-                    losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
+                    losses[c.client_id] = loss(local, scratch(c, c.x_train), c.y_train, l2)
         dropped = _dropped(len(clients), config, server_rng)
         kept = [row for row, gone in zip(client_rows, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
@@ -435,15 +493,19 @@ class ThresholdState:
     global_threshold: float
 
 
-def local_threshold(client: ClientState, model: ModelParameters, ddof: int = 0) -> float:
+def local_threshold(
+    client: ClientState, model: ModelParameters, ddof: int = 0, scratch: ScaledRows | None = None
+) -> float:
     """Mean reconstruction error on the client's threshold records plus one std.
 
     ddof=0 uses the population standard deviation; ddof=1 switches to the
-    sample estimate.
+    sample estimate. The records are scaled into scratch, a fresh buffer
+    when omitted.
     """
     if client.x_thr is None:
         raise ConfigError(f"{client.client_id}: no threshold selection records")
-    errors = mse_per_sample(model, client.x_thr)
+    scratch = ScaledRows() if scratch is None else scratch
+    errors = mse_per_sample(model, scratch(client, client.x_thr))
     return float(errors.mean() + errors.std(ddof=ddof))
 
 
@@ -455,9 +517,10 @@ def global_threshold(local_thresholds: dict[str, float]) -> float:
 
 
 def select_thresholds(
-    clients: list[ClientState], model: ModelParameters, ddof: int = 0
+    clients: list[ClientState], model: ModelParameters, ddof: int = 0, scratch: ScaledRows | None = None
 ) -> ThresholdState:
-    locals_ = {c.client_id: local_threshold(c, model, ddof) for c in clients}
+    scratch = ScaledRows() if scratch is None else scratch
+    locals_ = {c.client_id: local_threshold(c, model, ddof, scratch) for c in clients}
     return ThresholdState(locals_, global_threshold(locals_))
 
 
@@ -584,6 +647,7 @@ def collaborative_grid_search(
     if n_val < 1:
         raise ConfigError(f"validation slice is empty: {n} records at {VAL_FRACTION}")
     cut = n - n_val
+    scratch = ScaledRows()  # one client's held-out slice at a time
     rows = []
     for point in grid:
         sub_clients = [
@@ -598,10 +662,10 @@ def collaborative_grid_search(
         sub_config = replace(config, arch=point.arch, l2_lambda=point.l2_lambda)
         (model,), _ = run_federated(sub_clients, sub_config)
         if point.arch.kind == CLASSIFIER:
-            held_out = [(c.x_train[cut:], c.y_train[cut:]) for c in clients]
+            held_out = ((scratch(c, c.x_train[cut:]), c.y_train[cut:]) for c in clients)
             scores = [metrics_from_counts(counts)["accuracy"] for counts in evaluate(model, None, held_out)]
         else:
-            scores = [loss(model, c.x_train[cut:]) for c in clients]
+            scores = [loss(model, scratch(c, c.x_train[cut:])) for c in clients]
         rows.append(
             {
                 "arch": point.arch,

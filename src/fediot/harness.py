@@ -48,6 +48,7 @@ from .federation import (
     FederationConfig,
     GridPoint,
     RoundLogger,
+    ScaledRows,
     build_client,
     collaborative_grid_search,
     derive_seed,
@@ -424,13 +425,20 @@ def _grid(config: ExperimentConfig) -> list[GridPoint]:
 
 
 def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: ExperimentConfig):
+    """A round hook that logs each round with its model's global threshold.
+
+    Returns the hook and a list that holds the last round's global
+    threshold, that of the final model, once the run ends.
+    """
     ddof = config.threshold_ddof
+    scratch = ScaledRows()
+    last: list[float] = []
 
     def wrapped(info: dict, model) -> None:
-        state = select_thresholds(clients, model, ddof)
-        logger({**info, "threshold": state.global_threshold}, model)
+        last[:] = [select_thresholds(clients, model, ddof, scratch).global_threshold]
+        logger({**info, "threshold": last[0]}, model)
 
-    return wrapped
+    return wrapped, last
 
 
 def _run_cell(
@@ -480,14 +488,19 @@ def _run_cell(
         winners = (collaborative_grid_search(group, _grid(config), base_config)[0] for group in clients)
         group_configs = [replace(base_config, arch=w.arch, l2_lambda=w.l2_lambda) for w in winners]
     trained, aggregations = {}, 0  # configuration -> its groups' models, in group order
+    logged = {}  # configuration -> the global threshold its last logged round chose
     for fed_config in dict.fromkeys(group_configs):
         fleet = [c for group, g in zip(clients, group_configs) if g == fed_config for c in group]
         if log_path is None:
             models, count = run_federated(fleet, fed_config)
         else:
             with RoundLogger(log_path) as logger:
-                hook = logger if config.supervised else _threshold_logger(logger, fleet, config)
-                models, count = run_federated(fleet, fed_config, hook)
+                if config.supervised:
+                    models, count = run_federated(fleet, fed_config, logger)
+                else:
+                    hook, last = _threshold_logger(logger, fleet, config)
+                    models, count = run_federated(fleet, fed_config, hook)
+                    logged[fed_config] = last[0]
         trained[fed_config] = iter(models)
         aggregations += count
 
@@ -495,8 +508,8 @@ def _run_cell(
     device_rows: list[dict] = []
     for ids, group, group_bounds, fed_config in zip(groups, clients, bounds, group_configs):
         model = next(trained[fed_config])
-        threshold = None
-        if not config.supervised:
+        threshold = logged.get(fed_config)  # a logged fleet is one group
+        if threshold is None and not config.supervised:
             threshold = select_thresholds(group, model, config.threshold_ddof).global_threshold
         tests = (partitions[d].test for d in (*ids, fold))
         # Each test set is scaled as evaluate reaches it: one scaled copy at a time.

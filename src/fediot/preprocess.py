@@ -24,6 +24,12 @@ class ScalingBounds:
         if np.any(self.x_min > self.x_max):
             raise SchemaError("every minimum must be <= its maximum")
 
+    def guarded_span(self) -> tuple[np.ndarray, np.ndarray]:
+        """The span x_max - x_min with 1 for constant features, and the constant-feature mask."""
+        span = self.x_max - self.x_min
+        constant = ~(span > 0)
+        return np.where(constant, 1.0, span), constant
+
 
 def local_min_max(features: np.ndarray) -> ScalingBounds:
     """Compute per-feature bounds over one client's own training records."""
@@ -50,21 +56,21 @@ def merge_bounds(bounds: list[ScalingBounds]) -> ScalingBounds:
     return ScalingBounds(x_min, x_max)
 
 
-def scale(features: np.ndarray, bounds: ScalingBounds) -> np.ndarray:
+def scale(features: np.ndarray, bounds: ScalingBounds, out: np.ndarray | None = None) -> np.ndarray:
     """Min-max scale features to [0, 1] relative to the given bounds.
 
     A feature with max == min maps to 0. Values outside the bounds are not
-    clamped, so unseen test records may fall outside [0, 1].
+    clamped, so unseen test records may fall outside [0, 1]. With out, a
+    float64 array of the features' shape, the result is written there.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != bounds.x_min.shape[0]:
         raise SchemaError(
             f"features shape {features.shape} does not match {bounds.x_min.shape[0]} bounds"
         )
-    span = bounds.x_max - bounds.x_min
-    constant = ~(span > 0)
-    # One new array, shifted, divided and zeroed in place.
-    scaled = np.subtract(features, bounds.x_min)
-    scaled /= np.where(constant, 1.0, span)
+    span, constant = bounds.guarded_span()
+    # One array, shifted, divided and zeroed in place.
+    scaled = np.subtract(features, bounds.x_min, out=out)
+    scaled /= span
     scaled[:, constant] = 0.0
     return scaled

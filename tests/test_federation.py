@@ -10,13 +10,14 @@ import pytest
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec
 from fediot.dataset import BalanceSpec, chronological_split, generate_synthetic_fleet, rebalance
-from fediot.errors import ConfigError, PoisonedUpdateError
+from fediot.errors import ConfigError, PoisonedUpdateError, SchemaError
 from fediot.federation import (
     ClientState,
     ConfusionCounts,
     FederationConfig,
     GridPoint,
     RoundLogger,
+    ScaledRows,
     _non_finite_rows,
     build_client,
     collaborative_grid_search,
@@ -91,6 +92,23 @@ class TestFleetValidation:
         clients = [toy_client("a", supervised=False)]
         with pytest.raises(ConfigError, match="labels"):
             run_federated(clients, toy_config(supervised=True))
+
+    def test_bounds_of_another_width_rejected_before_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("fediot.federation.fleet_backward", no_training)
+        fits = local_min_max(toy_client("a").x_train)
+        wide = local_min_max(np.zeros((2, 5)))
+        clients = [replace(toy_client("a"), bounds=fits), replace(toy_client("b", seed=1), bounds=wide)]
+        with pytest.raises(SchemaError, match="b: scaling bounds for 5 features do not match input_dim 4"):
+            run_federated(clients, toy_config())
+
+    def test_fleet_mixing_bounds_and_none_rejected(self):
+        bounds = local_min_max(toy_client("a").x_train)
+        clients = [toy_client("a"), replace(toy_client("b", seed=1), bounds=bounds)]
+        with pytest.raises(ConfigError, match="scaling bounds or none"):
+            run_federated(clients, toy_config())
 
     def test_malicious_count_must_match_f(self):
         attack = AttackSpec(kind="model_cancel", f=2)
@@ -463,12 +481,15 @@ class TestBuildClient:
         bounds = merge_bounds([local_min_max(p.train.features) for p in parts])
         return parts, bounds
 
-    def test_scaled_training_features(self):
+    def test_raw_training_rows_read_through_the_bounds(self):
+        # The client keeps no scaled copy: its rows are the partition's, and
+        # a scaled read of them is scale() bit for bit.
         parts, bounds = self.fleet()
         client = build_client(parts[0], bounds, supervised=True, attack=AttackSpec(), seed=3)
-        np.testing.assert_allclose(
-            client.x_train, scale(parts[0].train.features, bounds), rtol=0, atol=0
-        )
+        assert np.shares_memory(client.x_train, parts[0].train.features)
+        assert client.bounds is bounds
+        expected = scale(parts[0].train.features, bounds)
+        assert ScaledRows()(client, client.x_train).tobytes() == expected.tobytes()
         assert client.y_train is not None
         assert client.x_thr is None
 

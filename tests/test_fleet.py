@@ -14,6 +14,10 @@ the per-client loop such runs agree to UNION_TOL.
 Without a server (aggregation None) every row is one client training alone:
 alone_reference_run_federated runs each client's one-client AVG mini-batch
 run in client order, as the harness once did for naive devices.
+
+Clients on raw rows with scaling bounds must train, log and choose exactly
+as the same clients pre-scaled without bounds: every scaled read, the
+gathered fleet batch included, applies scale()'s elementwise operations.
 """
 import json
 from dataclasses import replace
@@ -30,15 +34,19 @@ from fediot.errors import PoisonedUpdateError
 from fediot.federation import (
     ClientState,
     FederationConfig,
+    GridPoint,
     _attack_factors,
     _batches,
     _dropped,
     _starting_model,
     _validate_fleet,
+    collaborative_grid_search,
     run_federated,
     schedule,
+    select_thresholds,
 )
 from fediot.neuralnet import ArchitectureSpec, backward, loss, sgd_step
+from fediot.preprocess import ScalingBounds, local_min_max, merge_bounds, scale
 
 
 def reference_run_federated(clients, config, on_round=None, initial_model=None):
@@ -363,3 +371,98 @@ def test_a_gradient_that_overflows_only_once_scaled_is_a_model_fault(lr):
         got = _run(run_federated, clients, config, False)
     assert (expected[0] == "error") == (lr > 1)
     assert got == expected
+
+
+def _raw_and_prescaled(clients, per_client=False, constant=False):
+    """The clients on raw rows read through bounds, and the same clients
+    pre-scaled without bounds.
+
+    The raw rows are the clients' rows stretched to another range. The
+    clients share merged bounds, or with per_client each has its own, as a
+    naive device does. With constant, feature 0 gets a span of 0 although
+    its raw values vary, so only zeroing it gives scale()'s bits.
+    """
+    raws = [replace(c, x_train=c.x_train * 37.5 + 1000.0, x_thr=c.x_train[::-1] * 40.0 + 990.0)
+            for c in clients]
+    bounds = [local_min_max(c.x_train) for c in raws]
+    if not per_client:
+        bounds = [merge_bounds(bounds)] * len(raws)
+    if constant:
+        mids = [(b.x_min[:1] + b.x_max[:1]) / 2 for b in bounds]
+        bounds = [ScalingBounds(np.r_[m, b.x_min[1:]], np.r_[m, b.x_max[1:]]) for b, m in zip(bounds, mids)]
+    with_bounds = [replace(c, bounds=b) for c, b in zip(raws, bounds)]
+    prescaled = [replace(c, x_train=scale(c.x_train, b), x_thr=scale(c.x_thr, b))
+                 for c, b in zip(raws, bounds)]
+    return with_bounds, prescaled
+
+
+def _oracle_fleet(k=3, n=16, supervised=True, attack="none", **overrides):
+    rng = np.random.default_rng(7)
+    features = 4
+    arch = (
+        ArchitectureSpec("classifier", (3,), features, 1)
+        if supervised
+        else ArchitectureSpec("autoencoder", (2,), features, features)
+    )
+    spec = AttackSpec(kind=attack, f=1) if attack != "none" else AttackSpec()
+    clients = [
+        ClientState(
+            f"c{i}",
+            rng.uniform(-1.0, 2.0, size=(n, features)),
+            rng.integers(0, 2, size=n) if supervised else None,
+            attack=spec if i == 1 else AttackSpec(),
+            seed=i,
+        )
+        for i in range(k)
+    ]
+    fields = dict(arch=arch, learning_rate=0.3, batch_size=4, epochs=2, rounds=3, shuffle=True, init_seed=2)
+    return clients, FederationConfig(**{**fields, **overrides})
+
+
+ORACLE_CASES = {
+    "union_step": {},
+    "gradient_factor": {"attack": "gradient_factor", "aggregation": AggregationSpec("med")},
+    "model_cancel": {"attack": "model_cancel"},
+    "multi_epoch_logged": {"algorithm": "multi_epoch", "supervised": False},
+    "constant_column": {"constant": True},
+    "naive_own_bounds": {"aggregation": None, "per_client": True},
+    "partial_last_batch": {"n": 13, "batch_size": 5},
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_raw_rows_with_bounds_train_as_prescaled_rows(case):
+    case = dict(case)
+    per_client, constant = case.pop("per_client", False), case.pop("constant", False)
+    clients, config = _oracle_fleet(**case)
+    with_bounds, prescaled = _raw_and_prescaled(clients, per_client, constant)
+    with_log = config.aggregation is not None
+    expected = _run(run_federated, prescaled, config, with_log)
+    assert expected[0] != "error"
+    assert _run(run_federated, with_bounds, config, with_log) == expected
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(fleets(infinities=False), fleets(infinities=False, server=False)), st.booleans(), st.booleans()
+)
+def test_raw_rows_with_bounds_match_prescaled_rows_on_drawn_fleets(fleet, per_client, constant):
+    clients, config = fleet
+    with_bounds, prescaled = _raw_and_prescaled(clients, per_client, constant)
+    with_log = config.aggregation is not None
+    with np.errstate(all="ignore"):
+        expected = _run(run_federated, prescaled, config, with_log)
+        got = _run(run_federated, with_bounds, config, with_log)
+    assert got == expected
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["classifier", "autoencoder"])
+def test_grid_search_and_thresholds_read_raw_rows_as_prescaled_rows(supervised):
+    clients, config = _oracle_fleet(k=2, n=30, supervised=supervised)
+    with_bounds, prescaled = _raw_and_prescaled(clients, constant=True)
+    grid = [GridPoint(config.arch, 0.0), GridPoint(config.arch, 1e-2)]
+    expected = collaborative_grid_search(prescaled, grid, config)
+    assert collaborative_grid_search(with_bounds, grid, config) == expected
+    if not supervised:
+        (model,), _ = run_federated(prescaled, config)
+        assert select_thresholds(with_bounds, model) == select_thresholds(prescaled, model)

@@ -17,7 +17,7 @@ from fediot.dataset import (
 )
 from fediot import cli
 from fediot.errors import ConfigError
-from fediot.federation import predict, run_federated
+from fediot.federation import evaluate, predict, run_federated, select_thresholds
 from fediot.harness import (
     DataSource,
     ExperimentConfig,
@@ -415,6 +415,30 @@ class TestRunExperiment:
         result = run_experiment(config_from_dict(raw), str(tmp_path))
         assert len(result.rows) == 6
 
+    def test_logged_unsupervised_cell_scores_with_the_last_round_threshold(self, tmp_path, monkeypatch):
+        # The last logged round chose the final model's thresholds, so the
+        # cell selects them once per round and scores with the last ones.
+        raw = tiny_dict(mode="unsupervised", algorithm="multi_epoch")
+        raw["data"]["samples_per_device"] = 600
+        raw["balance"] = {"benign_fraction": 0.5, "samples_per_device": 600}
+        raw["training"].update(rounds=3, log_rounds=True)
+        raw["protocol"]["folds"] = ["dev-0"]
+        selected, scored = [], []
+
+        def selecting(*args):
+            state = select_thresholds(*args)
+            selected.append(state.global_threshold)
+            return state
+
+        def scoring(model, threshold, tests):
+            scored.append(threshold)
+            return evaluate(model, threshold, tests)
+
+        monkeypatch.setattr("fediot.harness.select_thresholds", selecting)
+        monkeypatch.setattr("fediot.harness.evaluate", scoring)
+        run_experiment(config_from_dict(raw), str(tmp_path))
+        assert len(selected) == 3 and scored == selected[-1:]
+
     def test_round_logs_written_when_enabled(self, tmp_path):
         raw = tiny_dict()
         raw["training"]["log_rounds"] = True
@@ -599,11 +623,13 @@ class TestFleetMemory:
         assert len(refs) == 6 and alive == [0, 0]
 
     @pytest.mark.parametrize("profile", ["unsupervised", "supervised-50"])
-    def test_traced_peak_below_twice_the_fleet(self, tmp_path, profile):
-        # An op holds the rebalanced fleet, the clients' scaled training
-        # copies and one scaled test set at a time, not a second fleet.
-        # tracemalloc counts Python-level allocations, so the ratio does not
-        # depend on how the allocator hands memory back.
+    def test_traced_peak_below_1_4_fleets(self, tmp_path, profile):
+        # An op holds the rebalanced fleet once: clients read their raw rows,
+        # and besides the fleet there are only the training buffers and one
+        # scaled test set at a time (about 1.25-1.3 fleets here; scaled
+        # client copies made it about 1.8). tracemalloc counts Python-level
+        # allocations, so the ratio does not depend on how the allocator
+        # hands memory back.
         raw = config_to_dict(load_profile(profile))
         raw["data"]["samples_per_device"] = raw["balance"]["samples_per_device"] = 800
         raw["model"]["preset"] = "A"
@@ -626,7 +652,7 @@ class TestFleetMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / fleet <= 2.0
+        assert peak / fleet <= 1.4
 
 
 class TestSummarize:
