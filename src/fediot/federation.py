@@ -296,7 +296,9 @@ def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~np.isfinite(rows).all(axis=1))
 
 
-def _batch_scaling(trainers: list[ClientState], shape: tuple[int, int, int]):
+def _batch_scaling(
+    trainers: list[ClientState], shape: tuple[int, int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
     # Per trainer row, its x_min and guarded span repeated over the batch
     # rows, and the constant-feature mask when a feature is constant, so a
     # step scales its gathered batch with scale()'s elementwise operations.
