@@ -122,10 +122,10 @@ class ClientState:
     """One client's ready-to-train view of its device data.
 
     x_train and x_thr are the device's raw records. Wherever they are read
-    they are min-max scaled with bounds, the group's scaling bounds; a
-    client without bounds uses its rows as given. Poisoned labels are
-    already flipped. The seed drives every random choice the client makes,
-    so a client is replayable.
+    they are min-max scaled with bounds, the group's scaling bounds, which
+    every client carries (bounds with x_min 0 and x_max 1 leave the rows as
+    they are). Poisoned labels are already flipped. The seed drives every
+    random choice the client makes, so a client is replayable.
     """
 
     client_id: str
@@ -134,7 +134,7 @@ class ClientState:
     x_thr: np.ndarray | None = None
     attack: AttackSpec = field(default_factory=AttackSpec)
     seed: int = 0
-    bounds: ScalingBounds | None = None
+    bounds: ScalingBounds = field(kw_only=True)
 
     @property
     def n_train(self) -> int:
@@ -174,16 +174,13 @@ def build_client(
 class ScaledRows:
     """Scales one client's rows at a time into one buffer kept across calls.
 
-    The array a call returns is valid until the next call. A client without
-    bounds gets its rows back as given.
+    The array a call returns is valid until the next call.
     """
 
     def __init__(self) -> None:
         self._buffer = np.empty(0)
 
     def __call__(self, client: ClientState, x: np.ndarray) -> np.ndarray:
-        if client.bounds is None:
-            return x
         if self._buffer.size < x.size:
             self._buffer = np.empty(x.size)
         return scale(x, client.bounds, out=self._buffer[: x.size].reshape(x.shape))
@@ -200,8 +197,6 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
     sizes = {c.n_train for c in clients}
     if len(sizes) > 1:
         raise ConfigError(f"clients must hold equally many training records, got {sorted(sizes)}")
-    if len({c.bounds is None for c in clients}) > 1:
-        raise ConfigError("clients must all carry scaling bounds or none do")
     supervised = config.arch.kind == CLASSIFIER
     for c in clients:
         if supervised and c.y_train is None:
@@ -213,7 +208,7 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
                 f"{c.client_id}: training features {c.x_train.shape} do not match "
                 f"input_dim {config.arch.input_dim}"
             )
-        if c.bounds is not None and c.bounds.x_min.shape != (config.arch.input_dim,):
+        if c.bounds.x_min.shape != (config.arch.input_dim,):
             raise SchemaError(
                 f"{c.client_id}: scaling bounds for {c.bounds.x_min.shape[0]} features do not "
                 f"match input_dim {config.arch.input_dim}"
@@ -298,13 +293,10 @@ def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
 
 def _batch_scaling(
     trainers: list[ClientState], shape: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     # Per trainer row, its x_min and guarded span repeated over the batch
     # rows, and the constant-feature mask when a feature is constant, so a
     # step scales its gathered batch with scale()'s elementwise operations.
-    # None when the clients carry no bounds.
-    if trainers[0].bounds is None:
-        return None
     x_min, span, constant = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
     for row, c in enumerate(trainers):
         x_min[row] = c.bounds.x_min
@@ -388,7 +380,7 @@ def run_federated(
     b = min(config.batch_size, clients[0].n_train)  # no batch is longer
     batch_x = np.empty((k, b, dim))
     batch_y = np.empty((k, b)) if arch.kind == CLASSIFIER else None
-    scaling = _batch_scaling([clients[i] for i in trainers], batch_x.shape)
+    x_min, span, constant = _batch_scaling([clients[i] for i in trainers], batch_x.shape)
     scratch = ScaledRows()  # for a multi-epoch round's logged losses
     streams = [_batches(clients[i], config) for i in trainers]
     union = _takes_union_step(config, attack_spec)
@@ -412,12 +404,10 @@ def run_federated(
                 clients[i].x_train.take(batch, axis=0, out=xs[row])
                 if ys is not None:
                     ys[row] = clients[i].y_train[batch]
-            if scaling is not None:
-                x_min, span, constant = scaling
-                np.subtract(xs, x_min[:, :size], out=xs)
-                np.divide(xs, span[:, :size], out=xs)
-                if constant is not None:
-                    np.copyto(xs, 0.0, where=constant[:, :size])
+            np.subtract(xs, x_min[:, :size], out=xs)
+            np.divide(xs, span[:, :size], out=xs)
+            if constant is not None:
+                np.copyto(xs, 0.0, where=constant[:, :size])
             while True:
                 fleet, fleet_grads = params[:rows], grads[:rows]
                 if step == 0:
@@ -526,11 +516,6 @@ def select_thresholds(
     return ThresholdState(locals_, global_threshold(locals_))
 
 
-def detect(model: ModelParameters, threshold: float, x: np.ndarray) -> np.ndarray:
-    """Flag records whose reconstruction error strictly exceeds the threshold."""
-    return (mse_per_sample(model, x) > threshold).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     tp: int = 0
@@ -578,30 +563,27 @@ def metrics_from_counts(counts: ConfusionCounts) -> dict[str, float]:
     }
 
 
-def predict(model: ModelParameters, x: np.ndarray, threshold: float | None = None) -> np.ndarray:
-    """Label a batch with whichever decision rule the model kind implies."""
-    if model.arch.kind == CLASSIFIER:
-        return classify(model, x)
-    if threshold is None:
-        raise ConfigError("an autoencoder needs a detection threshold")
-    return detect(model, threshold, x)
-
-
 def evaluate(
     model: ModelParameters,
     threshold: float | None,
     tests: Iterable[tuple[np.ndarray, np.ndarray]],
 ) -> list[ConfusionCounts]:
-    """Score a model on (scaled features, labels) test sets, one prediction pass each.
+    """Score a model on (scaled features, labels) test sets, one scoring pass each.
 
-    tests may be any iterable, a generator that scales each set on demand
-    included: a set is dropped once scored, before the next one is drawn.
-    Returns one ConfusionCounts per set, in order; callers pool them by
-    adding, so larger test sets weigh more.
+    A classifier labels each record; an autoencoder flags a record whose
+    reconstruction error strictly exceeds threshold. tests may be any
+    iterable, a generator that scales each set on demand included: a set is
+    dropped once scored, before the next one is drawn. Returns one
+    ConfusionCounts per set, in order; callers pool them by adding, so
+    larger test sets weigh more.
     """
+    classifier = model.arch.kind == CLASSIFIER
+    if not classifier and threshold is None:
+        raise ConfigError("an autoencoder needs an anomaly threshold")
 
     def score(x: np.ndarray, y: np.ndarray) -> ConfusionCounts:
-        return confusion_counts(y, predict(model, x, threshold))
+        flagged = classify(model, x) if classifier else mse_per_sample(model, x) > threshold
+        return confusion_counts(y, flagged)
 
     # Unlike a for loop, starmap keeps no reference to a set past its call.
     return list(itertools.starmap(score, tests))
@@ -685,15 +667,10 @@ def collaborative_grid_search(
 class RoundLogger:
     """Append-only JSON-lines log of aggregation rounds."""
 
-    def __init__(self, path: str, every: int = 1):
-        if every < 1:
-            raise ConfigError(f"log cadence must be >= 1, got {every}")
-        self.every = every
+    def __init__(self, path: str):
         self._handle: IO[str] = open(path, "w")
 
     def __call__(self, info: dict, model: ModelParameters) -> None:
-        if info["round"] % self.every:
-            return
         self._handle.write(json.dumps(info, sort_keys=True) + "\n")
 
     def close(self) -> None:

@@ -69,6 +69,9 @@ APPROACHES = ("naive", "federated", "centralized")
 KNOWN_SCOPE = "known"
 NEW_DEVICE_SCOPE = "new_device"
 
+# Both fleet sources reject a fleet of fewer than 2 devices with this message.
+_FLEET_FLOOR = "a fleet needs at least 2 devices (1 trains, 1 is held out)"
+
 # The adversarial comparison always covers these rules, weakest first.
 SWEEP_RULES = (
     AggregationSpec("avg"),
@@ -105,7 +108,7 @@ class DataSource:
             raise ConfigError(f"data source must be synthetic or manifest, got {self.source!r}")
         if self.source == "synthetic":
             if self.devices < 2:
-                raise ConfigError("a fleet needs at least 2 devices (1 trains, 1 is held out)")
+                raise ConfigError(_FLEET_FLOOR)
             if self.samples_per_device < 1 or self.attack_patterns < 1:
                 raise ConfigError(f"samples_per_device and attack_patterns must be >= 1, got "
                                   f"{self.samples_per_device}, {self.attack_patterns}")
@@ -149,6 +152,9 @@ class ExperimentConfig:
     model_bytes: int | None = None
 
     def __post_init__(self) -> None:
+        # The name is the bundle's directory under the results directory.
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ConfigError(f"name {self.name!r} is not a plain directory name")
         if self.name.endswith((".partial", ".old", ".sweep")):
             raise ConfigError(f"name {self.name!r} ends like a staging or sweep directory")
         if self.mode not in MODES:
@@ -339,7 +345,10 @@ def load_config(path_or_profile: str) -> ExperimentConfig:
 def _manifest(config: ExperimentConfig) -> list[ManifestEntry]:
     if not os.path.exists(config.data.path):
         raise ConfigError(f"manifest not found: {config.data.path}")
-    return load_manifest(config.data.path)
+    entries = load_manifest(config.data.path)
+    if len({entry.device_id for entry in entries}) < 2:
+        raise ConfigError(_FLEET_FLOOR)
+    return entries
 
 
 def _client_count(config: ExperimentConfig) -> int:
@@ -425,20 +434,15 @@ def _grid(config: ExperimentConfig) -> list[GridPoint]:
 
 
 def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: ExperimentConfig):
-    """A round hook that logs each round with its model's global threshold.
-
-    Returns the hook and a list that holds the last round's global
-    threshold, that of the final model, once the run ends.
-    """
+    """A round hook that logs each round with its model's global threshold."""
     ddof = config.threshold_ddof
     scratch = ScaledRows()
-    last: list[float] = []
 
     def wrapped(info: dict, model) -> None:
-        last[:] = [select_thresholds(clients, model, ddof, scratch).global_threshold]
-        logger({**info, "threshold": last[0]}, model)
+        threshold = select_thresholds(clients, model, ddof, scratch).global_threshold
+        logger({**info, "threshold": threshold}, model)
 
-    return wrapped, last
+    return wrapped
 
 
 def _run_cell(
@@ -488,19 +492,14 @@ def _run_cell(
         winners = (collaborative_grid_search(group, _grid(config), base_config)[0] for group in clients)
         group_configs = [replace(base_config, arch=w.arch, l2_lambda=w.l2_lambda) for w in winners]
     trained, aggregations = {}, 0  # configuration -> its groups' models, in group order
-    logged = {}  # configuration -> the global threshold its last logged round chose
     for fed_config in dict.fromkeys(group_configs):
         fleet = [c for group, g in zip(clients, group_configs) if g == fed_config for c in group]
         if log_path is None:
             models, count = run_federated(fleet, fed_config)
         else:
             with RoundLogger(log_path) as logger:
-                if config.supervised:
-                    models, count = run_federated(fleet, fed_config, logger)
-                else:
-                    hook, last = _threshold_logger(logger, fleet, config)
-                    models, count = run_federated(fleet, fed_config, hook)
-                    logged[fed_config] = last[0]
+                hook = logger if config.supervised else _threshold_logger(logger, fleet, config)
+                models, count = run_federated(fleet, fed_config, hook)
         trained[fed_config] = iter(models)
         aggregations += count
 
@@ -508,8 +507,8 @@ def _run_cell(
     device_rows: list[dict] = []
     for ids, group, group_bounds, fed_config in zip(groups, clients, bounds, group_configs):
         model = next(trained[fed_config])
-        threshold = logged.get(fed_config)  # a logged fleet is one group
-        if threshold is None and not config.supervised:
+        threshold = None
+        if not config.supervised:
             threshold = select_thresholds(group, model, config.threshold_ddof).global_threshold
         tests = (partitions[d].test for d in (*ids, fold))
         # Each test set is scaled as evaluate reaches it: one scaled copy at a time.

@@ -22,7 +22,6 @@ from fediot.federation import (
     build_client,
     collaborative_grid_search,
     confusion_counts,
-    detect,
     evaluate,
     global_threshold,
     local_threshold,
@@ -42,17 +41,22 @@ from fediot.neuralnet import (
     mse_per_sample,
     sgd_step,
 )
-from fediot.preprocess import local_min_max, merge_bounds, scale
+from fediot.preprocess import ScalingBounds, local_min_max, merge_bounds, scale
 
 
 SCHEDULES = ("mini_batch", "multi_epoch")
+
+
+def identity(d):
+    """Scaling bounds that leave every feature as it is (see test_preprocess)."""
+    return ScalingBounds(np.zeros(d), np.ones(d))
 
 
 def toy_client(cid, n=32, seed=0, d=4, supervised=True, attack=None):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, size=(n, d))
     y = rng.integers(0, 2, size=n) if supervised else None
-    return ClientState(cid, x, y, attack=attack or AttackSpec(), seed=seed)
+    return ClientState(cid, x, y, attack=attack or AttackSpec(), seed=seed, bounds=identity(d))
 
 
 def toy_config(d=4, supervised=True, **overrides):
@@ -102,12 +106,6 @@ class TestFleetValidation:
         wide = local_min_max(np.zeros((2, 5)))
         clients = [replace(toy_client("a"), bounds=fits), replace(toy_client("b", seed=1), bounds=wide)]
         with pytest.raises(SchemaError, match="b: scaling bounds for 5 features do not match input_dim 4"):
-            run_federated(clients, toy_config())
-
-    def test_fleet_mixing_bounds_and_none_rejected(self):
-        bounds = local_min_max(toy_client("a").x_train)
-        clients = [toy_client("a"), replace(toy_client("b", seed=1), bounds=bounds)]
-        with pytest.raises(ConfigError, match="scaling bounds or none"):
             run_federated(clients, toy_config())
 
     def test_malicious_count_must_match_f(self):
@@ -166,7 +164,7 @@ class TestMiniBatch:
             slices_x.append(x[rows])
             slices_y.append(y[rows])
         clients = [
-            ClientState(f"c{i}", slices_x[i], slices_y[i], seed=i) for i in range(k)
+            ClientState(f"c{i}", slices_x[i], slices_y[i], seed=i, bounds=identity(d)) for i in range(k)
         ]
         config = toy_config(d=d, epochs=4, learning_rate=0.3, batch_size=small_b)
         (federated,), _ = run_federated(clients, config)
@@ -309,8 +307,8 @@ class TestSchedules:
         y = rng.integers(0, 2, size=8)
         attack = AttackSpec(kind="gradient_factor", f=1)
         clients = [
-            ClientState("honest", x, y, seed=1),
-            ClientState("evil", x, y, attack=attack, seed=1),
+            ClientState("honest", x, y, seed=1, bounds=identity(3)),
+            ClientState("evil", x, y, attack=attack, seed=1, bounds=identity(3)),
         ]
         config = toy_config(
             d=3, algorithm=algorithm, epochs=1, rounds=1, learning_rate=0.5, batch_size=8
@@ -366,7 +364,7 @@ class TestThresholds:
         arch = ArchitectureSpec("autoencoder", (2,), d, d)
         model = ModelParameters(arch, np.zeros(arch.n_parameters))
         x_thr = np.sqrt(np.asarray(errors))[:, None] * np.ones(d)
-        client = ClientState("c", np.zeros((4, d)), None, x_thr=x_thr, seed=0)
+        client = ClientState("c", np.zeros((4, d)), None, x_thr=x_thr, seed=0, bounds=identity(d))
         return client, model
 
     def test_local_threshold_is_mean_plus_population_std(self):
@@ -397,12 +395,16 @@ class TestThresholds:
             local_threshold(client, model)
 
     def test_detect_is_strict(self):
+        # evaluate flags a record only when its error exceeds the threshold.
         d = 2
         arch = ArchitectureSpec("autoencoder", (2,), d, d)
         model = ModelParameters(arch, np.zeros(arch.n_parameters))
         x = np.array([[1.0, 1.0], [2.0, 2.0]])  # errors 1.0 and 4.0
-        np.testing.assert_array_equal(detect(model, 1.0, x), [0, 1])
-        np.testing.assert_array_equal(detect(model, 0.99, x), [1, 1])
+        y = np.array([0, 1])
+        assert evaluate(model, 1.0, [(x, y)]) == [ConfusionCounts(tp=1, tn=1)]
+        assert evaluate(model, 0.99, [(x, y)]) == [ConfusionCounts(tp=1, fp=1)]
+        with pytest.raises(ConfigError, match="threshold"):
+            evaluate(model, None, [(x, y)])
 
 
 class TestMetrics:
@@ -516,7 +518,7 @@ class TestGridSearch:
         for i in range(k):
             y = np.arange(n) % 2
             x = rng.normal(size=(n, 2)) * 0.1 + y[:, None] * 3.0
-            clients.append(ClientState(f"c{i}", x, y, seed=i))
+            clients.append(ClientState(f"c{i}", x, y, seed=i, bounds=identity(2)))
         return clients
 
     def xor_clients(self, k=2, n=80):
@@ -528,7 +530,7 @@ class TestGridSearch:
         for i in range(k):
             q = np.arange(n) % 4
             x = centers[q] + rng.normal(size=(n, 2)) * 0.1
-            clients.append(ClientState(f"c{i}", x, (q >= 2).astype(int), seed=i))
+            clients.append(ClientState(f"c{i}", x, (q >= 2).astype(int), seed=i, bounds=identity(2)))
         return clients
 
     def test_picks_the_clearly_better_point(self):
@@ -556,7 +558,7 @@ class TestGridSearch:
     def test_unsupervised_grid_minimizes_validation_loss(self):
         rng = np.random.default_rng(3)
         clients = [
-            ClientState(f"c{i}", rng.uniform(0, 1, size=(50, 3)), None, seed=i)
+            ClientState(f"c{i}", rng.uniform(0, 1, size=(50, 3)), None, seed=i, bounds=identity(3))
             for i in range(2)
         ]
         arch = ArchitectureSpec("autoencoder", (2,), 3, 3)
@@ -599,11 +601,3 @@ class TestRoundLogger:
         assert len(records) == math.ceil(32 / 8)
         assert {"round", "epoch", "lr", "client_losses", "dropped"} <= set(records[0])
         assert set(records[0]["client_losses"]) == {"a", "b"}
-
-    def test_cadence_filter(self, tmp_path):
-        path = str(tmp_path / "rounds.jsonl")
-        clients = [toy_client("a"), toy_client("b", seed=1)]
-        with RoundLogger(path, every=2) as logger:
-            run_federated(clients, toy_config(epochs=2), on_round=logger)
-        records = [json.loads(line) for line in open(path)]
-        assert [r["round"] for r in records] == [0, 2, 4, 6]

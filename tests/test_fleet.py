@@ -16,8 +16,11 @@ alone_reference_run_federated runs each client's one-client AVG mini-batch
 run in client order, as the harness once did for naive devices.
 
 Clients on raw rows with scaling bounds must train, log and choose exactly
-as the same clients pre-scaled without bounds: every scaled read, the
-gathered fleet batch included, applies scale()'s elementwise operations.
+as the same clients pre-scaled, whose identity bounds (x_min 0, x_max 1)
+leave their rows as they are: every scaled read, the gathered fleet batch
+included, applies scale()'s elementwise operations. Every other client
+here carries identity bounds too, so the reference loops read its rows as
+given.
 """
 import json
 from dataclasses import replace
@@ -47,6 +50,11 @@ from fediot.federation import (
 )
 from fediot.neuralnet import ArchitectureSpec, backward, loss, sgd_step
 from fediot.preprocess import ScalingBounds, local_min_max, merge_bounds, scale
+
+
+def identity(d):
+    """Scaling bounds that leave every feature as it is (see test_preprocess)."""
+    return ScalingBounds(np.zeros(d), np.ones(d))
 
 
 def reference_run_federated(clients, config, on_round=None, initial_model=None):
@@ -224,7 +232,8 @@ def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True):
         malicious = i in malicious_at
         if malicious and kind == "flip_all":
             y = 1 - y  # the labels build_client hands a flipping client
-        clients.append(ClientState(f"c{i}", x, y, attack=attack if malicious else AttackSpec(), seed=i))
+        spec = attack if malicious else AttackSpec()
+        clients.append(ClientState(f"c{i}", x, y, attack=spec, seed=i, bounds=identity(features)))
     if infinities and draw(st.integers(0, 9)) == 0:
         # A non-finite feature poisons whichever client trains on it first.
         victim = draw(st.integers(0, k - 1))
@@ -343,7 +352,7 @@ def test_first_bad_client_in_client_order_is_named(algorithm, rule):
     for i, bad_row in enumerate((7, 0)):
         x = rng.uniform(0, 1, size=(8, 3))
         x[bad_row, 1] = np.nan
-        clients.append(ClientState(f"c{i}", x, rng.integers(0, 2, size=8), seed=i))
+        clients.append(ClientState(f"c{i}", x, rng.integers(0, 2, size=8), seed=i, bounds=identity(3)))
     config = FederationConfig(
         arch=arch, algorithm=algorithm, aggregation=rule, batch_size=2, rounds=1, epochs=1, shuffle=False
     )
@@ -362,7 +371,10 @@ def test_a_gradient_that_overflows_only_once_scaled_is_a_model_fault(lr):
     # lr = 0 and lr = 1 the run stays finite.
     arch = ArchitectureSpec("classifier", (), 2, 1)
     y = np.arange(4) % 2
-    clients = [ClientState("c0", np.ones((4, 2)), y, seed=0), ClientState("c1", np.full((4, 2), 1e300), y, seed=1)]
+    clients = [
+        ClientState("c0", np.ones((4, 2)), y, seed=0, bounds=identity(2)),
+        ClientState("c1", np.full((4, 2), 1e300), y, seed=1, bounds=identity(2)),
+    ]
     config = FederationConfig(
         arch=arch, algorithm="multi_epoch", learning_rate=lr, batch_size=2, epochs=1, rounds=1, shuffle=False
     )
@@ -375,7 +387,7 @@ def test_a_gradient_that_overflows_only_once_scaled_is_a_model_fault(lr):
 
 def _raw_and_prescaled(clients, per_client=False, constant=False):
     """The clients on raw rows read through bounds, and the same clients
-    pre-scaled without bounds.
+    pre-scaled with their identity bounds.
 
     The raw rows are the clients' rows stretched to another range. The
     clients share merged bounds, or with per_client each has its own, as a
@@ -412,6 +424,7 @@ def _oracle_fleet(k=3, n=16, supervised=True, attack="none", **overrides):
             rng.integers(0, 2, size=n) if supervised else None,
             attack=spec if i == 1 else AttackSpec(),
             seed=i,
+            bounds=identity(features),
         )
         for i in range(k)
     ]

@@ -17,7 +17,7 @@ from fediot.dataset import (
 )
 from fediot import cli
 from fediot.errors import ConfigError
-from fediot.federation import evaluate, predict, run_federated, select_thresholds
+from fediot.federation import evaluate, run_federated
 from fediot.harness import (
     DataSource,
     ExperimentConfig,
@@ -41,6 +41,7 @@ from fediot.neuralnet import (
     CLASSIFIER_HIDDEN,
     autoencoder_preset,
     classifier_preset,
+    classify,
     init_model,
 )
 
@@ -174,10 +175,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="folds"):
             tiny_config(protocol={"folds": []})
 
-    @pytest.mark.parametrize("name", ["a.partial", "a.old", "a.sweep"])
+    @pytest.mark.parametrize(
+        "name", ["a.partial", "a.old", "a.sweep", "", ".", "..", "a/b", "../escaped", "a\\b"]
+    )
     def test_staging_suffix_in_name_rejected(self, name):
-        # Running config "a" would clear that bundle as a leftover.
-        with pytest.raises(ConfigError, match="staging"):
+        # Running config "a" would clear a bundle named like its staging
+        # directory as a leftover. A name that is no plain directory name
+        # would put the bundle at the results directory itself or outside it.
+        reason = "staging" if name.endswith((".partial", ".old", ".sweep")) else "not a plain directory name"
+        with pytest.raises(ConfigError, match=reason):
             tiny_config(name=name)
 
     def test_half_specified_grid_rejected(self):
@@ -416,28 +422,24 @@ class TestRunExperiment:
         assert len(result.rows) == 6
 
     def test_logged_unsupervised_cell_scores_with_the_last_round_threshold(self, tmp_path, monkeypatch):
-        # The last logged round chose the final model's thresholds, so the
-        # cell selects them once per round and scores with the last ones.
+        # The last logged round's model is the final one, so the threshold
+        # the cell scores with is the one its last round-log line shows.
         raw = tiny_dict(mode="unsupervised", algorithm="multi_epoch")
         raw["data"]["samples_per_device"] = 600
         raw["balance"] = {"benign_fraction": 0.5, "samples_per_device": 600}
         raw["training"].update(rounds=3, log_rounds=True)
         raw["protocol"]["folds"] = ["dev-0"]
-        selected, scored = [], []
-
-        def selecting(*args):
-            state = select_thresholds(*args)
-            selected.append(state.global_threshold)
-            return state
+        scored = []
 
         def scoring(model, threshold, tests):
             scored.append(threshold)
             return evaluate(model, threshold, tests)
 
-        monkeypatch.setattr("fediot.harness.select_thresholds", selecting)
         monkeypatch.setattr("fediot.harness.evaluate", scoring)
-        run_experiment(config_from_dict(raw), str(tmp_path))
-        assert len(selected) == 3 and scored == selected[-1:]
+        result = run_experiment(config_from_dict(raw), str(tmp_path))
+        with open(os.path.join(result.path, "rounds", "fold-dev-0-rep-0.jsonl")) as handle:
+            records = [json.loads(line) for line in handle]
+        assert len(records) == 3 and scored == [records[-1]["threshold"]]
 
     def test_round_logs_written_when_enabled(self, tmp_path):
         raw = tiny_dict()
@@ -509,14 +511,14 @@ class TestRunExperiment:
     )
     def test_each_test_set_predicted_once_per_group(self, tmp_path, monkeypatch, approach, per_cell):
         # 3 devices: a cell trains on 2 and holds 1 out. Each group of
-        # training devices predicts its known test sets and the held-out one.
+        # training devices classifies its known test sets and the held-out one.
         calls = []
 
-        def counting(model, x, threshold=None):
+        def counting(model, x):
             calls.append(x)
-            return predict(model, x, threshold)
+            return classify(model, x)
 
-        monkeypatch.setattr("fediot.federation.predict", counting)
+        monkeypatch.setattr("fediot.federation.classify", counting)
         run_experiment(tiny_config(approach=approach), str(tmp_path))
         assert len(calls) == 3 * per_cell
 
@@ -759,6 +761,20 @@ class TestManifestFleetSize:
         rows = cost_table(manifest_config(tmp_path))  # mini_batch B=8, 8 clients
         assert rows[1]["algorithm"] == "multi_epoch"
         assert rows[1]["batch_size"] == 64
+
+    def test_one_device_manifest_rejected_by_run_and_sweep(self, tmp_path):
+        fleet = tmp_path / "fleet"
+        fleet.mkdir()
+        (fleet / "benign.csv").write_text("0.1,0.2,0.3,0.4,0.5\n" * 200)
+        (fleet / "attack.csv").write_text("0.9,0.8,0.7,0.6,0.5\n" * 200)
+        (fleet / "manifest.csv").write_text("dev-0,benign.csv,benign\ndev-0,attack.csv,attack\n")
+        raw = tiny_dict(data={"source": "manifest", "path": str(fleet / "manifest.csv"), "schema": 5})
+        config = config_from_dict(raw)
+        with pytest.raises(ConfigError, match="at least 2 devices"):
+            run_experiment(config, str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match="at least 2 devices"):
+            attack_sweep(config, [0], str(tmp_path / "out"))
+        assert not os.path.exists(tmp_path / "out" / "tiny.partial")
 
     def test_sweep_rejects_f_of_fleet_size_before_training(self, tmp_path, monkeypatch):
         config = manifest_config(tmp_path)

@@ -124,6 +124,26 @@ class TestScale:
         with pytest.raises(SchemaError):
             scale(np.zeros((4, 3)), bounds)
 
+    def test_identity_bounds_keep_every_edge_value_bit_for_bit(self):
+        # x_min 0 and x_max 1 give x - 0 and then x / 1, both exact for every
+        # float64 but a signaling NaN, which arithmetic quiets (quiet NaNs keep
+        # sign and payload), so clients that carry these bounds train on their
+        # rows as given.
+        big, tiny = np.finfo(np.float64).max, np.finfo(np.float64).smallest_subnormal
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny,
+                          np.finfo(np.float64).smallest_normal * 0.75, big, -big, 1.0, -2.5])
+        features = np.stack([edges, edges[::-1], np.roll(edges, 3)], axis=1)
+        identity = ScalingBounds(np.zeros(3), np.ones(3))
+        assert scale(features, identity).tobytes() == features.tobytes()
+        out = np.empty_like(features)
+        assert scale(features, identity, out=out) is out
+        assert out.tobytes() == features.tobytes()
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.just(3)), elements=st.floats(allow_nan=False)))
+    def test_identity_bounds_keep_drawn_floats_bit_for_bit(self, features):
+        identity = ScalingBounds(np.zeros(3), np.ones(3))
+        assert scale(features, identity).tobytes() == features.tobytes()
+
 
 class TestScalingBounds:
     def test_min_above_max_rejected(self):

@@ -22,7 +22,9 @@ the other checkout is the base. Each side runs PAIRS times:
   buffer rows, as its loop did);
 - the round probe, the median time of one mini-batch round of
   `run_federated` (batch size 8, preset-B classifier) under AVG, MED, TM(2)
-  and 2-RS+TM(2) at the same k.
+  and 2-RS+TM(2) at the same k. Where the checkout's clients have a
+  `bounds` field, they carry identity bounds (x_min 0, x_max 1), which
+  leave the drawn rows as they are.
 With a base, the two sides take turns and the side that goes first
 alternates from pair to pair, so drift of the host's speed hits both
 alike. Each measurement runs in its own interpreter, with one BLAS thread.
@@ -37,13 +39,16 @@ record keeps each side's runs, median and quartiles; with a base, also
 the number of pairs the change won (strictly better in the metric's
 direction; a probe figure is better when lower). Each workload's entry
 also holds each side's traced peak. The record holds each checkout's git
-revision, with a flag for uncommitted changes, and the environment
-(python, numpy, BLAS, CPUs).
+revision, with a flag for uncommitted changes and the sha256 of
+`git diff HEAD` (null when tracked files are unchanged), so a record made
+on a dirty tree names the exact sources, and the environment (python,
+numpy, BLAS, CPUs).
 """
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -122,20 +127,24 @@ print(json.dumps(out))
 
 # Times whole mini-batch training runs of ROUNDS rounds, one round per batch.
 ROUND_PROBE = r"""
-import json, statistics, sys, time
+import dataclasses, json, statistics, sys, time
 import numpy as np
 from fediot.aggregation import AggregationSpec
 from fediot.federation import ClientState, FederationConfig, run_federated
 from fediot.neuralnet import classifier_preset
+from fediot.preprocess import ScalingBounds
 
 arch = classifier_preset("B")
 batch, rounds = 8, 40
 out = {"d": arch.n_parameters, "batch_size": batch, "ms": {}}
+bounds = {}
+if "bounds" in {f.name for f in dataclasses.fields(ClientState)}:
+    bounds["bounds"] = ScalingBounds(np.zeros(arch.input_dim), np.ones(arch.input_dim))
 for k in json.loads(sys.argv[1]):
     rng = np.random.default_rng(k)
     n = batch * rounds
     clients = [
-        ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), rng.integers(0, 2, n), seed=i)
+        ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), rng.integers(0, 2, n), seed=i, **bounds)
         for i in range(k)
     ]
     rules = (AggregationSpec("avg"), AggregationSpec("med"), AggregationSpec("tm", trim_c=2),
@@ -284,10 +293,12 @@ def _measure(sides: dict, bench: dict) -> dict:
 
 
 def _revision(checkout: Path) -> dict:
+    diff = subprocess.run(["git", "-C", str(checkout), "diff", "HEAD"], capture_output=True).stdout
     return {
         "path": str(checkout),
         "git_rev": _git(checkout, "rev-parse", "HEAD") or None,
         "uncommitted_changes": bool(_git(checkout, "status", "--porcelain")),
+        "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
     }
 
 
