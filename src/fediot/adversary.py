@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ATTACK, BENIGN, SampleSet
+from .dataset import ATTACK, BENIGN
 from .errors import ConfigError, SchemaError
 from .neuralnet import ModelParameters
 
@@ -72,31 +72,32 @@ def alpha_cancel(k: int, f: int) -> float:
 
 
 def flip_labels(
-    samples: SampleSet, kind: str, p_poison: float, rng: np.random.Generator
-) -> SampleSet:
+    labels: np.ndarray | None, kind: str, p_poison: float, rng: np.random.Generator
+) -> np.ndarray:
     """Flip a uniformly chosen share of the targeted labels.
 
     flip_benign turns benign labels into attack, flip_attack the reverse,
-    flip_all inverts both. Exactly floor(p_poison * targeted) labels flip;
-    features and ordering stay untouched.
+    flip_all inverts both. Exactly floor(p_poison * targeted) labels flip.
+    Returns a flipped copy of labels, in their order; None (an unlabeled
+    stream) is rejected.
     """
     if kind not in FLIP_KINDS:
         raise ConfigError(f"not a label flip kind: {kind!r}")
     if not 0.0 <= p_poison <= 1.0:
         raise ConfigError(f"p_poison must be in [0, 1], got {p_poison}")
-    if samples.labels is None:
+    if labels is None:
         raise SchemaError("label flipping needs a labeled stream")
     if kind == "flip_benign":
-        targeted = np.flatnonzero(samples.labels == BENIGN)
+        targeted = np.flatnonzero(labels == BENIGN)
     elif kind == "flip_attack":
-        targeted = np.flatnonzero(samples.labels == ATTACK)
+        targeted = np.flatnonzero(labels == ATTACK)
     else:
-        targeted = np.arange(len(samples))
+        targeted = np.arange(labels.size)
     n_flip = int(p_poison * targeted.size)
     chosen = rng.choice(targeted, size=n_flip, replace=False)
-    labels = samples.labels.copy()
-    labels[chosen] = 1 - labels[chosen]
-    return SampleSet(samples.features, labels, samples.seq_index)
+    flipped = labels.copy()
+    flipped[chosen] = 1 - flipped[chosen]
+    return flipped
 
 
 def cancel_update(

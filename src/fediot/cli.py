@@ -74,8 +74,8 @@ def _cmd_ingest(args) -> dict:
             "test": len(part.test),
             "threshold": len(part.threshold_sel) if part.threshold_sel is not None else 0,
         }
-        benign, attack = part.test.class_counts()
-        sizes["test_benign"] = benign
+        attack = int(np.count_nonzero(part.records.labels[part.test]))
+        sizes["test_benign"] = sizes["test"] - attack
         sizes["test_attack"] = attack
         devices[part.device_id] = sizes
         total += sum(sizes[k] for k in ("train", "unused", "test", "threshold"))

@@ -85,30 +85,51 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class DevicePartition:
-    """The split data of one device.
+    """The split data of one device: its records, each held once, and per
+    part an intp array of row positions into them, in part order.
 
+    A position may repeat (upsampling); readers gather the rows they need.
     threshold_sel is present only for unsupervised splits, where it feeds
     anomaly threshold selection. The unused part is a chronological gap
     between training and testing data and is never read by training code.
     """
 
     device_id: str
-    train: SampleSet
-    unused: SampleSet
-    test: SampleSet
-    threshold_sel: SampleSet | None = None
+    records: SampleSet
+    train: np.ndarray
+    unused: np.ndarray
+    test: np.ndarray
+    threshold_sel: np.ndarray | None = None
+
+    def gather(self, part: str) -> SampleSet:
+        """The records of one part, named by field, as a new SampleSet in part order."""
+        return self.records.take(getattr(self, part))
+
+    def _parts(self) -> list[np.ndarray | None]:
+        return [self.train, self.unused, self.test, self.threshold_sel]
+
+    def compact(self) -> DevicePartition:
+        """The same parts over only the records some part names, in one
+        gather; a partition that names every record is returned as it is."""
+        named = np.zeros(len(self.records), dtype=bool)
+        for part in self._parts():
+            if part is not None:
+                named[part] = True
+        if named.all():
+            return self
+        position = np.cumsum(named) - 1  # a named record's row in the kept records
+        parts = (None if p is None else position[p] for p in self._parts())
+        return DevicePartition(self.device_id, self.records.take(np.flatnonzero(named)), *parts)
 
     @staticmethod
     def concat(device_id: str, parts: list[DevicePartition]) -> DevicePartition:
-        """Pool several partitions part by part into one device's partition."""
-        thresholds = [p.threshold_sel for p in parts if p.threshold_sel is not None]
-        return DevicePartition(
-            device_id,
-            SampleSet.concat([p.train for p in parts]),
-            SampleSet.concat([p.unused for p in parts]),
-            SampleSet.concat([p.test for p in parts]),
-            SampleSet.concat(thresholds) if thresholds else None,
-        )
+        """Pool several partitions into one device's: records appended, parts joined in order."""
+        offsets = np.cumsum([0] + [len(p.records) for p in parts[:-1]])
+        pooled = []
+        for pieces in zip(*(p._parts() for p in parts)):
+            shifted = [piece + offset for piece, offset in zip(pieces, offsets) if piece is not None]
+            pooled.append(np.concatenate(shifted) if shifted else None)
+        return DevicePartition(device_id, SampleSet.concat([p.records for p in parts]), *pooled)
 
 
 @dataclass(frozen=True)
@@ -137,9 +158,10 @@ def load_device_csv(path: str, schema: int = FEATURE_DIM, has_header: bool = Fal
 
     Raises:
         SchemaError: a row has the wrong number of columns.
-        ParseError: a cell is non-numeric or a label is not 0/1.
+        ParseError: a cell is non-numeric or non-finite, or a label is not 0/1.
     """
     rows: list[list[float]] = []
+    row_nos: list[int] = []
     labels: list[int] = []
     labeled = None
     with open(path, newline="") as handle:
@@ -169,12 +191,19 @@ def load_device_csv(path: str, schema: int = FEATURE_DIM, has_header: bool = Fal
             except ValueError as exc:
                 raise ParseError(f"{path}: row {row_no}: non-numeric cell: {exc}") from None
             rows.append(values)
+            row_nos.append(row_no)
             if labeled:
                 cell = row[schema].strip()
                 if cell not in ("0", "1"):
                     raise ParseError(f"{path}: row {row_no}: label must be 0 or 1, got {cell!r}")
                 labels.append(int(cell))
     features = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema)
+    # float() also reads nan, inf and overflowing literals such as 1e309.
+    if not np.isfinite(features).all():
+        row, column = np.argwhere(~np.isfinite(features))[0]
+        raise ParseError(
+            f"{path}: row {row_nos[row]}: column {column}: non-finite cell {float(features[row, column])!r}"
+        )
     label_arr = np.asarray(labels, dtype=np.int64) if labeled else None
     return SampleSet(features, label_arr, np.arange(len(rows), dtype=np.int64))
 
@@ -194,14 +223,15 @@ def _cut(positions: np.ndarray, fractions: tuple[float, ...], what: str) -> list
 
 
 def chronological_split(samples: SampleSet, mode: str, device_id: str = "device") -> DevicePartition:
-    """Split one device stream into time-ordered parts.
+    """Split one device stream into time-ordered parts over its records.
 
     Supervised mode cuts the stream into train / unused / test blocks of
     fractions 0.79 / 0.01 / 0.20. Unsupervised mode applies fractions
     0.395 / 0.395 / 0.01 / 0.20 to the benign records only (train,
     threshold_sel, unused, benign test) and adds every attack record to the
     test part, which keeps capture order. An unlabeled stream is treated as
-    all benign.
+    all benign. The partition's records are samples itself: no feature row
+    is copied.
 
     Raises:
         EmptyPartError: the stream holds fewer records than parts.
@@ -210,7 +240,7 @@ def chronological_split(samples: SampleSet, mode: str, device_id: str = "device"
     n = len(samples)
     if mode == "supervised":
         parts = _cut(np.arange(n), SUPERVISED_FRACTIONS, f"{device_id}: {n} samples")
-        return DevicePartition(device_id, *(samples.take(p) for p in parts))
+        return DevicePartition(device_id, samples, *parts)
     if mode != "unsupervised":
         raise ConfigError(f"unknown split mode {mode!r}")
     labels = np.zeros(n, dtype=np.int64) if samples.labels is None else samples.labels
@@ -219,7 +249,7 @@ def chronological_split(samples: SampleSet, mode: str, device_id: str = "device"
         benign, UNSUPERVISED_FRACTIONS, f"{device_id}: {benign.size} benign samples"
     )
     test = np.sort(np.concatenate([test, np.flatnonzero(labels == ATTACK)]))
-    return DevicePartition(device_id, *(samples.take(p) for p in (train, unused, test, thr_sel)))
+    return DevicePartition(device_id, samples, train, unused, test, thr_sel)
 
 
 def _resample(indices: np.ndarray, target: int, rng: np.random.Generator) -> np.ndarray:
@@ -235,20 +265,21 @@ def _resample(indices: np.ndarray, target: int, rng: np.random.Generator) -> np.
 
 
 def _resize(
-    part: SampleSet, targets: dict[int, int], rng: np.random.Generator, what: str
-) -> SampleSet:
-    # Resample each class to its target count, in the order given, then put
-    # the picked records back into capture order.
-    if part.labels is None:
+    records: SampleSet, part: np.ndarray, targets: dict[int, int], rng: np.random.Generator, what: str
+) -> np.ndarray:
+    # Resample each class of the part to its target count, in the order
+    # given, then put the picked records back into capture order.
+    if records.labels is None:
         raise MissingClassError(f"{what}: rebalancing requires a labeled stream")
+    labels = records.labels[part]
     chosen = []
     for label, target in targets.items():
-        indices = np.flatnonzero(part.labels == label)
+        indices = np.flatnonzero(labels == label)
         if target > 0 and indices.size == 0:
             raise MissingClassError(f"{what}: no {_CLASS_NAMES[label]} samples to reach {target}")
         chosen.append(_resample(indices, target, rng))
-    picked = part.take(np.concatenate(chosen))
-    return picked.take(np.argsort(picked.seq_index, kind="stable"))
+    picked = part[np.concatenate(chosen)]
+    return picked[np.argsort(records.seq_index[picked], kind="stable")]
 
 
 def rebalance(partition: DevicePartition, spec: BalanceSpec, rng_seed: int) -> DevicePartition:
@@ -259,17 +290,19 @@ def rebalance(partition: DevicePartition, spec: BalanceSpec, rng_seed: int) -> D
     floor(benign_fraction * part size). Unsupervised parts are benign by
     construction, so samples_per_device budgets the benign stream and only
     the attack side of the test part is resized, to match benign_fraction
-    within the test part. No record ever crosses a part boundary.
+    within the test part. No record ever crosses a part boundary. Only the
+    indices are redrawn, over the partition's own records.
     """
     rng = np.random.default_rng(rng_seed)
     spd, bf, who = spec.samples_per_device, spec.benign_fraction, partition.device_id
+    records = partition.records
 
-    def resize(name: str, targets: dict[int, int]) -> SampleSet:
-        return _resize(getattr(partition, name), targets, rng, f"{who} {name}")
+    def resize(name: str, targets: dict[int, int]) -> np.ndarray:
+        return _resize(records, getattr(partition, name), targets, rng, f"{who} {name}")
 
     if partition.threshold_sel is None:
         sizes = _part_sizes(spd, SUPERVISED_FRACTIONS, f"{who}: target {spd}")
-        return DevicePartition(who, *[
+        return DevicePartition(who, records, *[
             resize(name, {BENIGN: int(bf * t), ATTACK: t - int(bf * t)})
             for name, t in zip(("train", "unused", "test"), sizes)
         ])
@@ -280,7 +313,7 @@ def rebalance(partition: DevicePartition, spec: BalanceSpec, rng_seed: int) -> D
     test = resize("test", {BENIGN: t_btest, ATTACK: round(t_btest * (1.0 - bf) / bf)})
     train = resize("train", {BENIGN: t_train})
     unused = resize("unused", {BENIGN: t_unused})
-    return DevicePartition(who, train, unused, test, resize("threshold_sel", {BENIGN: t_thr}))
+    return DevicePartition(who, records, train, unused, test, resize("threshold_sel", {BENIGN: t_thr}))
 
 
 def _striped_labels(n: int, benign_fraction: float) -> np.ndarray:
@@ -311,7 +344,8 @@ def generate_synthetic_fleet(
     one of a small set of directions shared by the whole fleet, the way one
     malware family produces similar traffic on different devices.
 
-    Returns one stream per device, deterministic in the seed.
+    Returns one stream per device, deterministic in the seed. Each device's
+    features are built in the array its normal draw returned.
     """
     if n_devices <= 0 or samples_per_device <= 0:
         raise ConfigError("n_devices and samples_per_device must be positive")
@@ -324,8 +358,9 @@ def generate_synthetic_fleet(
         rng = np.random.default_rng(dev_ss)
         center = benign_spread * rng.normal(size=feature_dim)
         labels = _striped_labels(samples_per_device, benign_fraction)
-        noise = noise_sigma * rng.normal(size=(samples_per_device, feature_dim))
-        features = center + noise
+        features = rng.normal(size=(samples_per_device, feature_dim))
+        features *= noise_sigma
+        features += center
         attack_rows = np.flatnonzero(labels == ATTACK)
         patterns = rng.integers(0, n_attack_patterns, size=attack_rows.size)
         features[attack_rows] += attack_shift * directions[patterns]
@@ -347,7 +382,9 @@ def load_manifest(path: str) -> list[ManifestEntry]:
 
     class is 'benign' or 'attack' and fixes the label of every record in the
     referenced file. Relative paths are resolved against the manifest's
-    directory. A header row is skipped when present.
+    directory. A header row is skipped when present. A device_id names
+    files in a bundle, so an empty one or one holding a path separator
+    raises SchemaError.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -360,6 +397,10 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             if len(row) != 3:
                 raise SchemaError(f"{path}: row {row_no}: expected 3 columns, found {len(row)}")
             device_id, file_path, cls = (c.strip() for c in row)
+            if not device_id or "/" in device_id or "\\" in device_id:
+                raise SchemaError(
+                    f"{path}: row {row_no}: device_id {device_id!r} is empty or holds a path separator"
+                )
             if cls not in _CLASS_NAMES:
                 raise ParseError(f"{path}: row {row_no}: class must be benign or attack, got {cls!r}")
             if not os.path.isabs(file_path):
@@ -381,7 +422,8 @@ def partition_from_manifest(
     Each file is one uninterrupted capture, so the chronological split is
     applied per file and the per-file partitions are pooled. A device's
     captures follow each other in manifest order: seq_index runs on across
-    its files. In unsupervised mode attack files go to the test part whole.
+    its files, and its records are the rows of its files in that order,
+    held once. In unsupervised mode attack files go to the test part whole.
 
     Raises:
         MissingClassError: an unsupervised device lists no benign capture.
@@ -403,8 +445,9 @@ def partition_from_manifest(
             stream = SampleSet(raw.features, labels, raw.seq_index + offset)
             offset += len(raw)
             if mode == "unsupervised" and entry.label == ATTACK:
-                empty = stream.take([])
-                parts.append(DevicePartition(device_id, empty, empty, stream, empty))
+                empty = np.empty(0, dtype=np.intp)
+                whole = np.arange(len(stream))
+                parts.append(DevicePartition(device_id, stream, empty, empty, whole, empty))
             else:
                 parts.append(chronological_split(stream, mode, device_id))
         partitions.append(DevicePartition.concat(device_id, parts))

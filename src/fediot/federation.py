@@ -8,10 +8,10 @@ a parameter buffer, one row per training client (the same bits as each
 client training alone) or, under honest mini-batch averaging, one row on
 the union of the k batches (FederatedSGD, equal up to rounding).
 
-Clients hold their device's raw records, views of its partition, plus the
-group's scaling bounds: a step scales the fleet batch it gathers, and every
-other read scales one client's rows at a time into a reused buffer, so the
-training records are held once, unscaled.
+Clients hold their device's raw records, the partition's own array, plus
+row indices and the group's scaling bounds: a step gathers and scales the
+fleet batch, and every other read gathers and scales one client's rows at a
+time into a reused buffer, so each record is held once, unscaled.
 
 Training is a pure function of its inputs: all randomness derives from the
 client seeds and the server seed, and rerunning a configuration reproduces
@@ -121,24 +121,27 @@ class FederationConfig:
 class ClientState:
     """One client's ready-to-train view of its device data.
 
-    x_train and x_thr are the device's raw records. Wherever they are read
-    they are min-max scaled with bounds, the group's scaling bounds, which
-    every client carries (bounds with x_min 0 and x_max 1 leave the rows as
-    they are). Poisoned labels are already flipped. The seed drives every
-    random choice the client makes, so a client is replayable.
+    x is the device's raw records, each held once; train and thr index the
+    training records (a row may repeat) and the threshold records in it.
+    y_train holds one label per train index, poisoned labels already
+    flipped. Rows are read gathered and min-max scaled with bounds, the
+    group's scaling bounds, which every client carries (x_min 0 and x_max 1
+    leave the rows as they are). The seed drives every random choice the
+    client makes, so a client is replayable.
     """
 
     client_id: str
-    x_train: np.ndarray
+    x: np.ndarray
+    train: np.ndarray
     y_train: np.ndarray | None
-    x_thr: np.ndarray | None = None
+    thr: np.ndarray | None = None
     attack: AttackSpec = field(default_factory=AttackSpec)
     seed: int = 0
     bounds: ScalingBounds = field(kw_only=True)
 
     @property
     def n_train(self) -> int:
-        return self.x_train.shape[0]
+        return self.train.shape[0]
 
 
 def build_client(
@@ -148,23 +151,25 @@ def build_client(
     attack: AttackSpec,
     seed: int,
 ) -> ClientState:
-    """A ClientState on a device partition's raw rows, poisoning labels if told to.
+    """A ClientState on a device partition's records, poisoning labels if told to.
 
-    The client's features are views of the partition's, read through bounds.
+    The client's x is the partition's record array and its indices are the
+    partition's train and threshold_sel parts: no feature row is copied.
     """
-    train = partition.train
-    if attack.kind in FLIP_KINDS:
-        train = flip_labels(train, attack.kind, attack.p_poison, np.random.default_rng([seed, _SEED_FLIP]))
     y_train = None
     if supervised:
-        if train.labels is None:
+        if partition.records.labels is None:
             raise ConfigError(f"{partition.device_id}: supervised training needs labels")
-        y_train = train.labels
+        y_train = partition.records.labels[partition.train]
+        if attack.kind in FLIP_KINDS:
+            rng = np.random.default_rng([seed, _SEED_FLIP])
+            y_train = flip_labels(y_train, attack.kind, attack.p_poison, rng)
     return ClientState(
         client_id=partition.device_id,
-        x_train=train.features,
+        x=partition.records.features,
+        train=partition.train,
         y_train=y_train,
-        x_thr=None if partition.threshold_sel is None else partition.threshold_sel.features,
+        thr=partition.threshold_sel,
         attack=attack,
         seed=seed,
         bounds=bounds,
@@ -172,7 +177,8 @@ def build_client(
 
 
 class ScaledRows:
-    """Scales one client's rows at a time into one buffer kept across calls.
+    """Gathers one client's rows at a time into one buffer kept across
+    calls and scales them there, with the client's bounds.
 
     The array a call returns is valid until the next call.
     """
@@ -180,10 +186,14 @@ class ScaledRows:
     def __init__(self) -> None:
         self._buffer = np.empty(0)
 
-    def __call__(self, client: ClientState, x: np.ndarray) -> np.ndarray:
-        if self._buffer.size < x.size:
-            self._buffer = np.empty(x.size)
-        return scale(x, client.bounds, out=self._buffer[: x.size].reshape(x.shape))
+    def __call__(self, client: ClientState, rows: np.ndarray) -> np.ndarray:
+        shape = (rows.shape[0], client.x.shape[1])
+        size = shape[0] * shape[1]
+        if self._buffer.size < size:
+            self._buffer = np.empty(size)
+        out = self._buffer[:size].reshape(shape)
+        client.x.take(rows, axis=0, out=out)
+        return scale(out, client.bounds, out=out)
 
 
 def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> AttackSpec | None:
@@ -203,10 +213,9 @@ def _validate_fleet(clients: list[ClientState], config: FederationConfig) -> Att
             raise ConfigError(f"{c.client_id}: classifier training needs labels")
         if not supervised and c.y_train is not None:
             raise ConfigError(f"{c.client_id}: autoencoder training takes no labels")
-        if c.x_train.ndim != 2 or c.x_train.shape[1] != config.arch.input_dim:
+        if c.x.ndim != 2 or c.x.shape[1] != config.arch.input_dim:
             raise SchemaError(
-                f"{c.client_id}: training features {c.x_train.shape} do not match "
-                f"input_dim {config.arch.input_dim}"
+                f"{c.client_id}: records {c.x.shape} do not match input_dim {config.arch.input_dim}"
             )
         if c.bounds.x_min.shape != (config.arch.input_dim,):
             raise SchemaError(
@@ -269,14 +278,17 @@ def schedule(config: FederationConfig, n_train: int) -> tuple[int, int]:
     return config.rounds, config.epochs * steps_per_epoch
 
 
-def _batches(client: ClientState, config: FederationConfig) -> Iterator[np.ndarray]:
-    # One endless stream of batch indices with a fresh order per local epoch.
+def _batches(client: ClientState, config: FederationConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # One endless stream of batches with a fresh order per local epoch: each
+    # batch's positions in the train part (for its labels) and the rows of x
+    # they name, composed with the train index once per epoch.
     rng = np.random.default_rng([client.seed, _SEED_SHUFFLE])
     n, b = client.n_train, config.batch_size
     while True:
         order = rng.permutation(n) if config.shuffle else np.arange(n)
+        rows = client.train[order]
         for start in range(0, n, b):
-            yield order[start : start + b]
+            yield order[start : start + b], rows[start : start + b]
 
 
 def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
@@ -338,7 +350,8 @@ def run_federated(
     k = 1). A non-finite union step reruns with k rows. A non-finite
     gradient or model raises PoisonedUpdateError naming the first bad client
     in client order. Each step gathers its fleet batch from the clients' raw
-    rows and scales it in place with each client's bounds.
+    records through their train indices and scales it in place with each
+    client's bounds.
 
     With config.aggregation None (no server) each client trains alone as one
     row, in one round of all its steps; such a run takes no on_round hook
@@ -396,14 +409,14 @@ def run_federated(
             # The batches packed in client order: a (k, size, F) fleet batch
             # that is also the (1, k * size, F) union batch.
             batches = [next(stream) for stream in streams]
-            size = len(batches[0])  # equal sizes: equal n_train
+            size = len(batches[0][0])  # equal sizes: equal n_train
             xs = batch_x.reshape(-1)[: k * size * dim].reshape(k, size, dim)
             ys = None if batch_y is None else batch_y.reshape(-1)[: k * size].reshape(k, size)
-            for row, (i, batch) in enumerate(zip(trainers, batches)):
+            for row, (i, (positions, records)) in enumerate(zip(trainers, batches)):
                 # The method form skips np.take's Python wrapper.
-                clients[i].x_train.take(batch, axis=0, out=xs[row])
+                clients[i].x.take(records, axis=0, out=xs[row])
                 if ys is not None:
-                    ys[row] = clients[i].y_train[batch]
+                    ys[row] = clients[i].y_train[positions]
             np.subtract(xs, x_min[:, :size], out=xs)
             np.divide(xs, span[:, :size], out=xs)
             if constant is not None:
@@ -450,7 +463,7 @@ def run_federated(
                 if mini_batch:
                     losses[c.client_id] = loss(model, xs[row], None if ys is None else ys[row], l2)
                 else:
-                    losses[c.client_id] = loss(local, scratch(c, c.x_train), c.y_train, l2)
+                    losses[c.client_id] = loss(local, scratch(c, c.train), c.y_train, l2)
         dropped = _dropped(len(clients), config, server_rng)
         kept = [row for row, gone in zip(client_rows, dropped) if not gone]
         # A round left with fewer models than the rule needs keeps the global model.
@@ -491,13 +504,13 @@ def local_threshold(
     """Mean reconstruction error on the client's threshold records plus one std.
 
     ddof=0 uses the population standard deviation; ddof=1 switches to the
-    sample estimate. The records are scaled into scratch, a fresh buffer
-    when omitted.
+    sample estimate. The records are gathered and scaled into scratch, a
+    fresh buffer when omitted.
     """
-    if client.x_thr is None:
+    if client.thr is None:
         raise ConfigError(f"{client.client_id}: no threshold selection records")
     scratch = ScaledRows() if scratch is None else scratch
-    errors = mse_per_sample(model, scratch(client, client.x_thr))
+    errors = mse_per_sample(model, scratch(client, client.thr))
     return float(errors.mean() + errors.std(ddof=ddof))
 
 
@@ -637,7 +650,7 @@ def collaborative_grid_search(
         sub_clients = [
             replace(
                 c,
-                x_train=c.x_train[:cut],
+                train=c.train[:cut],
                 y_train=None if c.y_train is None else c.y_train[:cut],
                 seed=_point_seed(point) ^ c.seed,
             )
@@ -646,10 +659,10 @@ def collaborative_grid_search(
         sub_config = replace(config, arch=point.arch, l2_lambda=point.l2_lambda)
         (model,), _ = run_federated(sub_clients, sub_config)
         if point.arch.kind == CLASSIFIER:
-            held_out = ((scratch(c, c.x_train[cut:]), c.y_train[cut:]) for c in clients)
+            held_out = ((scratch(c, c.train[cut:]), c.y_train[cut:]) for c in clients)
             scores = [metrics_from_counts(counts)["accuracy"] for counts in evaluate(model, None, held_out)]
         else:
-            scores = [loss(model, scratch(c, c.x_train[cut:])) for c in clients]
+            scores = [loss(model, scratch(c, c.train[cut:])) for c in clients]
         rows.append(
             {
                 "arch": point.arch,

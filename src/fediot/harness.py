@@ -169,6 +169,9 @@ class ExperimentConfig:
             raise ConfigError(f"folds must be 'all' or a list of device ids, got {self.folds!r}")
         if not isinstance(self.folds, str) and not self.folds:
             raise ConfigError("folds list is empty")
+        if not isinstance(self.folds, str) and len(set(self.folds)) != len(self.folds):
+            twice = sorted({f for f in self.folds if self.folds.count(f) > 1})
+            raise ConfigError(f"folds name a device more than once: {twice}")
         if (self.attack.kind != "none" or self.dropout_prob > 0) and self.approach != "federated":
             raise ConfigError(f"attacks and dropout need the federated approach, not {self.approach}")
         if self.attack.kind in FLIP_KINDS and self.mode != "supervised":
@@ -378,11 +381,12 @@ def _fleet(
 ) -> dict[str, DevicePartition]:
     """One repetition's rebalanced partitions, by device id.
 
-    A manifest fleet rebalances its split, read once for all repetitions. A
-    synthetic fleet is split and rebalanced device by device: each raw
-    stream is dropped as it is split, and its split parts once they are
-    rebalanced, so next to the rebalanced devices only the raw streams not
-    yet reached are held.
+    A manifest fleet redraws the indices of its split, whose records were
+    read once for all repetitions, so every repetition shares them. A
+    synthetic fleet is split and rebalanced device by device, and each
+    device keeps, in one gather, only the records its parts name: its raw
+    stream is dropped as it is compacted, so next to the compacted devices
+    only the raw streams not yet reached are held.
     """
 
     def balanced(p: DevicePartition) -> DevicePartition:
@@ -394,7 +398,7 @@ def _fleet(
     partitions = {}
     for i in range(len(streams)):
         device = f"dev-{i}"
-        partitions[device] = balanced(chronological_split(streams.pop(0), config.mode, device))
+        partitions[device] = balanced(chronological_split(streams.pop(0), config.mode, device)).compact()
     return partitions
 
 
@@ -478,7 +482,8 @@ def _run_cell(
     attacks = dict.fromkeys(malicious_ids(train_ids, config.attack.f, mal_rng), config.attack)
     bounds, clients = [], []  # per group
     for ids in groups:
-        bounds.append(merge_bounds([local_min_max(partitions[d].train.features) for d in ids]))
+        # Each device's training rows are gathered for its bounds, one device at a time.
+        bounds.append(merge_bounds([local_min_max(partitions[d].gather("train").features) for d in ids]))
         members = [partitions[d] for d in ids]
         if config.approach == "centralized":
             members = [DevicePartition.concat("pooled", members)]
@@ -510,9 +515,10 @@ def _run_cell(
         threshold = None
         if not config.supervised:
             threshold = select_thresholds(group, model, config.threshold_ddof).global_threshold
-        tests = (partitions[d].test for d in (*ids, fold))
-        # Each test set is scaled as evaluate reaches it: one scaled copy at a time.
-        scaled = ((scale(t.features, group_bounds), t.labels) for t in tests)
+        tests = (partitions[d].gather("test") for d in (*ids, fold))
+        # Each test set is gathered and scaled in place as evaluate reaches
+        # it: one scaled copy at a time.
+        scaled = ((scale(t.features, group_bounds, out=t.features), t.labels) for t in tests)
         *known, new = evaluate(model, threshold, scaled)
         pooled = sum(known, ConfusionCounts())
         per_group.append((metrics_from_counts(pooled), metrics_from_counts(new)))
@@ -540,7 +546,8 @@ def _repetitions(config: ExperimentConfig):
     """Each repetition's rebalanced partitions and folds.
 
     A synthetic fleet is drawn from each repetition's own seed; a manifest
-    fleet is read and split once, and only its rebalancing is redone. The
+    fleet is read and split once, and only its rebalancing indices are
+    redrawn. The
     yielded dict is emptied when the next repetition is asked for, so the
     consumer's reference no longer keeps the previous fleet alive while the
     next one is built: one repetition's fleet is held at a time.

@@ -180,7 +180,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         epochs=10,
         shuffle=False,
     )
-    (solo,), _ = run_federated([ClientState("solo", x, y, bounds=identity(6))], config)
+    (solo,), _ = run_federated([ClientState("solo", x, np.arange(len(x)), y, bounds=identity(6))], config)
     model = init_model(arch, config.init_seed)
     steps = 0
     for _ in range(10):
@@ -204,7 +204,8 @@ def test_degenerate_federation_reduces_to_plain_sgd():
                 for lead in range(0, n, big_b)
             ]
         )
-        clients.append(ClientState(f"c{part}", x[rows], y[rows], bounds=identity(3)))
+        # Each client indexes its quarter of the one record array.
+        clients.append(ClientState(f"c{part}", x, rows, y[rows], bounds=identity(3)))
     config = FederationConfig(
         arch=arch,
         learning_rate=0.3,
@@ -239,12 +240,12 @@ def test_model_cancellation_averages_to_exact_zero():
         clients = []
         for i in range(8 - f):
             x = rng.uniform(0.0, 1.0, size=(8, 3))
-            clients.append(ClientState(f"h{i}", x, rng.integers(0, 2, size=8), bounds=identity(3)))
+            y = rng.integers(0, 2, size=8)
+            clients.append(ClientState(f"h{i}", x, np.arange(8), y, bounds=identity(3)))
         for i in range(f):
             x = rng.uniform(0.0, 1.0, size=(8, 3))
-            clients.append(
-                ClientState(f"m{i}", x, rng.integers(0, 2, size=8), attack=attack, bounds=identity(3))
-            )
+            y = rng.integers(0, 2, size=8)
+            clients.append(ClientState(f"m{i}", x, np.arange(8), y, attack=attack, bounds=identity(3)))
         config = FederationConfig(
             arch=arch,
             learning_rate=0.0,
@@ -313,7 +314,8 @@ def test_threshold_protocol_flags_anomalies(tmp_path):
     rng = np.random.default_rng(5)
     model = init_model(autoencoder_preset("A"), 0)
     x_thr = rng.uniform(0.0, 1.0, size=(40, 115))
-    client = ClientState("t", x_thr, None, x_thr=x_thr, bounds=identity(115))
+    rows = np.arange(40)
+    client = ClientState("t", x_thr, rows, None, thr=rows, bounds=identity(115))
     errors = [float(e) for e in mse_per_sample(model, x_thr)]
     population = statistics.mean(errors) + statistics.pstdev(errors)
     assert local_threshold(client, model) == pytest.approx(population, rel=1e-12)

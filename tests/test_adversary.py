@@ -15,13 +15,8 @@ from fediot.errors import ConfigError, SchemaError
 from fediot.neuralnet import ModelParameters, classifier_preset
 
 
-def labeled_stream(labels):
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.size
-    features = np.arange(n * 2, dtype=np.float64).reshape(n, 2)
-    from fediot.dataset import SampleSet
-
-    return SampleSet(features, labels, np.arange(n, dtype=np.int64))
+def labels_of(values):
+    return np.asarray(values, dtype=np.int64)
 
 
 class TestAlphaFactors:
@@ -57,52 +52,48 @@ class TestAlphaFactors:
 
 class TestFlipLabels:
     def test_flip_all_full_poison_inverts_everything(self):
-        stream = labeled_stream([0, 1, 0, 1, 1])
-        got = flip_labels(stream, "flip_all", 1.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(got.labels, [1, 0, 1, 0, 0])
-        np.testing.assert_array_equal(got.features, stream.features)
-        np.testing.assert_array_equal(got.seq_index, stream.seq_index)
+        labels = labels_of([0, 1, 0, 1, 1])
+        got = flip_labels(labels, "flip_all", 1.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(got, [1, 0, 1, 0, 0])
+        np.testing.assert_array_equal(labels, [0, 1, 0, 1, 1])  # the input is left as it was
 
     def test_flip_benign_targets_only_benign(self):
-        stream = labeled_stream([0] * 6 + [1] * 4)
-        got = flip_labels(stream, "flip_benign", 0.5, np.random.default_rng(1))
+        labels = labels_of([0] * 6 + [1] * 4)
+        got = flip_labels(labels, "flip_benign", 0.5, np.random.default_rng(1))
         # floor(0.5 * 6) = 3 benign labels become attack; attacks untouched.
-        assert int(np.sum(got.labels[:6])) == 3
-        np.testing.assert_array_equal(got.labels[6:], [1, 1, 1, 1])
+        assert int(np.sum(got[:6])) == 3
+        np.testing.assert_array_equal(got[6:], [1, 1, 1, 1])
 
     def test_flip_attack_targets_only_attacks(self):
-        stream = labeled_stream([0] * 4 + [1] * 6)
-        got = flip_labels(stream, "flip_attack", 0.5, np.random.default_rng(2))
-        assert int(np.sum(1 - got.labels[4:])) == 3
-        np.testing.assert_array_equal(got.labels[:4], [0, 0, 0, 0])
+        labels = labels_of([0] * 4 + [1] * 6)
+        got = flip_labels(labels, "flip_attack", 0.5, np.random.default_rng(2))
+        assert int(np.sum(1 - got[4:])) == 3
+        np.testing.assert_array_equal(got[:4], [0, 0, 0, 0])
 
     def test_flip_count_is_floored(self):
-        stream = labeled_stream([0] * 7)
-        got = flip_labels(stream, "flip_benign", 0.5, np.random.default_rng(3))
-        assert int(np.sum(got.labels)) == math.floor(0.5 * 7)
+        labels = labels_of([0] * 7)
+        got = flip_labels(labels, "flip_benign", 0.5, np.random.default_rng(3))
+        assert int(np.sum(got)) == math.floor(0.5 * 7)
 
     def test_deterministic_in_seed(self):
-        stream = labeled_stream([0, 1] * 10)
-        a = flip_labels(stream, "flip_all", 0.4, np.random.default_rng(9))
-        b = flip_labels(stream, "flip_all", 0.4, np.random.default_rng(9))
-        np.testing.assert_array_equal(a.labels, b.labels)
+        labels = labels_of([0, 1] * 10)
+        a = flip_labels(labels, "flip_all", 0.4, np.random.default_rng(9))
+        b = flip_labels(labels, "flip_all", 0.4, np.random.default_rng(9))
+        np.testing.assert_array_equal(a, b)
 
     def test_zero_poison_changes_nothing(self):
-        stream = labeled_stream([0, 1, 1, 0])
-        got = flip_labels(stream, "flip_all", 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(got.labels, stream.labels)
+        labels = labels_of([0, 1, 1, 0])
+        got = flip_labels(labels, "flip_all", 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(got, labels)
 
     def test_contract_errors(self):
-        stream = labeled_stream([0, 1])
+        labels = labels_of([0, 1])
         with pytest.raises(ConfigError):
-            flip_labels(stream, "model_cancel", 1.0, np.random.default_rng(0))
+            flip_labels(labels, "model_cancel", 1.0, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            flip_labels(stream, "flip_all", 1.5, np.random.default_rng(0))
-        from fediot.dataset import SampleSet
-
-        unlabeled = SampleSet(np.zeros((2, 2)), None, np.arange(2))
+            flip_labels(labels, "flip_all", 1.5, np.random.default_rng(0))
         with pytest.raises(SchemaError):
-            flip_labels(unlabeled, "flip_all", 1.0, np.random.default_rng(0))
+            flip_labels(None, "flip_all", 1.0, np.random.default_rng(0))
 
 
 class TestModelPoisoning:

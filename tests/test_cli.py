@@ -77,6 +77,31 @@ class TestSynthAndIngest:
         assert code == 0
         assert json.loads(out)["runs"] == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e309"])
+    def test_non_finite_cell_rejected_by_ingest_and_run(self, capsys, tmp_path, tiny_config_path, cell):
+        # float() reads each of these cells; before the check a NaN zeroed a
+        # feature for the whole group and an infinity was blamed on a client.
+        fleet = tmp_path / "fleet"
+        _, out, _ = invoke(capsys, "synth", tiny_config_path, "--out", str(fleet))
+        manifest = json.loads(out)["manifest"]
+        data = fleet / "dev-1-benign.csv"
+        lines = data.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[2] = cell
+        lines[4] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        raw = json.loads(open(tiny_config_path).read())
+        raw["data"] = {"source": "manifest", "path": manifest, "schema": 5}
+        config = tmp_path / "manifest-config.json"
+        config.write_text(json.dumps(raw))
+        runs = (["ingest", manifest, "--schema", "5"], ["run", str(config), "--out", str(tmp_path / "res")])
+        for argv in runs:
+            code, out, err = invoke(capsys, *argv)
+            assert code == 1 and out == ""
+            record = json.loads(err)
+            assert record["error"] == "ParseError"
+            assert f"{data}: row 4: column 2: non-finite cell" in record["message"]
+
     def test_ingest_missing_manifest_fails_cleanly(self, capsys):
         code, out, err = invoke(capsys, "ingest", "/nope/manifest.csv")
         assert code == 1

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fediot.dataset import (
+    SUPERVISED_FRACTIONS,
+    UNSUPERVISED_FRACTIONS,
     BalanceSpec,
     DevicePartition,
     ManifestEntry,
@@ -18,6 +20,7 @@ from fediot.dataset import (
     partition_from_manifest,
     rebalance,
 )
+from fediot.harness import _repetitions, config_from_dict, derive_seed, synthetic_streams
 from fediot.errors import (
     ConfigError,
     EmptyPartError,
@@ -77,6 +80,14 @@ class TestLoadDeviceCsv:
         with pytest.raises(ParseError, match="label"):
             load_device_csv(str(path), schema=3)
 
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e309"])
+    def test_non_finite_cell_named_by_file_row_and_column(self, tmp_path, cell):
+        # Row numbers count the header and blank lines, as the other errors do.
+        path = tmp_path / "dev.csv"
+        path.write_text(f"a,b,c\n1,2,3\n\n4,{cell},6\n")
+        with pytest.raises(ParseError, match=r"dev.csv: row 3: column 1: non-finite cell"):
+            load_device_csv(str(path), schema=3, has_header=True)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "dev.csv"
         path.write_text("")
@@ -99,35 +110,35 @@ class TestChronologicalSplit:
         stream = make_stream(57, alternating_labels(57))
         part = chronological_split(stream, "supervised")
         a, b = math.floor(0.79 * 57), math.floor(0.01 * 57)
-        np.testing.assert_array_equal(part.train.features, stream.features[:a])
-        np.testing.assert_array_equal(part.unused.features, stream.features[a : a + b])
-        np.testing.assert_array_equal(part.test.features, stream.features[a + b :])
-        np.testing.assert_array_equal(part.test.labels, stream.labels[a + b :])
+        np.testing.assert_array_equal(part.gather("train").features, stream.features[:a])
+        np.testing.assert_array_equal(part.gather("unused").features, stream.features[a : a + b])
+        np.testing.assert_array_equal(part.gather("test").features, stream.features[a + b :])
+        np.testing.assert_array_equal(part.gather("test").labels, stream.labels[a + b :])
 
     def test_unsupervised_routes_all_attacks_to_test(self):
         labels = alternating_labels(100)
         part = chronological_split(make_stream(100, labels), "unsupervised")
-        assert np.all(part.train.labels == 0)
-        assert np.all(part.threshold_sel.labels == 0)
-        assert int(np.sum(part.test.labels)) == sum(labels)
+        assert np.all(part.gather("train").labels == 0)
+        assert np.all(part.gather("threshold_sel").labels == 0)
+        assert int(np.sum(part.gather("test").labels)) == sum(labels)
 
     @given(n=st.integers(3, 2000))
     def test_supervised_is_a_partition_in_order(self, n):
         stream = make_stream(n)
         part = chronological_split(stream, "supervised")
-        merged = np.concatenate([part.train.seq_index, part.unused.seq_index, part.test.seq_index])
+        merged = np.concatenate([part.gather(name).seq_index for name in ("train", "unused", "test")])
         np.testing.assert_array_equal(merged, stream.seq_index)
         if len(part.train) and len(part.test):
-            assert part.train.seq_index.max() < part.test.seq_index.min()
+            assert part.gather("train").seq_index.max() < part.gather("test").seq_index.min()
 
     @given(n=st.integers(8, 500))
     def test_unsupervised_benign_chronology(self, n):
         labels = [i % 2 for i in range(n)]
         part = chronological_split(make_stream(n, labels), "unsupervised")
-        benign_test = part.test.seq_index[part.test.labels == 0]
-        assert part.train.seq_index.max() < part.threshold_sel.seq_index.min()
+        benign_test = part.gather("test").seq_index[part.gather("test").labels == 0]
+        assert part.gather("train").seq_index.max() < part.gather("threshold_sel").seq_index.min()
         if benign_test.size:
-            assert part.threshold_sel.seq_index.max() < benign_test.min()
+            assert part.gather("threshold_sel").seq_index.max() < benign_test.min()
         total_benign = (
             len(part.train) + len(part.threshold_sel) + len(part.unused) + benign_test.size
         )
@@ -158,22 +169,23 @@ class TestRebalance:
         got = rebalance(part, spec, rng_seed=7)
         t_train, t_unused = math.floor(0.79 * 200), math.floor(0.01 * 200)
         t_test = 200 - t_train - t_unused
-        for piece, total in ((got.train, t_train), (got.unused, t_unused), (got.test, t_test)):
-            nb, na = piece.class_counts()
+        for name, total in (("train", t_train), ("unused", t_unused), ("test", t_test)):
+            nb, na = got.gather(name).class_counts()
             assert nb == math.floor(0.25 * total)
             assert na == total - nb
 
     def test_no_sample_crosses_part_boundary(self):
         part = self.split()
         got = rebalance(part, BalanceSpec(0.5, 300), rng_seed=3)
-        for before, after in ((part.train, got.train), (part.unused, got.unused), (part.test, got.test)):
+        for name in ("train", "unused", "test"):
+            after, before = got.gather(name), part.gather(name)
             assert set(after.seq_index.tolist()) <= set(before.seq_index.tolist())
 
     def test_upsampling_keeps_every_original(self):
         part = self.split(n=200)
         got = rebalance(part, BalanceSpec(0.5, 1000), rng_seed=11)
-        counts = part_multiset(got.train)
-        originals = set(part.train.seq_index.tolist())
+        counts = part_multiset(got.gather("train"))
+        originals = set(part.gather("train").seq_index.tolist())
         assert set(counts) == originals
         assert all(c >= 1 for c in counts.values())
         assert sum(counts.values()) == math.floor(0.79 * 1000)
@@ -181,9 +193,9 @@ class TestRebalance:
     def test_downsampling_keeps_a_subset_without_duplicates(self):
         part = self.split(n=1000)
         got = rebalance(part, BalanceSpec(0.5, 100), rng_seed=11)
-        counts = part_multiset(got.train)
+        counts = part_multiset(got.gather("train"))
         assert all(c == 1 for c in counts.values())
-        assert set(counts) <= set(part.train.seq_index.tolist())
+        assert set(counts) <= set(part.gather("train").seq_index.tolist())
 
     def test_supervised_preset_totals(self):
         # Balance (0.50, 100000) must yield 50000 benign plus 50000 attack
@@ -192,8 +204,8 @@ class TestRebalance:
         got = rebalance(part, BalanceSpec(0.5, 100_000), rng_seed=1)
         assert len(got.train) == 79_000
         totals = np.zeros(2, dtype=int)
-        for piece in (got.train, got.unused, got.test):
-            nb, na = piece.class_counts()
+        for name in ("train", "unused", "test"):
+            nb, na = got.gather(name).class_counts()
             totals += (nb, na)
         assert totals.tolist() == [50_000, 50_000]
 
@@ -207,20 +219,20 @@ class TestRebalance:
             len(got.train)
             + len(got.threshold_sel)
             + len(got.unused)
-            + int(np.sum(got.test.labels == 0))
+            + int(np.sum(got.gather("test").labels == 0))
         )
         assert benign_total == 400
-        nb_test = int(np.sum(got.test.labels == 0))
-        na_test = int(np.sum(got.test.labels == 1))
+        nb_test = int(np.sum(got.gather("test").labels == 0))
+        na_test = int(np.sum(got.gather("test").labels == 1))
         assert na_test == round(nb_test * (1 - 0.5) / 0.5)
 
     def test_same_seed_same_output(self):
         part = self.split()
         a = rebalance(part, BalanceSpec(0.5, 500), rng_seed=9)
         b = rebalance(part, BalanceSpec(0.5, 500), rng_seed=9)
-        np.testing.assert_array_equal(a.train.features, b.train.features)
+        np.testing.assert_array_equal(a.gather("train").features, b.gather("train").features)
         c = rebalance(part, BalanceSpec(0.5, 500), rng_seed=10)
-        assert not np.array_equal(a.train.features, c.train.features)
+        assert not np.array_equal(a.gather("train").features, c.gather("train").features)
 
     def test_resampling_stream_is_pinned(self, tmp_path):
         # Exact draws for a fixed seed, so a change in the order of the
@@ -234,7 +246,8 @@ class TestRebalance:
             return {
                 name: (piece.seq_index.tolist(), piece.labels.tolist())
                 for name in names
-                if (piece := getattr(partition, name)) is not None
+                if getattr(partition, name) is not None
+                for piece in [partition.gather(name)]
             }
 
         sup = chronological_split(stream(alternating_labels(40)), "supervised")
@@ -316,8 +329,8 @@ class TestSyntheticFleet:
     def test_every_split_part_sees_both_classes(self):
         (stream,) = generate_synthetic_fleet(1, 1000, feature_dim=4, seed=7)
         part = chronological_split(stream, "supervised")
-        for piece in (part.train, part.unused, part.test):
-            nb, na = piece.class_counts()
+        for name in ("train", "unused", "test"):
+            nb, na = part.gather(name).class_counts()
             assert nb > 0 and na > 0
 
     def test_attack_rows_are_shifted(self):
@@ -352,6 +365,14 @@ class TestManifest:
         assert [e.label for e in entries] == [0, 1]
         assert all(e.path.startswith(str(tmp_path)) for e in entries)
 
+    @pytest.mark.parametrize("device_id", ["", "lab/dev-1", "lab\\dev-1"])
+    def test_device_id_that_is_no_file_name_rejected(self, tmp_path, device_id):
+        # A device id names its round-log file in a bundle.
+        manifest = tmp_path / "fleet.csv"
+        manifest.write_text(f"device_id,path,class\nd0,b.csv,benign\n{device_id},b.csv,benign\n")
+        with pytest.raises(SchemaError, match="row 2: device_id .* path separator"):
+            load_manifest(str(manifest))
+
     def test_unknown_class_rejected(self, tmp_path):
         manifest = tmp_path / "fleet.csv"
         manifest.write_text("d1,x.csv,weird\n")
@@ -363,14 +384,14 @@ class TestManifest:
         (got,) = partition_from_manifest(entries, "supervised", schema=3)
         # 20-row benign file gives 15/0/5, 10-row attack file gives 7/0/3.
         assert len(got.train) == 15 + 7
-        assert got.train.class_counts() == (15, 7)
-        assert got.test.class_counts() == (5, 3)
+        assert got.gather("train").class_counts() == (15, 7)
+        assert got.gather("test").class_counts() == (5, 3)
 
     def test_unsupervised_partition_reserves_attack_files(self, tmp_path):
         entries = load_manifest(str(self.write_fleet(tmp_path)))
         (got,) = partition_from_manifest(entries, "unsupervised", schema=3)
-        assert np.all(got.train.labels == 0)
-        assert int(np.sum(got.test.labels)) == 10
+        assert np.all(got.gather("train").labels == 0)
+        assert int(np.sum(got.gather("test").labels)) == 10
         assert len(got.threshold_sel) == math.floor(0.395 * 20)
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
@@ -378,9 +399,8 @@ class TestManifest:
         # The attack file follows the benign one, so its records come later.
         entries = load_manifest(str(self.write_fleet(tmp_path)))
         (got,) = partition_from_manifest(entries, mode, schema=3)
-        parts = [got.train, got.unused, got.test]
-        if got.threshold_sel is not None:
-            parts.append(got.threshold_sel)
+        names = ["train", "unused", "test"] + (["threshold_sel"] if got.threshold_sel is not None else [])
+        parts = [got.gather(name) for name in names]
         seq = np.concatenate([p.seq_index for p in parts])
         assert sorted(seq.tolist()) == list(range(30))
         labels = np.concatenate([p.labels for p in parts])
@@ -408,3 +428,178 @@ class TestSampleSet:
         unlabeled = make_stream(3)
         with pytest.raises(SchemaError):
             SampleSet.concat([labeled, unlabeled])
+
+
+# The dense split and rebalance that parts as row indices replaced: every part
+# a SampleSet holding its own copy of its rows. Gathering an index part must
+# give the same bytes.
+def dense_split(samples, mode, device_id):
+    n = len(samples)
+
+    def cut(positions, fractions):
+        sizes = [int(f * positions.size) for f in fractions[:-1]]
+        return np.split(positions, np.cumsum(sizes))
+
+    if mode == "supervised":
+        return [samples.take(p) for p in cut(np.arange(n), SUPERVISED_FRACTIONS)] + [None]
+    labels = np.zeros(n, dtype=np.int64) if samples.labels is None else samples.labels
+    train, thr_sel, unused, test = cut(np.flatnonzero(labels == 0), UNSUPERVISED_FRACTIONS)
+    test = np.sort(np.concatenate([test, np.flatnonzero(labels == 1)]))
+    return [samples.take(p) for p in (train, unused, test, thr_sel)]
+
+
+def dense_rebalance(parts, spec, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    spd, bf = spec.samples_per_device, spec.benign_fraction
+
+    def resize(part, targets):
+        chosen = []
+        for label, target in targets.items():
+            indices = np.flatnonzero(part.labels == label)
+            if target == indices.size:
+                chosen.append(indices)
+            elif target < indices.size:
+                chosen.append(rng.choice(indices, size=target, replace=False))
+            else:
+                chosen.append(np.concatenate([indices, rng.choice(indices, size=target - indices.size)]))
+        picked = part.take(np.concatenate(chosen))
+        return picked.take(np.argsort(picked.seq_index, kind="stable"))
+
+    train, unused, test, thr_sel = parts
+    if thr_sel is None:
+        sizes = [int(f * spd) for f in SUPERVISED_FRACTIONS[:-1]]
+        sizes.append(spd - sum(sizes))
+        return [resize(p, {0: int(bf * t), 1: t - int(bf * t)}) for p, t in zip(parts, sizes)] + [None]
+    t_train, t_thr, t_unused = (int(f * spd) for f in UNSUPERVISED_FRACTIONS[:-1])
+    t_btest = spd - t_train - t_thr - t_unused
+    test = resize(test, {0: t_btest, 1: round(t_btest * (1.0 - bf) / bf)})
+    return [resize(train, {0: t_train}), resize(unused, {0: t_unused}), test, resize(thr_sel, {0: t_thr})]
+
+
+def dense_manifest_split(entries, mode, schema):
+    by_device = {}
+    for entry in entries:
+        by_device.setdefault(entry.device_id, []).append(entry)
+    out = {}
+    for device_id, files in by_device.items():
+        pieces, offset = [], 0
+        for entry in files:
+            raw = load_device_csv(entry.path, schema)
+            stream = SampleSet(raw.features, np.full(len(raw), entry.label), raw.seq_index + offset)
+            offset += len(raw)
+            if mode == "unsupervised" and entry.label == 1:
+                empty = stream.take([])
+                pieces.append([empty, empty, stream, empty])
+            else:
+                pieces.append(dense_split(stream, mode, device_id))
+        out[device_id] = [
+            None if part[0] is None else SampleSet.concat(part) for part in zip(*pieces)
+        ]
+    return out
+
+
+PART_NAMES = ("train", "unused", "test", "threshold_sel")
+
+
+def fleet_config(mode, source, path="", samples=240, spd=None):
+    raw = {
+        "name": "fleet",
+        "mode": mode,
+        "approach": "federated",
+        "data": {"source": source, "devices": 3, "samples_per_device": samples, "feature_dim": 4,
+                 "path": path, "schema": 4},
+        # Unsupervised fleets spend 80% of a 240-record stream on the benign
+        # budget, so every repetition upsamples their benign parts.
+        "balance": {"benign_fraction": 0.5, "samples_per_device": spd or samples},
+        "protocol": {"folds": ["dev-0"], "repetitions": 2, "master_seed": 5},
+    }
+    return config_from_dict(raw)
+
+
+def write_manifest_fleet(tmp_path, mode):
+    streams = generate_synthetic_fleet(3, 240, feature_dim=4, seed=8)
+    lines = ["device_id,path,class"]
+    for i, stream in enumerate(streams):
+        for label, name in ((0, "benign"), (1, "attack")):
+            path = tmp_path / f"dev-{i}-{name}.csv"
+            rows = stream.features[stream.labels == label]
+            path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+            lines.append(f"dev-{i},{path.name},{name}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    return str(manifest)
+
+
+def assert_parts_equal(partition, dense_parts):
+    for name, dense in zip(PART_NAMES, dense_parts):
+        if dense is None:
+            assert getattr(partition, name) is None
+            continue
+        got = partition.gather(name)
+        assert got.features.tobytes() == dense.features.tobytes(), name
+        assert got.labels.tobytes() == dense.labels.tobytes(), name
+        assert got.seq_index.tobytes() == dense.seq_index.tobytes(), name
+
+
+class TestIndexedParts:
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_synthetic_fleet_gathers_the_dense_parts(self, mode):
+        config = fleet_config(mode, "synthetic")
+        reps = 0
+        for rep, partitions, _ in _repetitions(config):
+            for i, stream in enumerate(synthetic_streams(config, rep)):
+                device = f"dev-{i}"
+                seed = derive_seed(config.master_seed, rep, "balance", device)
+                dense = dense_rebalance(dense_split(stream, mode, device), config.balance, seed)
+                assert_parts_equal(partitions[device], dense)
+            reps += 1
+        assert reps == 2
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_manifest_fleet_gathers_the_dense_parts(self, tmp_path, mode):
+        path = write_manifest_fleet(tmp_path, mode)
+        config = fleet_config(mode, "manifest", path, spd=300)
+        split = dense_manifest_split(load_manifest(path), mode, 4)
+        reps = 0
+        for rep, partitions, _ in _repetitions(config):
+            for device, parts in split.items():
+                seed = derive_seed(config.master_seed, rep, "balance", device)
+                assert_parts_equal(partitions[device], dense_rebalance(parts, config.balance, seed))
+            reps += 1
+        assert reps == 2
+
+    def test_repetition_holds_each_distinct_record_once(self):
+        config = fleet_config("unsupervised", "synthetic")
+        _, partitions, _ = next(_repetitions(config))
+        held = dense = distinct = 0
+        for p in partitions.values():
+            parts = [getattr(p, name) for name in PART_NAMES]
+            held += p.records.features.nbytes
+            dense += sum(part.size for part in parts) * 4 * 8
+            distinct += np.unique(np.concatenate(parts)).size
+        assert held == distinct * 4 * 8
+        assert held < 0.75 * dense  # the upsampled parts repeat records
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_split_and_rebalance_index_the_records_they_were_given(self, mode):
+        (stream,) = generate_synthetic_fleet(1, 300, feature_dim=4, seed=3)
+        split = chronological_split(stream, mode, "dev")
+        assert split.records is stream
+        balanced = rebalance(split, BalanceSpec(0.5, 500), rng_seed=1)
+        assert np.shares_memory(balanced.records.features, stream.features)
+        assert all(getattr(balanced, name).dtype == np.intp for name in PART_NAMES[:3])
+
+    def test_manifest_records_read_once_and_shared_by_repetitions(self, tmp_path, monkeypatch):
+        path = write_manifest_fleet(tmp_path, "supervised")
+        config = fleet_config("supervised", "manifest", path)
+        reads = []
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return load_device_csv(*args, **kwargs)
+
+        monkeypatch.setattr("fediot.dataset.load_device_csv", counting)
+        records = [{d: p.records for d, p in partitions.items()} for _, partitions, _ in _repetitions(config)]
+        assert sorted(reads) == sorted(e.path for e in load_manifest(path))
+        assert len(records) == 2
+        assert all(records[1][d] is records[0][d] for d in records[0])

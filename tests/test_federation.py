@@ -56,7 +56,7 @@ def toy_client(cid, n=32, seed=0, d=4, supervised=True, attack=None):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, size=(n, d))
     y = rng.integers(0, 2, size=n) if supervised else None
-    return ClientState(cid, x, y, attack=attack or AttackSpec(), seed=seed, bounds=identity(d))
+    return ClientState(cid, x, np.arange(n), y, attack=attack or AttackSpec(), seed=seed, bounds=identity(d))
 
 
 def toy_config(d=4, supervised=True, **overrides):
@@ -102,7 +102,7 @@ class TestFleetValidation:
             raise AssertionError("training started")
 
         monkeypatch.setattr("fediot.federation.fleet_backward", no_training)
-        fits = local_min_max(toy_client("a").x_train)
+        fits = local_min_max(toy_client("a").x)
         wide = local_min_max(np.zeros((2, 5)))
         clients = [replace(toy_client("a"), bounds=fits), replace(toy_client("b", seed=1), bounds=wide)]
         with pytest.raises(SchemaError, match="b: scaling bounds for 5 features do not match input_dim 4"):
@@ -141,7 +141,7 @@ class TestMiniBatch:
         model = init_model(config.arch, config.init_seed)
         for _ in range(5):
             for start in range(0, 40, 8):
-                x = client.x_train[start : start + 8]
+                x = client.x[start : start + 8]
                 y = client.y_train[start : start + 8]
                 model = sgd_step(model, backward(model, x, y, 1e-4), 0.2)
         np.testing.assert_array_equal(got.flat, model.flat)
@@ -155,17 +155,14 @@ class TestMiniBatch:
         x = rng.uniform(0, 1, size=(n, d))
         y = rng.integers(0, 2, size=n)
         small_b = big_b // k
-        slices_x, slices_y = [], []
+        clients = []
         for part in range(k):
             rows = np.concatenate(
                 [np.arange(s + part * small_b, s + (part + 1) * small_b)
                  for s in range(0, n, big_b)]
             )
-            slices_x.append(x[rows])
-            slices_y.append(y[rows])
-        clients = [
-            ClientState(f"c{i}", slices_x[i], slices_y[i], seed=i, bounds=identity(d)) for i in range(k)
-        ]
+            # Each client indexes its quarter of the one record array.
+            clients.append(ClientState(f"c{part}", x, rows, y[rows], seed=part, bounds=identity(d)))
         config = toy_config(d=d, epochs=4, learning_rate=0.3, batch_size=small_b)
         (federated,), _ = run_federated(clients, config)
         central = init_model(config.arch, config.init_seed)
@@ -248,7 +245,7 @@ class TestMultiEpoch:
         model = init_model(config.arch, config.init_seed)
         for _ in range(3):
             for start in range(0, 24, 8):
-                x = client.x_train[start : start + 8]
+                x = client.x[start : start + 8]
                 y = client.y_train[start : start + 8]
                 model = sgd_step(model, backward(model, x, y), 0.1)
         np.testing.assert_array_equal(got.flat, model.flat)
@@ -307,8 +304,8 @@ class TestSchedules:
         y = rng.integers(0, 2, size=8)
         attack = AttackSpec(kind="gradient_factor", f=1)
         clients = [
-            ClientState("honest", x, y, seed=1, bounds=identity(3)),
-            ClientState("evil", x, y, attack=attack, seed=1, bounds=identity(3)),
+            ClientState("honest", x, np.arange(len(x)), y, seed=1, bounds=identity(3)),
+            ClientState("evil", x, np.arange(len(x)), y, attack=attack, seed=1, bounds=identity(3)),
         ]
         config = toy_config(
             d=3, algorithm=algorithm, epochs=1, rounds=1, learning_rate=0.5, batch_size=8
@@ -341,7 +338,7 @@ class TestSchedules:
     @pytest.mark.parametrize("algorithm", SCHEDULES)
     def test_non_finite_update_names_its_client(self, algorithm):
         clients = [toy_client("good"), toy_client("bad", seed=1)]
-        clients[1].x_train[3, 0] = np.inf
+        clients[1].x[3, 0] = np.inf
         with pytest.raises(PoisonedUpdateError, match="client bad"):
             run_federated(clients, toy_config(algorithm=algorithm))
 
@@ -364,7 +361,8 @@ class TestThresholds:
         arch = ArchitectureSpec("autoencoder", (2,), d, d)
         model = ModelParameters(arch, np.zeros(arch.n_parameters))
         x_thr = np.sqrt(np.asarray(errors))[:, None] * np.ones(d)
-        client = ClientState("c", np.zeros((4, d)), None, x_thr=x_thr, seed=0, bounds=identity(d))
+        x = np.concatenate([np.zeros((4, d)), x_thr])
+        client = ClientState("c", x, np.arange(4), None, thr=np.arange(4, len(x)), seed=0, bounds=identity(d))
         return client, model
 
     def test_local_threshold_is_mean_plus_population_std(self):
@@ -480,7 +478,7 @@ class TestBuildClient:
             rebalance(chronological_split(s, "supervised", f"dev-{i}"), BalanceSpec(0.5, 200), i)
             for i, s in enumerate(streams)
         ]
-        bounds = merge_bounds([local_min_max(p.train.features) for p in parts])
+        bounds = merge_bounds([local_min_max(p.gather("train").features) for p in parts])
         return parts, bounds
 
     def test_raw_training_rows_read_through_the_bounds(self):
@@ -488,12 +486,13 @@ class TestBuildClient:
         # a scaled read of them is scale() bit for bit.
         parts, bounds = self.fleet()
         client = build_client(parts[0], bounds, supervised=True, attack=AttackSpec(), seed=3)
-        assert np.shares_memory(client.x_train, parts[0].train.features)
+        assert client.x is parts[0].records.features
+        assert client.train is parts[0].train
         assert client.bounds is bounds
-        expected = scale(parts[0].train.features, bounds)
-        assert ScaledRows()(client, client.x_train).tobytes() == expected.tobytes()
-        assert client.y_train is not None
-        assert client.x_thr is None
+        expected = scale(parts[0].gather("train").features, bounds)
+        assert ScaledRows()(client, client.train).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(client.y_train, parts[0].gather("train").labels)
+        assert client.thr is None
 
     def test_label_flip_attack_poisons_training_labels(self):
         parts, bounds = self.fleet()
@@ -501,14 +500,14 @@ class TestBuildClient:
         client = build_client(parts[0], bounds, supervised=True, attack=attack, seed=3)
         honest = build_client(parts[0], bounds, supervised=True, attack=AttackSpec(), seed=3)
         np.testing.assert_array_equal(client.y_train, 1 - honest.y_train)
-        np.testing.assert_array_equal(client.x_train, honest.x_train)
+        assert client.x is honest.x and client.train is honest.train
 
     def test_unsupervised_client_gets_threshold_records(self):
         streams = generate_synthetic_fleet(1, 400, feature_dim=5, seed=2)
         part = chronological_split(streams[0], "unsupervised", "dev")
-        bounds = local_min_max(part.train.features)
+        bounds = local_min_max(part.gather("train").features)
         client = build_client(part, bounds, supervised=False, attack=AttackSpec(), seed=0)
-        assert client.x_thr is not None and client.y_train is None
+        assert client.thr is part.threshold_sel and client.y_train is None
 
 
 class TestGridSearch:
@@ -518,7 +517,7 @@ class TestGridSearch:
         for i in range(k):
             y = np.arange(n) % 2
             x = rng.normal(size=(n, 2)) * 0.1 + y[:, None] * 3.0
-            clients.append(ClientState(f"c{i}", x, y, seed=i, bounds=identity(2)))
+            clients.append(ClientState(f"c{i}", x, np.arange(n), y, seed=i, bounds=identity(2)))
         return clients
 
     def xor_clients(self, k=2, n=80):
@@ -530,7 +529,8 @@ class TestGridSearch:
         for i in range(k):
             q = np.arange(n) % 4
             x = centers[q] + rng.normal(size=(n, 2)) * 0.1
-            clients.append(ClientState(f"c{i}", x, (q >= 2).astype(int), seed=i, bounds=identity(2)))
+            y = (q >= 2).astype(int)
+            clients.append(ClientState(f"c{i}", x, np.arange(n), y, seed=i, bounds=identity(2)))
         return clients
 
     def test_picks_the_clearly_better_point(self):
@@ -558,7 +558,8 @@ class TestGridSearch:
     def test_unsupervised_grid_minimizes_validation_loss(self):
         rng = np.random.default_rng(3)
         clients = [
-            ClientState(f"c{i}", rng.uniform(0, 1, size=(50, 3)), None, seed=i, bounds=identity(3))
+            ClientState(f"c{i}", rng.uniform(0, 1, size=(50, 3)), np.arange(50), None, seed=i,
+                        bounds=identity(3))
             for i in range(2)
         ]
         arch = ArchitectureSpec("autoencoder", (2,), 3, 3)

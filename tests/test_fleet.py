@@ -79,9 +79,12 @@ def reference_run_federated(clients, config, on_round=None, initial_model=None):
                 continue
             local = model
             for _ in range(steps):
-                batch = next(stream)
-                yb = None if c.y_train is None else c.y_train[batch]
-                grad = backward(local, c.x_train[batch], yb, l2)
+                # The batch's positions in the train part, read through the
+                # train index here rather than through the stream's rows.
+                positions, _ = next(stream)
+                xb = c.x[c.train[positions]]
+                yb = None if c.y_train is None else c.y_train[positions]
+                grad = backward(local, xb, yb, l2)
                 if c.attack.kind == "gradient_factor":
                     grad = grad_alpha * grad
                 try:
@@ -91,9 +94,9 @@ def reference_run_federated(clients, config, on_round=None, initial_model=None):
             updates.append(local)
             if on_round is not None:
                 if mini_batch:
-                    losses[c.client_id] = loss(model, c.x_train[batch], yb, l2)
+                    losses[c.client_id] = loss(model, xb, yb, l2)
                 else:
-                    losses[c.client_id] = loss(local, c.x_train, c.y_train, l2)
+                    losses[c.client_id] = loss(local, c.x[c.train], c.y_train, l2)
         dropped = _dropped(len(clients), config, server_rng)
         kept = [u for u, gone in zip(updates, dropped) if not gone]
         if len(kept) >= config.aggregation.min_models:
@@ -128,11 +131,11 @@ def union_reference_run_federated(clients, config, on_round=None):
     l2 = config.l2_lambda
     for round_index in range(rounds):
         batches = [next(stream) for stream in streams]
-        x = np.concatenate([c.x_train[b] for c, b in zip(clients, batches)])
-        y = np.concatenate([c.y_train[b] for c, b in zip(clients, batches)]) if supervised else None
+        x = np.concatenate([c.x[c.train[p]] for c, (p, _) in zip(clients, batches)])
+        y = np.concatenate([c.y_train[p] for c, (p, _) in zip(clients, batches)]) if supervised else None
         losses = {
-            c.client_id: loss(model, c.x_train[b], c.y_train[b] if supervised else None, l2)
-            for c, b in zip(clients, batches)
+            c.client_id: loss(model, c.x[c.train[p]], c.y_train[p] if supervised else None, l2)
+            for c, (p, _) in zip(clients, batches)
         }
         model = sgd_step(model, backward(model, x, y, l2), config.learning_rate)
         if on_round is not None:
@@ -185,10 +188,39 @@ RULES = (
 UNION_TOL = 1e-12
 
 
+def _indexed_and_dense(clients, seed=0):
+    """Each client re-read through indices that repeat and skip rows, and
+    the same client on the dense rows those indices name.
+
+    The indexed client holds every source row once, shuffled among NaN rows
+    that no index names, so a read of a wrong row shows. Its train and thr
+    indices pick source rows with replacement; the dense client holds the
+    picked rows in order and reads them through np.arange.
+    """
+    rng = np.random.default_rng(seed)
+    indexed, dense = [], []
+    for c in clients:
+        source = c.x
+        m, pad = source.shape[0], 3
+        place = rng.permutation(m + pad)  # source row i sits at place[i]
+        records = np.full((m + pad, source.shape[1]), np.nan)
+        records[place[:m]] = source
+        picks = {"train": rng.integers(0, m, size=c.n_train)}
+        if c.thr is not None:
+            picks["thr"] = rng.integers(0, m, size=c.thr.size)
+        indexed.append(replace(c, x=records, **{name: place[p] for name, p in picks.items()}))
+        rows = np.concatenate(list(picks.values()))
+        cuts = np.cumsum([p.size for p in picks.values()])[:-1]
+        dense.append(replace(c, x=source[rows], **dict(zip(picks, np.split(np.arange(rows.size), cuts)))))
+    return indexed, dense
+
+
 @st.composite
-def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True):
+def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True, indexed=True):
     """Small random fleets; union=True draws only honest AVG mini-batch ones,
-    server=False only ones with no aggregation, model attack or dropout."""
+    server=False only ones with no aggregation, model attack or dropout.
+    With indexed, some fleets read their rows through indices that repeat
+    and skip rows (see _indexed_and_dense); the others read every row once."""
     k = draw(st.sampled_from(ks))
     supervised = draw(st.booleans())
     features = draw(st.integers(2, 5))
@@ -233,11 +265,15 @@ def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True):
         if malicious and kind == "flip_all":
             y = 1 - y  # the labels build_client hands a flipping client
         spec = attack if malicious else AttackSpec()
-        clients.append(ClientState(f"c{i}", x, y, attack=spec, seed=i, bounds=identity(features)))
+        clients.append(
+            ClientState(f"c{i}", x, np.arange(n), y, attack=spec, seed=i, bounds=identity(features))
+        )
     if infinities and draw(st.integers(0, 9)) == 0:
         # A non-finite feature poisons whichever client trains on it first.
         victim = draw(st.integers(0, k - 1))
-        clients[victim].x_train[draw(st.integers(0, n - 1)), 0] = np.inf
+        clients[victim].x[draw(st.integers(0, n - 1)), 0] = np.inf
+    if indexed and draw(st.booleans()):
+        clients, _ = _indexed_and_dense(clients, draw(st.integers(0, 3)))
     return clients, config
 
 
@@ -352,7 +388,8 @@ def test_first_bad_client_in_client_order_is_named(algorithm, rule):
     for i, bad_row in enumerate((7, 0)):
         x = rng.uniform(0, 1, size=(8, 3))
         x[bad_row, 1] = np.nan
-        clients.append(ClientState(f"c{i}", x, rng.integers(0, 2, size=8), seed=i, bounds=identity(3)))
+        y = rng.integers(0, 2, size=8)
+        clients.append(ClientState(f"c{i}", x, np.arange(8), y, seed=i, bounds=identity(3)))
     config = FederationConfig(
         arch=arch, algorithm=algorithm, aggregation=rule, batch_size=2, rounds=1, epochs=1, shuffle=False
     )
@@ -372,8 +409,8 @@ def test_a_gradient_that_overflows_only_once_scaled_is_a_model_fault(lr):
     arch = ArchitectureSpec("classifier", (), 2, 1)
     y = np.arange(4) % 2
     clients = [
-        ClientState("c0", np.ones((4, 2)), y, seed=0, bounds=identity(2)),
-        ClientState("c1", np.full((4, 2), 1e300), y, seed=1, bounds=identity(2)),
+        ClientState("c0", np.ones((4, 2)), np.arange(4), y, seed=0, bounds=identity(2)),
+        ClientState("c1", np.full((4, 2), 1e300), np.arange(4), y, seed=1, bounds=identity(2)),
     ]
     config = FederationConfig(
         arch=arch, algorithm="multi_epoch", learning_rate=lr, batch_size=2, epochs=1, rounds=1, shuffle=False
@@ -394,17 +431,19 @@ def _raw_and_prescaled(clients, per_client=False, constant=False):
     naive device does. With constant, feature 0 gets a span of 0 although
     its raw values vary, so only zeroing it gives scale()'s bits.
     """
-    raws = [replace(c, x_train=c.x_train * 37.5 + 1000.0, x_thr=c.x_train[::-1] * 40.0 + 990.0)
-            for c in clients]
-    bounds = [local_min_max(c.x_train) for c in raws]
+    raws = []
+    for c in clients:
+        rows = c.x[c.train]
+        x = np.concatenate([rows * 37.5 + 1000.0, rows[::-1] * 40.0 + 990.0])
+        raws.append(replace(c, x=x, train=np.arange(c.n_train), thr=np.arange(c.n_train, len(x))))
+    bounds = [local_min_max(c.x[c.train]) for c in raws]
     if not per_client:
         bounds = [merge_bounds(bounds)] * len(raws)
     if constant:
         mids = [(b.x_min[:1] + b.x_max[:1]) / 2 for b in bounds]
         bounds = [ScalingBounds(np.r_[m, b.x_min[1:]], np.r_[m, b.x_max[1:]]) for b, m in zip(bounds, mids)]
     with_bounds = [replace(c, bounds=b) for c, b in zip(raws, bounds)]
-    prescaled = [replace(c, x_train=scale(c.x_train, b), x_thr=scale(c.x_thr, b))
-                 for c, b in zip(raws, bounds)]
+    prescaled = [replace(c, x=scale(c.x, b)) for c, b in zip(raws, bounds)]
     return with_bounds, prescaled
 
 
@@ -421,6 +460,7 @@ def _oracle_fleet(k=3, n=16, supervised=True, attack="none", **overrides):
         ClientState(
             f"c{i}",
             rng.uniform(-1.0, 2.0, size=(n, features)),
+            np.arange(n),
             rng.integers(0, 2, size=n) if supervised else None,
             attack=spec if i == 1 else AttackSpec(),
             seed=i,
@@ -479,3 +519,42 @@ def test_grid_search_and_thresholds_read_raw_rows_as_prescaled_rows(supervised):
     if not supervised:
         (model,), _ = run_federated(prescaled, config)
         assert select_thresholds(with_bounds, model) == select_thresholds(prescaled, model)
+
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_indexed_rows_train_as_dense_rows(case):
+    case = dict(case)
+    per_client, constant = case.pop("per_client", False), case.pop("constant", False)
+    clients, config = _oracle_fleet(**case)
+    clients, _ = _raw_and_prescaled(clients, per_client, constant)
+    indexed, dense = _indexed_and_dense(clients)
+    with_log = config.aggregation is not None
+    expected = _run(run_federated, dense, config, with_log)
+    assert expected[0] != "error"
+    assert _run(run_federated, indexed, config, with_log) == expected
+
+
+@settings(max_examples=100)
+@given(st.one_of(fleets(indexed=False), fleets(server=False, indexed=False)), st.integers(0, 3))
+def test_indexed_rows_match_dense_rows_on_drawn_fleets(fleet, seed):
+    clients, config = fleet
+    indexed, dense = _indexed_and_dense(clients, seed)
+    with_log = config.aggregation is not None
+    with np.errstate(all="ignore"):
+        expected = _run(run_federated, dense, config, with_log)
+        got = _run(run_federated, indexed, config, with_log)
+    assert got == expected
+
+
+@pytest.mark.parametrize("supervised", [True, False], ids=["classifier", "autoencoder"])
+def test_grid_search_and_thresholds_read_indexed_rows_as_dense_rows(supervised):
+    clients, config = _oracle_fleet(k=2, n=30, supervised=supervised)
+    clients, _ = _raw_and_prescaled(clients, constant=True)
+    indexed, dense = _indexed_and_dense(clients)
+    grid = [GridPoint(config.arch, 0.0), GridPoint(config.arch, 1e-2)]
+    expected = collaborative_grid_search(dense, grid, config)
+    assert collaborative_grid_search(indexed, grid, config) == expected
+    if not supervised:
+        (model,), _ = run_federated(dense, config)
+        assert select_thresholds(indexed, model) == select_thresholds(dense, model)

@@ -24,7 +24,8 @@ the other checkout is the base. Each side runs PAIRS times:
   `run_federated` (batch size 8, preset-B classifier) under AVG, MED, TM(2)
   and 2-RS+TM(2) at the same k. Where the checkout's clients have a
   `bounds` field, they carry identity bounds (x_min 0, x_max 1), which
-  leave the drawn rows as they are.
+  leave the drawn rows as they are; where they read their records through
+  a `train` index, it is np.arange(n), every drawn row once.
 With a base, the two sides take turns and the side that goes first
 alternates from pair to pair, so drift of the host's speed hits both
 alike. Each measurement runs in its own interpreter, with one BLAS thread.
@@ -137,14 +138,18 @@ from fediot.preprocess import ScalingBounds
 arch = classifier_preset("B")
 batch, rounds = 8, 40
 out = {"d": arch.n_parameters, "batch_size": batch, "ms": {}}
-bounds = {}
-if "bounds" in {f.name for f in dataclasses.fields(ClientState)}:
-    bounds["bounds"] = ScalingBounds(np.zeros(arch.input_dim), np.ones(arch.input_dim))
+fields = {f.name for f in dataclasses.fields(ClientState)}
+extra = {}
+if "bounds" in fields:
+    extra["bounds"] = ScalingBounds(np.zeros(arch.input_dim), np.ones(arch.input_dim))
 for k in json.loads(sys.argv[1]):
     rng = np.random.default_rng(k)
     n = batch * rounds
+    if "train" in fields:
+        extra["train"] = np.arange(n)
     clients = [
-        ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), rng.integers(0, 2, n), seed=i, **bounds)
+        ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), y_train=rng.integers(0, 2, n),
+                    seed=i, **extra)
         for i in range(k)
     ]
     rules = (AggregationSpec("avg"), AggregationSpec("med"), AggregationSpec("tm", trim_c=2),

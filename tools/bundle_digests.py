@@ -17,7 +17,11 @@ repetition, and EPOCHS epochs of ROUNDS rounds:
   schedules, round logs on;
 - dropout 0.5 under AVG and under TM(1), under both schedules, round logs on;
 - a sweep at f in {0, 1};
-- `fediot synth`, then manifest-fed runs in both modes;
+- `fediot synth`, then manifest-fed runs in both modes: one at fold dev-0
+  and one repetition, and one at folds dev-0 and dev-1 and two repetitions,
+  round logs on, so repetitions that share the read records are in the
+  check; and a centralized unsupervised manifest run at the same folds and
+  repetitions, whose pooled client joins the devices' records;
 - `report` in md and in csv for every bundle.
 
 The output is one `sha256  path` line per file under DIR/results and
@@ -100,8 +104,13 @@ def _matrix(fleet: str) -> list[tuple[str, dict, list[str]]]:
     runs.append(("sweep", _config("supervised-50", "sweep"), ["--f", "0,1"]))
     runs.append(("synth", _config("supervised-50", "synth"), ["--out", fleet]))
     manifest = {"source": "manifest", "path": os.path.join(fleet, "manifest.csv")}
+    two_by_two = {"folds": ["dev-0", "dev-1"], "repetitions": 2}
     for mode, profile in modes.items():
         runs.append(("run", _config(profile, f"{mode}-manifest", data=manifest), []))
+        runs.append(("run", _config(profile, f"{mode}-manifest-2x2", data=manifest, protocol=two_by_two,
+                                    training=logs), []))
+    runs.append(("run", _config("unsupervised", "unsup-manifest-centralized", data=manifest,
+                                approach="centralized", protocol=two_by_two), []))
     return runs
 
 
