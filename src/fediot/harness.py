@@ -384,9 +384,9 @@ def _fleet(
     A manifest fleet redraws the indices of its split, whose records were
     read once for all repetitions, so every repetition shares them. A
     synthetic fleet is split and rebalanced device by device, and each
-    device keeps, in one gather, only the records its parts name: its raw
-    stream is dropped as it is compacted, so next to the compacted devices
-    only the raw streams not yet reached are held.
+    device keeps only the records its parts name (one gather, none when
+    they name all): its raw stream is dropped as it is compacted, so next
+    to the compacted devices only the raw streams not yet reached are held.
     """
 
     def balanced(p: DevicePartition) -> DevicePartition:

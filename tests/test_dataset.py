@@ -433,7 +433,7 @@ class TestSampleSet:
 # The dense split and rebalance that parts as row indices replaced: every part
 # a SampleSet holding its own copy of its rows. Gathering an index part must
 # give the same bytes.
-def dense_split(samples, mode, device_id):
+def dense_split(samples, mode):
     n = len(samples)
 
     def cut(positions, fractions):
@@ -491,7 +491,7 @@ def dense_manifest_split(entries, mode, schema):
                 empty = stream.take([])
                 pieces.append([empty, empty, stream, empty])
             else:
-                pieces.append(dense_split(stream, mode, device_id))
+                pieces.append(dense_split(stream, mode))
         out[device_id] = [
             None if part[0] is None else SampleSet.concat(part) for part in zip(*pieces)
         ]
@@ -516,7 +516,7 @@ def fleet_config(mode, source, path="", samples=240, spd=None):
     return config_from_dict(raw)
 
 
-def write_manifest_fleet(tmp_path, mode):
+def write_manifest_fleet(tmp_path):
     streams = generate_synthetic_fleet(3, 240, feature_dim=4, seed=8)
     lines = ["device_id,path,class"]
     for i, stream in enumerate(streams):
@@ -550,14 +550,14 @@ class TestIndexedParts:
             for i, stream in enumerate(synthetic_streams(config, rep)):
                 device = f"dev-{i}"
                 seed = derive_seed(config.master_seed, rep, "balance", device)
-                dense = dense_rebalance(dense_split(stream, mode, device), config.balance, seed)
+                dense = dense_rebalance(dense_split(stream, mode), config.balance, seed)
                 assert_parts_equal(partitions[device], dense)
             reps += 1
         assert reps == 2
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_manifest_fleet_gathers_the_dense_parts(self, tmp_path, mode):
-        path = write_manifest_fleet(tmp_path, mode)
+        path = write_manifest_fleet(tmp_path)
         config = fleet_config(mode, "manifest", path, spd=300)
         split = dense_manifest_split(load_manifest(path), mode, 4)
         reps = 0
@@ -590,7 +590,7 @@ class TestIndexedParts:
         assert all(getattr(balanced, name).dtype == np.intp for name in PART_NAMES[:3])
 
     def test_manifest_records_read_once_and_shared_by_repetitions(self, tmp_path, monkeypatch):
-        path = write_manifest_fleet(tmp_path, "supervised")
+        path = write_manifest_fleet(tmp_path)
         config = fleet_config("supervised", "manifest", path)
         reads = []
 
