@@ -6,7 +6,9 @@ no aggregation rule there is no server: one round in which every client
 trains alone. Each local step is one batched backward pass over the rows of
 a parameter buffer, one row per training client (the same bits as each
 client training alone) or, under honest mini-batch averaging, one row on
-the union of the k batches (FederatedSGD, equal up to rounding).
+the union of the k batches (FederatedSGD, equal up to rounding). The
+backward pass is bound to its buffer rows once per run, and each epoch's
+batches are laid out once, in a per-epoch plan of record indices.
 
 Clients hold their device's raw records, the partition's own array, plus
 row indices and the group's scaling bounds: a step gathers and scales the
@@ -24,7 +26,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -43,9 +45,9 @@ from .errors import ConfigError, PoisonedUpdateError, SchemaError
 from .neuralnet import (
     CLASSIFIER,
     ArchitectureSpec,
+    Backprop,
     ModelParameters,
     classify,
-    fleet_backward,
     init_model,
     loss,
     mse_per_sample,
@@ -278,19 +280,6 @@ def schedule(config: FederationConfig, n_train: int) -> tuple[int, int]:
     return config.rounds, config.epochs * steps_per_epoch
 
 
-def _batches(client: ClientState, config: FederationConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # One endless stream of batches with a fresh order per local epoch: each
-    # batch's positions in the train part (for its labels) and the rows of x
-    # they name, composed with the train index once per epoch.
-    rng = np.random.default_rng([client.seed, _SEED_SHUFFLE])
-    n, b = client.n_train, config.batch_size
-    while True:
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        rows = client.train[order]
-        for start in range(0, n, b):
-            yield order[start : start + b], rows[start : start + b]
-
-
 def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
     # Indices of the rows of a C-contiguous array holding a NaN or an
     # infinity. The sum of squares is NaN or inf whenever one is present, so
@@ -338,9 +327,9 @@ def run_federated(
     are computed only for it.
 
     One step body trains the first rows of a parameter buffer with one
-    batched backward pass on the training clients' batches. With one row per
-    trainer it is the fleet step, bit for bit what each client would compute
-    alone. The buffer holds one row per client, the trainers' first; each
+    batched backward pass on the training clients' batches, through a
+    Backprop bound to those rows once per call. With one row per trainer it
+    is the fleet step, bit for bit what each client would compute alone. The buffer holds one row per client, the trainers' first; each
     model canceller's row is rewritten every round with its reply. The rule
     reduces the rows of the clients that did not drop out, in client order,
     and may overwrite them (see reduce_rows). Honest AVG mini-batch rounds
@@ -349,9 +338,12 @@ def run_federated(
     batch, equal to averaging the k client steps up to rounding (exact for
     k = 1). A non-finite union step reruns with k rows. A non-finite
     gradient or model raises PoisonedUpdateError naming the first bad client
-    in client order. Each step gathers its fleet batch from the clients' raw
-    records through their train indices and scales it in place with each
-    client's bounds.
+    in client order. At each epoch start every trainer draws its epoch order
+    from its own shuffle stream and writes its train indices and labels in
+    that order into its row of the epoch's batch plan; each step then
+    gathers its fleet batch from the clients' raw records through a column
+    slice of the plan, with one take per trainer, and scales it in place
+    with each client's bounds. The labels are a view of the plan.
 
     With config.aggregation None (no server) each client trains alone as one
     row, in one round of all its steps; such a run takes no on_round hook
@@ -390,13 +382,22 @@ def run_federated(
     shared = params[:k].view()
     shared.setflags(write=False)
     trained = [ModelParameters(arch, row) for row in shared]
-    b = min(config.batch_size, clients[0].n_train)  # no batch is longer
-    batch_x = np.empty((k, b, dim))
-    batch_y = np.empty((k, b)) if arch.kind == CLASSIFIER else None
+    n, b = clients[0].n_train, config.batch_size
+    batch_x = np.empty((k, min(b, n), dim))  # no batch is longer
     x_min, span, constant = _batch_scaling([clients[i] for i in trainers], batch_x.shape)
+    # The epoch's batch plan, one row per trainer: its rows of x in the
+    # epoch's order and their labels; a step reads columns [start, stop).
+    # Equal n_train and one batch size put every trainer's epoch start on
+    # the same step, and each trainer draws one order per epoch from its own
+    # stream, as it would training alone.
+    plan_x = np.empty((k, n), dtype=np.intp)
+    plan_y = np.empty((k, n)) if arch.kind == CLASSIFIER else None
+    shufflers = [np.random.default_rng([clients[i].seed, _SEED_SHUFFLE]) for i in trainers]
+    steps_per_epoch = math.ceil(n / b)
     scratch = ScaledRows()  # for a multi-epoch round's logged losses
-    streams = [_batches(clients[i], config) for i in trainers]
     union = _takes_union_step(config, attack_spec)
+    # One backprop binding per row count a step uses: k for the fleet, 1 for the union.
+    bound = {rows: Backprop(arch, params[:rows], grads[:rows]) for rows in {k, 1 if union else k}}
 
     aggregations = 0
     for round_index in range(rounds):
@@ -406,27 +407,33 @@ def run_federated(
             cancel_update(model, cancel_alpha, out=params[row])
         errors: dict[int, str] = {}  # client index -> its first failed check this round
         for step in range(steps):
+            start = (round_index * steps + step) % steps_per_epoch * b
+            if start == 0:
+                for row, (i, rng) in enumerate(zip(trainers, shufflers)):
+                    c = clients[i]
+                    order = rng.permutation(n) if config.shuffle else np.arange(n)
+                    c.train.take(order, out=plan_x[row])
+                    if plan_y is not None:
+                        plan_y[row] = c.y_train[order]
+            stop = min(start + b, n)
+            size = stop - start
             # The batches packed in client order: a (k, size, F) fleet batch
             # that is also the (1, k * size, F) union batch.
-            batches = [next(stream) for stream in streams]
-            size = len(batches[0][0])  # equal sizes: equal n_train
             xs = batch_x.reshape(-1)[: k * size * dim].reshape(k, size, dim)
-            ys = None if batch_y is None else batch_y.reshape(-1)[: k * size].reshape(k, size)
-            for row, (i, (positions, records)) in enumerate(zip(trainers, batches)):
+            ys = None if plan_y is None else plan_y[:, start:stop]
+            for row, i in enumerate(trainers):
                 # The method form skips np.take's Python wrapper.
-                clients[i].x.take(records, axis=0, out=xs[row])
-                if ys is not None:
-                    ys[row] = clients[i].y_train[positions]
+                clients[i].x.take(plan_x[row, start:stop], axis=0, out=xs[row])
             np.subtract(xs, x_min[:, :size], out=xs)
             np.divide(xs, span[:, :size], out=xs)
             if constant is not None:
                 np.copyto(xs, 0.0, where=constant[:, :size])
             while True:
-                fleet, fleet_grads = params[:rows], grads[:rows]
+                fleet = params[:rows]
                 if step == 0:
                     fleet[:] = model.flat
                 y = None if ys is None else ys.reshape(rows, -1)
-                fleet_backward(arch, fleet, xs.reshape(rows, -1, dim), y, l2, out=fleet_grads)
+                fleet_grads = bound[rows](xs.reshape(rows, -1, dim), y, l2)
                 for row in boosted:
                     grads[row] *= grad_alpha
                 # A non-finite gradient makes its updated row non-finite (at

@@ -486,7 +486,11 @@ def _run_cell(
         bounds.append(merge_bounds([local_min_max(partitions[d].gather("train").features) for d in ids]))
         members = [partitions[d] for d in ids]
         if config.approach == "centralized":
-            members = [DevicePartition.concat("pooled", members)]
+            # The pool holds only the records training and thresholds read.
+            none = np.empty(0, dtype=np.intp)
+            members = [DevicePartition.concat(
+                "pooled", [replace(p, unused=none, test=none).compact() for p in members]
+            )]
         clients.append([
             build_client(p, bounds[-1], config.supervised, attacks.get(p.device_id, AttackSpec()),
                          derive_seed(config.master_seed, rep, fold, "client", p.device_id))

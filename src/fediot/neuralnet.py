@@ -7,6 +7,10 @@ z, exactly 1 for z > 0. Classifiers end in one sigmoid unit trained with
 binary cross entropy; autoencoders end in a linear reconstruction trained
 with mean squared error. Optional L2 regularization covers weights only,
 never biases.
+
+Gradients come from one backpropagation body, Backprop, which binds to a
+(rows, d) parameter buffer and a gradient buffer once and then trains
+every row on its own batch per call; backward() is its one-row case.
 """
 from __future__ import annotations
 
@@ -130,8 +134,8 @@ def _elu(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
 
 
-def _elu_grad(z: np.ndarray) -> np.ndarray:
-    return np.exp(np.minimum(z, 0.0))
+def _elu_grad(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.exp(np.minimum(z, 0.0, out=out), out=out)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -159,12 +163,12 @@ def _weights(arch: ArchitectureSpec, params: np.ndarray) -> list[tuple[np.ndarra
     ]
 
 
-def _forward_states(arch: ArchitectureSpec, params: np.ndarray, x: np.ndarray):
-    # k models on k batches: params is (k, d) and x is (k, n, F). Returns
-    # per-layer inputs and pre-activations; the last pre-activation is the
-    # head logits (classifier) or reconstruction (autoencoder). The matmul
-    # runs one BLAS call per model, the same call a single (n, F) batch makes.
-    layers = _weights(arch, params)
+def _forward_states(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    # k models on k batches: layers holds _weights() views of a (k, d)
+    # parameter array and x is (k, n, F). Returns per-layer inputs and
+    # pre-activations; the last pre-activation is the head logits
+    # (classifier) or reconstruction (autoencoder). The matmul runs one BLAS
+    # call per model, the same call a single (n, F) batch makes.
     inputs = []
     pre_acts = []
     a = x
@@ -179,7 +183,7 @@ def _forward_states(arch: ArchitectureSpec, params: np.ndarray, x: np.ndarray):
 
 def _head(params: ModelParameters, x: np.ndarray) -> np.ndarray:
     # Last pre-activation of one model on a checked (n, F) batch.
-    return _forward_states(params.arch, params.flat[None], x[None])[1][-1][0]
+    return _forward_states(_weights(params.arch, params.flat[None]), x[None])[1][-1][0]
 
 
 def forward(params: ModelParameters, x: np.ndarray) -> np.ndarray:
@@ -236,51 +240,63 @@ def loss(
     return data
 
 
-def fleet_backward(
-    arch: ArchitectureSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray | None = None,
-    l2_lambda: float = 0.0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradients of loss() for k models at once, one row each.
+class Backprop:
+    """The backpropagation body bound to a (rows, d) parameter buffer and a
+    (rows, d) gradient buffer of the same architecture.
 
-    params is (k, d), one flat parameter vector per row; x is (k, n, F),
-    row i's batch for model i, and y its (k, n) labels. The gradients are
-    written into out, a (k, d) array (allocated when omitted), and each row
-    is bit for bit what backward() returns for that model and batch.
+    The per-layer weight, transposed-weight and gradient views are built
+    once, here; they follow every later write to either buffer. A call
+    takes x, a (rows, n, F) array holding row i's batch for the model in
+    row i of params, and for a classifier y, its (rows, n) labels. It
+    writes the gradients of loss() into grads, row i bit for bit what
+    backward() returns for that model and batch, and returns grads.
     """
-    if x.ndim != 3 or x.shape[2] != arch.input_dim or params.shape != (x.shape[0], arch.n_parameters):
-        raise SchemaError(
-            f"parameters {params.shape} and batches {x.shape} do not fit {arch.n_parameters} "
-            f"parameters with input_dim {arch.input_dim}"
-        )
-    n = x.shape[1]
-    inputs, pre_acts = _forward_states(arch, params, x)
-    if arch.kind == CLASSIFIER:
-        if y is None:
-            raise ConfigError("classifier gradient requires labels")
-        y = np.asarray(y, dtype=np.float64)
-        dz = (_sigmoid(pre_acts[-1]) - y[:, :, None]) / n
-    else:
-        if y is not None:
-            raise ConfigError("autoencoder gradient takes no labels")
-        dz = 2.0 * (pre_acts[-1] - x) / (n * arch.output_dim)
-    if out is None:
-        out = np.empty_like(params)
-    layers = _weights(arch, params)
-    grads = _weights(arch, out)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        dw, db = grads[i]
-        np.matmul(inputs[i].transpose(0, 2, 1), dz, out=dw)
-        if l2_lambda:
-            dw += 2.0 * l2_lambda * w
-        np.sum(dz, axis=1, keepdims=True, out=db)
-        if i > 0:
-            dz = np.matmul(dz, w.transpose(0, 2, 1)) * _elu_grad(pre_acts[i - 1])
-    return out
+
+    def __init__(self, arch: ArchitectureSpec, params: np.ndarray, grads: np.ndarray) -> None:
+        if params.ndim != 2 or params.shape[1] != arch.n_parameters or grads.shape != params.shape:
+            raise SchemaError(
+                f"parameters {params.shape} and gradients {grads.shape} do not fit "
+                f"{arch.n_parameters} parameters per row"
+            )
+        self.arch = arch
+        self.grads = grads
+        self._rows = params.shape[0]
+        self._classifier = arch.kind == CLASSIFIER
+        self._layers = _weights(arch, params)
+        self._transposed = [w.transpose(0, 2, 1) for w, _ in self._layers]
+        self._grad_layers = _weights(arch, grads)
+
+    def __call__(self, x: np.ndarray, y: np.ndarray | None = None, l2_lambda: float = 0.0) -> np.ndarray:
+        if x.ndim != 3 or x.shape[0] != self._rows or x.shape[2] != self.arch.input_dim:
+            raise SchemaError(
+                f"batches {x.shape} do not fit {self._rows} models with input_dim {self.arch.input_dim}"
+            )
+        n = x.shape[1]
+        inputs, pre_acts = _forward_states(self._layers, x)
+        # dz is formed in the last pre-activation, which nothing reads again.
+        dz = pre_acts[-1]
+        if self._classifier:
+            if y is None:
+                raise ConfigError("classifier gradient requires labels")
+            np.subtract(_sigmoid(dz), y[:, :, None], out=dz)
+            dz /= n
+        else:
+            if y is not None:
+                raise ConfigError("autoencoder gradient takes no labels")
+            dz -= x
+            dz *= 2.0
+            dz /= n * self.arch.output_dim
+        for i in range(len(self._layers) - 1, -1, -1):
+            dw, db = self._grad_layers[i]
+            np.matmul(inputs[i].transpose(0, 2, 1), dz, out=dw)
+            if l2_lambda:
+                dw += 2.0 * l2_lambda * self._layers[i][0]
+            np.add.reduce(dz, axis=1, keepdims=True, out=db)
+            if i > 0:
+                dz = np.matmul(dz, self._transposed[i])
+                # ELU' is formed in the pre-activation, which nothing reads again.
+                dz *= _elu_grad(pre_acts[i - 1], out=pre_acts[i - 1])
+        return self.grads
 
 
 def backward(
@@ -291,13 +307,15 @@ def backward(
 ) -> np.ndarray:
     """Gradient of loss() as one flat vector in parameter order.
 
-    Training calls fleet_backward; this one-model form is the tests' oracle
-    and a layer the benchmark tracer wraps by name.
+    A one-row Backprop: training binds one per buffer instead. This
+    one-model form is the tests' oracle and a layer the benchmark tracer
+    wraps by name.
     """
     x = _check_input(params, x)
     if y is not None:
         y = np.asarray(y, dtype=np.float64)[None]
-    return fleet_backward(params.arch, params.flat[None], x[None], y, l2_lambda)[0]
+    step = Backprop(params.arch, params.flat[None], np.empty((1, params.arch.n_parameters)))
+    return step(x[None], y, l2_lambda)[0]
 
 
 def sgd_step(params: ModelParameters, grad: np.ndarray, lr: float) -> ModelParameters:

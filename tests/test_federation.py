@@ -32,6 +32,7 @@ from fediot.federation import (
 )
 from fediot.neuralnet import (
     ArchitectureSpec,
+    Backprop,
     ModelParameters,
     backward,
     classifier_preset,
@@ -57,6 +58,19 @@ def toy_client(cid, n=32, seed=0, d=4, supervised=True, attack=None):
     x = rng.uniform(0, 1, size=(n, d))
     y = rng.integers(0, 2, size=n) if supervised else None
     return ClientState(cid, x, np.arange(n), y, attack=attack or AttackSpec(), seed=seed, bounds=identity(d))
+
+
+def forbid_training(monkeypatch, clients, config):
+    """Make every local step run_federated takes raise, after checking that
+    clients under config do reach one, so a rejection under the patch
+    comes before the first step and not from a step the loop no longer takes."""
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(Backprop, "__call__", no_training)
+    with pytest.raises(AssertionError, match="training started"):
+        run_federated(clients, config)
 
 
 def toy_config(d=4, supervised=True, **overrides):
@@ -98,12 +112,10 @@ class TestFleetValidation:
             run_federated(clients, toy_config(supervised=True))
 
     def test_bounds_of_another_width_rejected_before_training(self, monkeypatch):
-        def no_training(*args):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr("fediot.federation.fleet_backward", no_training)
         fits = local_min_max(toy_client("a").x)
         wide = local_min_max(np.zeros((2, 5)))
+        forbid_training(monkeypatch, [replace(toy_client(c, seed=i), bounds=fits) for i, c in enumerate("ab")],
+                        toy_config())
         clients = [replace(toy_client("a"), bounds=fits), replace(toy_client("b", seed=1), bounds=wide)]
         with pytest.raises(SchemaError, match="b: scaling bounds for 5 features do not match input_dim 4"):
             run_federated(clients, toy_config())
@@ -218,12 +230,9 @@ class TestMiniBatch:
         assert any(d for d, _ in records) and any(not d for d, _ in records)
 
     def test_fleet_below_the_rule_floor_rejected_before_training(self, monkeypatch):
-        def no_training(*args):
-            raise AssertionError("training started")
-
-        monkeypatch.setattr("fediot.federation.fleet_backward", no_training)
-        clients = [toy_client(f"c{i}", seed=i) for i in range(8)]
         config = toy_config(aggregation=AggregationSpec("tm", trim_c=4))
+        forbid_training(monkeypatch, [toy_client(f"c{i}", seed=i) for i in range(9)], config)
+        clients = [toy_client(f"c{i}", seed=i) for i in range(8)]
         with pytest.raises(ConfigError, match=r"TM\(4\) needs at least 9 clients, got 8"):
             run_federated(clients, config)
 

@@ -38,8 +38,8 @@ from fediot.federation import (
     ClientState,
     FederationConfig,
     GridPoint,
+    _SEED_SHUFFLE,
     _attack_factors,
-    _batches,
     _dropped,
     _starting_model,
     _validate_fleet,
@@ -55,6 +55,20 @@ from fediot.preprocess import ScalingBounds, local_min_max, merge_bounds, scale
 def identity(d):
     """Scaling bounds that leave every feature as it is (see test_preprocess)."""
     return ScalingBounds(np.zeros(d), np.ones(d))
+
+
+def _batches(client, config):
+    """One client's endless stream of batches, a fresh order per local epoch:
+    each batch's positions in the train part (for its labels) and the rows
+    of x they name. run_federated draws the same orders from the same
+    stream into its per-epoch batch plan."""
+    rng = np.random.default_rng([client.seed, _SEED_SHUFFLE])
+    n, b = client.n_train, config.batch_size
+    while True:
+        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        rows = client.train[order]
+        for start in range(0, n, b):
+            yield order[start : start + b], rows[start : start + b]
 
 
 def reference_run_federated(clients, config, on_round=None, initial_model=None):

@@ -4,6 +4,7 @@ import os
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 from fediot.adversary import AttackSpec
@@ -16,10 +17,11 @@ from fediot.dataset import (
 )
 from fediot import cli
 from fediot.errors import ConfigError
-from fediot.federation import evaluate, run_federated
+from fediot.federation import build_client, evaluate, run_federated
 from fediot.harness import (
     DataSource,
     ExperimentConfig,
+    _run_cell,
     attack_sweep,
     config_from_dict,
     config_to_dict,
@@ -630,6 +632,32 @@ class TestFleetMemory:
         protocol = {"folds": ["dev-0"], "repetitions": 2, "master_seed": 3}
         run_experiment(tiny_config(protocol=protocol), str(tmp_path))
         assert len(refs) == 6 and alive == [0, 0]
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_centralized_pool_holds_only_what_training_reads(self, tmp_path, monkeypatch, mode):
+        # The pooled client of each cell holds each distinct train and
+        # threshold record of the training devices once: no test or unused
+        # record, which the cell reads from the devices' own partitions.
+        pooled, distinct = [], []
+
+        def cell(config, partitions, fold, *args):
+            distinct.append(sum(
+                np.unique(np.concatenate([p.train] + ([] if p.threshold_sel is None else [p.threshold_sel]))).size
+                for device, p in partitions.items()
+                if device != fold
+            ))
+            return _run_cell(config, partitions, fold, *args)
+
+        def building(partition, *args):
+            pooled.append(len(partition.records))
+            return build_client(partition, *args)
+
+        monkeypatch.setattr("fediot.harness._run_cell", cell)
+        monkeypatch.setattr("fediot.harness.build_client", building)
+        raw = tiny_dict(approach="centralized", mode=mode)
+        raw["data"]["samples_per_device"] = raw["balance"]["samples_per_device"] = 600
+        run_experiment(config_from_dict(raw), str(tmp_path))
+        assert len(pooled) == 3 and pooled == distinct
 
     @pytest.mark.parametrize("profile", ["unsupervised", "supervised-50"])
     def test_traced_peak_below_1_4_fleets(self, tmp_path, profile):

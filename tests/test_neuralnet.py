@@ -4,6 +4,7 @@ import pytest
 from fediot.errors import ConfigError, ModelKindError, PoisonedUpdateError, SchemaError
 from fediot.neuralnet import (
     ArchitectureSpec,
+    Backprop,
     ModelParameters,
     autoencoder_preset,
     backward,
@@ -286,6 +287,70 @@ class TestActivations:
             nan = np.isnan(want)
             np.testing.assert_array_equal(np.isnan(got), nan)
             assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+PRESETS = [classifier_preset(name) for name in "ABCD"] + [autoencoder_preset(name) for name in "ABC"]
+
+
+def fleet_case(arch, k, b, seed):
+    """k models of arch with nonzero biases, each with its own (b, F) batch
+    and, for a classifier, labels."""
+    rng = np.random.default_rng(seed)
+    params = np.stack([init_model(arch, seed + i).flat for i in range(k)])
+    params += rng.normal(0.0, 0.05, params.shape)
+    x = rng.uniform(0.0, 1.0, (k, b, arch.input_dim))
+    y = rng.integers(0, 2, (k, b)).astype(np.float64) if arch.kind == "classifier" else None
+    return params, x, y
+
+
+def assert_rows_match_backward(arch, params, x, y, l2_lambda, grads):
+    for i in range(params.shape[0]):
+        want = backward(ModelParameters(arch, params[i]), x[i], None if y is None else y[i], l2_lambda)
+        assert grads[i].tobytes() == want.tobytes(), f"row {i}"
+
+
+class TestBackprop:
+    """The bound backprop body against one backward() call per model, bit for
+    bit, at the shipped preset widths."""
+
+    @pytest.mark.parametrize("l2_lambda", [0.0, 1e-3])
+    @pytest.mark.parametrize("b", [1, 8, 64])
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("arch", PRESETS, ids=lambda a: f"{a.kind}-{len(a.hidden_layers)}")
+    def test_rows_match_backward_at_preset_widths(self, arch, k, b, l2_lambda):
+        params, x, y = fleet_case(arch, k, b, seed=k * 100 + b)
+        before = params.copy(), x.copy()
+        grads = np.empty_like(params)
+        assert Backprop(arch, params, grads)(x, y, l2_lambda) is grads
+        assert_rows_match_backward(arch, params, x, y, l2_lambda, grads)
+        # The body writes only the gradient buffer.
+        assert params.tobytes() == before[0].tobytes() and x.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("arch", [classifier_preset("D"), autoencoder_preset("C")], ids=["classifier", "autoencoder"])
+    def test_binding_follows_rewritten_buffers(self, arch):
+        # Bound once to the first rows of larger buffers, as training binds
+        # it; the buffer is rewritten in place between calls, so a view
+        # built from the first call's values would show.
+        k, d = 8, arch.n_parameters
+        buffer, grad_buffer = np.zeros((k + 1, d)), np.full((k + 1, d), np.nan)
+        step = Backprop(arch, buffer[:k], grad_buffer[:k])
+        for seed in (1, 2):
+            params, x, y = fleet_case(arch, k, 8, seed)
+            buffer[:k] = params
+            step(x, y, 1e-3)
+            assert_rows_match_backward(arch, params, x, y, 1e-3, grad_buffer)
+        assert np.isnan(grad_buffer[k]).all()
+
+    def test_shapes_and_labels_checked(self):
+        arch = classifier_preset("B")
+        params, x, y = fleet_case(arch, 2, 4, seed=0)
+        with pytest.raises(SchemaError):
+            Backprop(arch, params, np.empty((3, arch.n_parameters)))
+        step = Backprop(arch, params, np.empty_like(params))
+        with pytest.raises(SchemaError):
+            step(x[:1], y[:1])
+        with pytest.raises(ConfigError):
+            step(x)
 
 
 class TestTraining:

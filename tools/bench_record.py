@@ -22,7 +22,9 @@ the other checkout is the base. Each side runs PAIRS times:
   buffer rows, as its loop did);
 - the round probe, the median time of one mini-batch round of
   `run_federated` (batch size 8, preset-B classifier) under AVG, MED, TM(2)
-  and 2-RS+TM(2) at the same k. Where the checkout's clients have a
+  and 2-RS+TM(2) at the same k, and of one multi-epoch AVG round (one local
+  epoch of 40 steps at batch size 8, preset-A autoencoder, k = 8: the
+  unsup-multiepoch shape). Where the checkout's clients have a
   `bounds` field, they carry identity bounds (x_min 0, x_max 1), which
   leave the drawn rows as they are; where they read their records through
   a `train` index, it is np.arange(n), every drawn row once.
@@ -126,27 +128,41 @@ for k in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
-# Times whole mini-batch training runs of ROUNDS rounds, one round per batch.
+# Times whole training runs: mini-batch runs of ROUNDS rounds, one round per
+# batch, and multi-epoch autoencoder runs of AE_ROUNDS one-epoch rounds.
 ROUND_PROBE = r"""
 import dataclasses, json, statistics, sys, time
 import numpy as np
 from fediot.aggregation import AggregationSpec
 from fediot.federation import ClientState, FederationConfig, run_federated
-from fediot.neuralnet import classifier_preset
+from fediot.neuralnet import autoencoder_preset, classifier_preset
 from fediot.preprocess import ScalingBounds
 
 arch = classifier_preset("B")
 batch, rounds = 8, 40
+ae_k, ae_rounds = 8, 5
 out = {"d": arch.n_parameters, "batch_size": batch, "ms": {}}
 fields = {f.name for f in dataclasses.fields(ClientState)}
 extra = {}
 if "bounds" in fields:
     extra["bounds"] = ScalingBounds(np.zeros(arch.input_dim), np.ones(arch.input_dim))
+n = batch * rounds
+if "train" in fields:
+    extra["train"] = np.arange(n)
+
+
+def per_round(clients, config, rounds):
+    run_federated(clients, config)
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        run_federated(clients, config)
+        runs.append((time.perf_counter() - start) / rounds)
+    return 1e3 * statistics.median(runs)
+
+
 for k in json.loads(sys.argv[1]):
     rng = np.random.default_rng(k)
-    n = batch * rounds
-    if "train" in fields:
-        extra["train"] = np.arange(n)
     clients = [
         ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, arch.input_dim)), y_train=rng.integers(0, 2, n),
                     seed=i, **extra)
@@ -156,13 +172,16 @@ for k in json.loads(sys.argv[1]):
              AggregationSpec("tm", trim_c=2, resample_s=2))
     for spec in rules:
         config = FederationConfig(arch=arch, batch_size=batch, epochs=1, aggregation=spec)
-        run_federated(clients, config)
-        runs = []
-        for _ in range(5):
-            start = time.perf_counter()
-            run_federated(clients, config)
-            runs.append((time.perf_counter() - start) / rounds)
-        out["ms"].setdefault(spec.describe(), {})[str(k)] = 1e3 * statistics.median(runs)
+        out["ms"].setdefault(spec.describe(), {})[str(k)] = per_round(clients, config, rounds)
+# One multi-epoch AVG round is one local epoch of n / batch steps of the
+# preset-A autoencoder, the shape unsup-multiepoch trains.
+ae = autoencoder_preset("A")
+rng = np.random.default_rng(ae_k)
+clients = [ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, ae.input_dim)), y_train=None, seed=i, **extra)
+           for i in range(ae_k)]
+config = FederationConfig(arch=ae, algorithm="multi_epoch", learning_rate=0.02, batch_size=batch, epochs=1,
+                          rounds=ae_rounds, aggregation=AggregationSpec("avg"))
+out["ms"]["multi-epoch AVG, autoencoder A"] = {str(ae_k): per_round(clients, config, ae_rounds)}
 print(json.dumps(out))
 """
 
