@@ -329,8 +329,9 @@ def run_federated(
     One step body trains the first rows of a parameter buffer with one
     batched backward pass on the training clients' batches, through a
     Backprop bound to those rows once per call. With one row per trainer it
-    is the fleet step, bit for bit what each client would compute alone. The buffer holds one row per client, the trainers' first; each
-    model canceller's row is rewritten every round with its reply. The rule
+    is the fleet step, bit for bit what each client would compute alone.
+    The buffer holds one row per client, the trainers' first; each model
+    canceller's row is rewritten every round with its reply. The rule
     reduces the rows of the clients that did not drop out, in client order,
     and may overwrite them (see reduce_rows). Honest AVG mini-batch rounds
     (no model attack, resampling or dropout) run the step with one row on
@@ -497,14 +498,6 @@ def run_federated(
     return (trained if rule is None else [model]), aggregations
 
 
-@dataclass(frozen=True)
-class ThresholdState:
-    """Per-client anomaly thresholds and their fleet-level average."""
-
-    local_thresholds: dict[str, float]
-    global_threshold: float
-
-
 def local_threshold(
     client: ClientState, model: ModelParameters, ddof: int = 0, scratch: ScaledRows | None = None
 ) -> float:
@@ -530,10 +523,10 @@ def global_threshold(local_thresholds: dict[str, float]) -> float:
 
 def select_thresholds(
     clients: list[ClientState], model: ModelParameters, ddof: int = 0, scratch: ScaledRows | None = None
-) -> ThresholdState:
+) -> float:
+    """The fleet's global threshold: the average of the clients' local thresholds."""
     scratch = ScaledRows() if scratch is None else scratch
-    locals_ = {c.client_id: local_threshold(c, model, ddof, scratch) for c in clients}
-    return ThresholdState(locals_, global_threshold(locals_))
+    return global_threshold({c.client_id: local_threshold(c, model, ddof, scratch) for c in clients})
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ and the closed-form communication / computation cost tables.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import time
 import types
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -117,24 +118,38 @@ class DataSource:
             if not (self.noise_sigma >= 0 and self.benign_spread >= 0):  # also rejects NaN
                 raise ConfigError(f"noise_sigma and benign_spread must be >= 0, got "
                                   f"{self.noise_sigma}, {self.benign_spread}")
+            if not all(map(math.isfinite, (self.attack_shift, self.benign_spread, self.noise_sigma))):
+                raise ConfigError(f"attack_shift, benign_spread and noise_sigma must be finite, got "
+                                  f"{self.attack_shift}, {self.benign_spread}, {self.noise_sigma}")
         if self.source == "manifest" and not self.path:
             raise ConfigError("manifest data source needs a path")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: data, approach, model, training, and protocol."""
+class GridSpec:
+    """A collaborative grid search over presets x L2 weights; empty means none."""
 
-    name: str
-    mode: str
-    approach: str
-    data: DataSource
-    balance: BalanceSpec
-    algorithm: str = "mini_batch"
+    presets: tuple[str, ...] = ()
+    l2_values: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if bool(self.presets) != bool(self.l2_values):
+            raise ConfigError("grid needs both presets and l2 values")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The architecture preset and L2 weight, or the grid that picks them per cell."""
+
     preset: str = "B"
     l2_lambda: float = 0.0
-    grid_presets: tuple[str, ...] = ()
-    grid_l2: tuple[float, ...] = ()
+    grid: GridSpec = GridSpec()
+
+
+@dataclass(frozen=True)
+class TrainingSpec:
+    """Schedule hyper-parameters, checked where FederationConfig reads them."""
+
     learning_rate: float = 0.05
     batch_size: int = 8
     epochs: int = 4
@@ -143,13 +158,56 @@ class ExperimentConfig:
     shuffle: bool = True
     dropout_prob: float = 0.0
     log_rounds: bool = False
-    aggregation: AggregationSpec = AggregationSpec("avg")
-    attack: AttackSpec = field(default_factory=AttackSpec)
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Which devices are held out in turn, how often, and the seed of everything."""
+
     folds: tuple[str, ...] | str = "all"
     repetitions: int = 5
     master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.repetitions < 1:
+            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if isinstance(self.folds, str) and self.folds != "all":
+            raise ConfigError(f"folds must be 'all' or a list of device ids, got {self.folds!r}")
+        if not isinstance(self.folds, str) and not self.folds:
+            raise ConfigError("folds list is empty")
+        if not isinstance(self.folds, str) and len(set(self.folds)) != len(self.folds):
+            twice = sorted({f for f in self.folds if self.folds.count(f) > 1})
+            raise ConfigError(f"folds name a device more than once: {twice}")
+
+
+@dataclass(frozen=True)
+class ReportSpec:
+    """Threshold std estimator and the cost tables' model upload size."""
+
     sample_std: bool = False
     model_bytes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.model_bytes is not None and self.model_bytes < 1:
+            raise ConfigError(f"model_bytes must be a positive integer, got {self.model_bytes}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: its top-level keys, and one dataclass per JSON section of the same name."""
+
+    name: str
+    mode: str
+    approach: str
+    data: DataSource
+    balance: BalanceSpec
+    algorithm: str = "mini_batch"
+    model: ModelSpec = ModelSpec()
+    training: TrainingSpec = TrainingSpec()
+    aggregation: AggregationSpec = AggregationSpec("avg")
+    attack: AttackSpec = field(default_factory=AttackSpec)
+    protocol: ProtocolSpec = ProtocolSpec()
+    report: ReportSpec = ReportSpec()
 
     def __post_init__(self) -> None:
         # The name is the bundle's directory under the results directory.
@@ -161,23 +219,10 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.approach not in APPROACHES:
             raise ConfigError(f"approach must be one of {APPROACHES}, got {self.approach!r}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.model_bytes is not None and self.model_bytes < 1:
-            raise ConfigError(f"model_bytes must be a positive integer, got {self.model_bytes}")
-        if isinstance(self.folds, str) and self.folds != "all":
-            raise ConfigError(f"folds must be 'all' or a list of device ids, got {self.folds!r}")
-        if not isinstance(self.folds, str) and not self.folds:
-            raise ConfigError("folds list is empty")
-        if not isinstance(self.folds, str) and len(set(self.folds)) != len(self.folds):
-            twice = sorted({f for f in self.folds if self.folds.count(f) > 1})
-            raise ConfigError(f"folds name a device more than once: {twice}")
-        if (self.attack.kind != "none" or self.dropout_prob > 0) and self.approach != "federated":
+        if (self.attack.kind != "none" or self.training.dropout_prob > 0) and self.approach != "federated":
             raise ConfigError(f"attacks and dropout need the federated approach, not {self.approach}")
         if self.attack.kind in FLIP_KINDS and self.mode != "supervised":
             raise ConfigError("label flipping needs supervised training labels")
-        if bool(self.grid_presets) != bool(self.grid_l2):
-            raise ConfigError("grid needs both presets and l2 values")
         # The training values are checked where training reads them, for
         # every architecture and L2 weight the experiment may train, so a
         # bad config fails at load, before a bundle is touched.
@@ -190,26 +235,34 @@ class ExperimentConfig:
         return self.mode == "supervised"
 
     def architecture(self, preset: str | None = None) -> ArchitectureSpec:
-        name = self.preset if preset is None else preset
+        name = self.model.preset if preset is None else preset
         dim = self.data.feature_dim if self.data.source == "synthetic" else self.data.schema
         if self.supervised:
             return classifier_preset(name, input_dim=dim)
         return autoencoder_preset(name, input_dim=dim)
 
-    @property
-    def threshold_ddof(self) -> int:
-        return 1 if self.sample_std else 0
 
-
-def _require_keys(section: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+# Each field's declared type, the one check every JSON value passes at load,
+# resolved once per class.
+_hints = functools.cache(typing.get_type_hints)
 
 
 def _typed(value, hint, where: str):
-    # A JSON value checked against a field's type hint. Lists become tuples,
-    # ints are floats where the field is a float, and bools are no numbers.
+    # A JSON value checked against a field's type hint. An object becomes the
+    # dataclass the hint names, lists become tuples, ints are floats where the
+    # field is a float, and bools are no numbers. where is "" at the top level.
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where or 'experiment config'} must be a JSON object")
+        hints = _hints(hint)
+        unknown = value.keys() - hints.keys()
+        if unknown:
+            raise ConfigError(f"unknown {where or 'config'} keys: {sorted(unknown)}")
+        for f in fields(hint):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                missing = f"{where}.{f.name}" if where else f"the {f.name!r} section"
+                raise ConfigError(f"config is missing {missing}")
+        return hint(**{k: _typed(v, hints[k], f"{where}.{k}" if where else k) for k, v in value.items()})
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
         for option in typing.get_args(hint):
@@ -232,92 +285,18 @@ def _json_type(hint) -> str:
     return "null" if hint is type(None) else hint.__name__
 
 
-# Sections whose keys are the fields of one dataclass, stored whole in the
-# ExperimentConfig field of the same name.
-_DATACLASS_SECTIONS = {
-    "data": DataSource,
-    "balance": BalanceSpec,
-    "aggregation": AggregationSpec,
-    "attack": AttackSpec,
-}
-
-# Every other key: JSON section ("" is the top level) -> key -> ExperimentConfig field.
-_FLAT_SECTIONS = {
-    "": {"name": "name", "mode": "mode", "approach": "approach", "algorithm": "algorithm"},
-    "model": {"preset": "preset", "l2_lambda": "l2_lambda"},
-    "model.grid": {"presets": "grid_presets", "l2_values": "grid_l2"},
-    "training": {key: key for key in ("learning_rate", "batch_size", "epochs", "rounds",
-                                      "lr_decay", "shuffle", "dropout_prob", "log_rounds")},
-    "protocol": {"folds": "folds", "repetitions": "repetitions", "master_seed": "master_seed"},
-    "report": {"sample_std": "sample_std", "model_bytes": "model_bytes"},
-}
-
-# Each field's declared type, the one check every JSON value passes at load.
-_HINTS = {cls: typing.get_type_hints(cls) for cls in (ExperimentConfig, *_DATACLASS_SECTIONS.values())}
-
-_REQUIRED = ("name", "mode", "approach", "data", "balance")
-
-
-def _allowed_keys(section: str) -> tuple[str, ...]:
-    # A section's own keys plus the names of its subsections.
-    children = [
-        s.rpartition(".")[2]
-        for s in (*_FLAT_SECTIONS, *_DATACLASS_SECTIONS)
-        if s and s.rpartition(".")[0] == section
-    ]
-    return (*_FLAT_SECTIONS[section], *children)
-
-
-def _section(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    return dict(value)
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document."""
-    if not isinstance(raw, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    _require_keys(raw, _allowed_keys(""), "config")
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ConfigError(f"config is missing the {key!r} section")
-    kwargs = {}
-    for section, cls in _DATACLASS_SECTIONS.items():
-        if section in raw:
-            values = _section(raw[section], section)
-            _require_keys(values, tuple(f.name for f in fields(cls)), section)
-            for f in fields(cls):
-                if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-                    raise ConfigError(f"config is missing {section}.{f.name}")
-            hints = _HINTS[cls]
-            kwargs[section] = cls(**{k: _typed(v, hints[k], f"{section}.{k}") for k, v in values.items()})
-    for section, keys in _FLAT_SECTIONS.items():
-        values = raw
-        parts = section.split(".") if section else []
-        for n, part in enumerate(parts):
-            values = _section(values.get(part, {}), ".".join(parts[: n + 1]))
-        if section:
-            _require_keys(values, _allowed_keys(section), section)
-        for key, name in keys.items():
-            if key in values:
-                where = f"{section}.{key}" if section else key
-                kwargs[name] = _typed(values[key], _HINTS[ExperimentConfig][name], where)
-    return ExperimentConfig(**kwargs)
+    return _typed(raw, ExperimentConfig, "")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Inverse of config_from_dict, for reloadable config echoes."""
-    out = {section: asdict(getattr(config, section)) for section in _DATACLASS_SECTIONS}
-    for section, keys in _FLAT_SECTIONS.items():
-        if section == "model.grid" and not config.grid_presets:
-            continue
-        target = out
-        for part in filter(None, section.split(".")):
-            target = target.setdefault(part, {})
-        for key, name in keys.items():
-            value = getattr(config, name)
-            target[key] = list(value) if isinstance(value, tuple) else value
+    """Inverse of config_from_dict, for reloadable echoes: tuples as lists, no empty grid."""
+    out = asdict(config, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value for key, value in items
+    })
+    if not config.model.grid.presets:
+        del out["model"]["grid"]
     return out
 
 
@@ -367,7 +346,7 @@ def synthetic_streams(config: ExperimentConfig, rep: int) -> list[SampleSet]:
         config.data.devices,
         config.data.samples_per_device,
         feature_dim=config.data.feature_dim,
-        seed=derive_seed(config.master_seed, rep, "fleet"),
+        seed=derive_seed(config.protocol.master_seed, rep, "fleet"),
         benign_fraction=config.data.benign_fraction,
         n_attack_patterns=config.data.attack_patterns,
         benign_spread=config.data.benign_spread,
@@ -390,7 +369,8 @@ def _fleet(
     """
 
     def balanced(p: DevicePartition) -> DevicePartition:
-        return rebalance(p, config.balance, derive_seed(config.master_seed, rep, "balance", p.device_id))
+        seed = derive_seed(config.protocol.master_seed, rep, "balance", p.device_id)
+        return rebalance(p, config.balance, seed)
 
     if manifest_split is not None:
         return {p.device_id: balanced(p) for p in manifest_split}
@@ -403,47 +383,47 @@ def _fleet(
 
 
 def _resolve_folds(config: ExperimentConfig, device_ids: list[str]) -> list[str]:
-    if isinstance(config.folds, str):
+    if isinstance(config.protocol.folds, str):
         return list(device_ids)
-    missing = [f for f in config.folds if f not in device_ids]
+    missing = [f for f in config.protocol.folds if f not in device_ids]
     if missing:
         raise ConfigError(f"fold devices not in the fleet: {missing}")
-    return list(config.folds)
+    return list(config.protocol.folds)
 
 
 def _federation_config(config: ExperimentConfig, rep: int, fold: str) -> FederationConfig:
+    training, seed = config.training, config.protocol.master_seed
     return FederationConfig(
         arch=config.architecture(),
         algorithm=config.algorithm,
-        learning_rate=config.learning_rate,
-        l2_lambda=config.l2_lambda,
-        batch_size=config.batch_size,
-        lr_decay=config.lr_decay,
+        learning_rate=training.learning_rate,
+        l2_lambda=config.model.l2_lambda,
+        batch_size=training.batch_size,
+        lr_decay=training.lr_decay,
         aggregation=config.aggregation,
-        epochs=config.epochs,
-        rounds=config.rounds,
-        dropout_prob=config.dropout_prob,
-        shuffle=config.shuffle,
-        init_seed=derive_seed(config.master_seed, rep, fold, "init"),
-        server_seed=derive_seed(config.master_seed, rep, fold, "server"),
+        epochs=training.epochs,
+        rounds=training.rounds,
+        dropout_prob=training.dropout_prob,
+        shuffle=training.shuffle,
+        init_seed=derive_seed(seed, rep, fold, "init"),
+        server_seed=derive_seed(seed, rep, fold, "server"),
     )
 
 
 def _grid(config: ExperimentConfig) -> list[GridPoint]:
     return [
         GridPoint(config.architecture(preset), l2)
-        for preset in config.grid_presets
-        for l2 in config.grid_l2
+        for preset in config.model.grid.presets
+        for l2 in config.model.grid.l2_values
     ]
 
 
-def _threshold_logger(logger: RoundLogger, clients: list[ClientState], config: ExperimentConfig):
+def _threshold_logger(logger: RoundLogger, clients: list[ClientState], ddof: int):
     """A round hook that logs each round with its model's global threshold."""
-    ddof = config.threshold_ddof
     scratch = ScaledRows()
 
     def wrapped(info: dict, model) -> None:
-        threshold = select_thresholds(clients, model, ddof, scratch).global_threshold
+        threshold = select_thresholds(clients, model, ddof, scratch)
         logger({**info, "threshold": threshold}, model)
 
     return wrapped
@@ -469,16 +449,18 @@ def _run_cell(
     if config.attack.f >= len(train_ids):
         raise ConfigError(f"f={config.attack.f} attackers need more than {len(train_ids)} clients")
     federated = config.approach == "federated"
+    seed = config.protocol.master_seed
+    ddof = int(config.report.sample_std)  # 1: the sample std, 0: the population std
     base_config = _federation_config(config, rep, fold)
     if not federated:
         # Mini-batch keeps the step budget: epochs * ceil(n_train / batch_size).
         base_config = replace(base_config, algorithm="mini_batch", aggregation=None)
     log_path = None
-    if federated and rounds_dir is not None and config.log_rounds:
+    if federated and rounds_dir is not None and config.training.log_rounds:
         log_path = os.path.join(rounds_dir, f"fold-{fold}-rep-{rep}.jsonl")
 
     groups = [[d] for d in train_ids] if config.approach == "naive" else [train_ids]
-    mal_rng = np.random.default_rng(derive_seed(config.master_seed, rep, fold, "malicious"))
+    mal_rng = np.random.default_rng(derive_seed(seed, rep, fold, "malicious"))
     attacks = dict.fromkeys(malicious_ids(train_ids, config.attack.f, mal_rng), config.attack)
     bounds, clients = [], []  # per group
     for ids in groups:
@@ -493,11 +475,11 @@ def _run_cell(
             )]
         clients.append([
             build_client(p, bounds[-1], config.supervised, attacks.get(p.device_id, AttackSpec()),
-                         derive_seed(config.master_seed, rep, fold, "client", p.device_id))
+                         derive_seed(seed, rep, fold, "client", p.device_id))
             for p in members
         ])
     group_configs = [base_config] * len(groups)
-    if config.grid_presets:
+    if config.model.grid.presets:
         winners = (collaborative_grid_search(group, _grid(config), base_config)[0] for group in clients)
         group_configs = [replace(base_config, arch=w.arch, l2_lambda=w.l2_lambda) for w in winners]
     trained, aggregations = {}, 0  # configuration -> its groups' models, in group order
@@ -507,7 +489,7 @@ def _run_cell(
             models, count = run_federated(fleet, fed_config)
         else:
             with RoundLogger(log_path) as logger:
-                hook = logger if config.supervised else _threshold_logger(logger, fleet, config)
+                hook = logger if config.supervised else _threshold_logger(logger, fleet, ddof)
                 models, count = run_federated(fleet, fed_config, hook)
         trained[fed_config] = iter(models)
         aggregations += count
@@ -518,7 +500,7 @@ def _run_cell(
         model = next(trained[fed_config])
         threshold = None
         if not config.supervised:
-            threshold = select_thresholds(group, model, config.threshold_ddof).global_threshold
+            threshold = select_thresholds(group, model, ddof)
         tests = (partitions[d].gather("test") for d in (*ids, fold))
         # Each test set is gathered and scaled in place as evaluate reaches
         # it: one scaled copy at a time.
@@ -535,7 +517,7 @@ def _run_cell(
         {
             "fold": fold,
             "repetition": rep,
-            "seed": derive_seed(config.master_seed, rep, fold, "cell"),
+            "seed": derive_seed(seed, rep, fold, "cell"),
             "scope": scope,
             **{m: float(np.mean([g[i][m] for g in per_group])) for m in METRIC_NAMES},
             "n_train": clients[0][0].n_train,
@@ -561,7 +543,7 @@ def _repetitions(config: ExperimentConfig):
         manifest_split = partition_from_manifest(
             _manifest(config), config.mode, config.data.schema, config.data.has_header
         )
-    for rep in range(config.repetitions):
+    for rep in range(config.protocol.repetitions):
         partitions = _fleet(config, rep, manifest_split)
         yield rep, partitions, _resolve_folds(config, list(partitions))
         partitions.clear()
@@ -656,7 +638,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     bundle = os.path.join(results_dir(out_dir), config.name)
     with _staged_bundle(bundle, config) as staging:
         rounds_dir = None
-        if config.log_rounds:
+        if config.training.log_rounds:
             rounds_dir = os.path.join(staging, "rounds")
             os.makedirs(rounds_dir)
         started = time.monotonic()
@@ -778,17 +760,18 @@ def cost_table(config: ExperimentConfig) -> list[dict]:
     per client while the multi-epoch one runs B_global.
     """
     k = _client_count(config)
+    batch, epochs, rounds = config.training.batch_size, config.training.epochs, config.training.rounds
     if config.algorithm == "mini_batch":
-        b_mini = config.batch_size
-        b_multi = config.batch_size * k
+        b_mini = batch
+        b_multi = batch * k
     else:
-        b_multi = config.batch_size
-        b_mini = max(1, round(config.batch_size / k))
+        b_multi = batch
+        b_mini = max(1, round(batch / k))
     n_train = _train_part_size(config)
-    size = model_size_bytes(config.architecture(), config.model_bytes)
+    size = model_size_bytes(config.architecture(), config.report.model_bytes)
 
-    mini_steps = config.epochs * round(n_train / b_mini)
-    multi_steps_per_round = config.epochs * round(n_train / b_multi)
+    mini_steps = epochs * round(n_train / b_mini)
+    multi_steps_per_round = epochs * round(n_train / b_multi)
     return [
         {
             "algorithm": algorithm,
@@ -801,7 +784,7 @@ def cost_table(config: ExperimentConfig) -> list[dict]:
         }
         for algorithm, batch, sends, steps in (
             ("mini_batch", b_mini, mini_steps, mini_steps),
-            ("multi_epoch", b_multi, config.rounds, config.rounds * multi_steps_per_round),
+            ("multi_epoch", b_multi, rounds, rounds * multi_steps_per_round),
         )
     ]
 

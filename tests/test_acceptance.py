@@ -28,6 +28,9 @@ from fediot.federation import (
 from fediot.harness import (
     DataSource,
     ExperimentConfig,
+    ModelSpec,
+    ProtocolSpec,
+    TrainingSpec,
     cost_table,
     load_profile,
     run_experiment,
@@ -69,19 +72,17 @@ def fleet_config(**overrides):
     balance = overrides.pop(
         "balance", BalanceSpec(data.benign_fraction, data.samples_per_device)
     )
+    training = dict(learning_rate=0.05, batch_size=8, epochs=4)
+    training.update(overrides.pop("training", {}))
     defaults = dict(
         name="acceptance",
         mode="supervised",
         approach="federated",
         data=data,
         balance=balance,
-        preset="B",
-        learning_rate=0.05,
-        batch_size=8,
-        epochs=4,
-        folds=("dev-0",),
-        repetitions=5,
-        master_seed=0,
+        model=ModelSpec("B"),
+        training=TrainingSpec(**training),
+        protocol=ProtocolSpec(folds=("dev-0",), repetitions=5, master_seed=0),
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
@@ -286,9 +287,7 @@ def test_median_aggregation_survives_model_cancellation(tmp_path):
         data=dict(benign_fraction=0.95, attack_shift=8.0,
                   benign_spread=0.5, noise_sigma=0.5),
         balance=BalanceSpec(0.95, 5000),
-        learning_rate=0.1,
-        batch_size=64,
-        epochs=20,
+        training=dict(learning_rate=0.1, batch_size=64, epochs=20),
     )
     cells = {
         "honest": fleet_config(name="attack-honest", **shared),
@@ -331,9 +330,8 @@ def test_threshold_protocol_flags_anomalies(tmp_path):
     config = fleet_config(
         name="anomaly",
         mode="unsupervised",
-        preset="A",
-        learning_rate=0.02,
-        epochs=15,
+        model=ModelSpec("A"),
+        training=dict(learning_rate=0.02, epochs=15),
         data=dict(attack_shift=10.0, benign_spread=0.25),
     )
     rows = run_experiment(config, str(tmp_path)).rows
@@ -376,13 +374,9 @@ def test_real_traffic_reproduction_when_available(tmp_path):
         approach="federated",
         data=data,
         balance=BalanceSpec(0.0787, 5000),
-        preset="B",
-        learning_rate=0.05,
-        batch_size=8,
-        epochs=4,
-        folds=("dev-0",),
-        repetitions=1,
-        master_seed=0,
+        model=ModelSpec("B"),
+        training=TrainingSpec(learning_rate=0.05, batch_size=8, epochs=4),
+        protocol=ProtocolSpec(folds=("dev-0",), repetitions=1, master_seed=0),
     )
     rows = run_experiment(supervised, str(tmp_path)).rows
     assert scope_mean(rows, "known", "accuracy") >= 0.995
@@ -394,14 +388,9 @@ def test_real_traffic_reproduction_when_available(tmp_path):
         algorithm="multi_epoch",
         data=data,
         balance=BalanceSpec(0.5, 5000),
-        preset="C",
-        learning_rate=0.01,
-        batch_size=8,
-        epochs=120,
-        rounds=30,
-        folds=("dev-0",),
-        repetitions=1,
-        master_seed=0,
+        model=ModelSpec("C"),
+        training=TrainingSpec(learning_rate=0.01, batch_size=8, epochs=120, rounds=30),
+        protocol=ProtocolSpec(folds=("dev-0",), repetitions=1, master_seed=0),
     )
     rows = run_experiment(unsupervised, str(tmp_path)).rows
     assert scope_mean(rows, "new_device", "tnr") >= 0.90

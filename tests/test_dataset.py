@@ -549,7 +549,7 @@ class TestIndexedParts:
         for rep, partitions, _ in _repetitions(config):
             for i, stream in enumerate(synthetic_streams(config, rep)):
                 device = f"dev-{i}"
-                seed = derive_seed(config.master_seed, rep, "balance", device)
+                seed = derive_seed(config.protocol.master_seed, rep, "balance", device)
                 dense = dense_rebalance(dense_split(stream, mode), config.balance, seed)
                 assert_parts_equal(partitions[device], dense)
             reps += 1
@@ -563,7 +563,7 @@ class TestIndexedParts:
         reps = 0
         for rep, partitions, _ in _repetitions(config):
             for device, parts in split.items():
-                seed = derive_seed(config.master_seed, rep, "balance", device)
+                seed = derive_seed(config.protocol.master_seed, rep, "balance", device)
                 assert_parts_equal(partitions[device], dense_rebalance(parts, config.balance, seed))
             reps += 1
         assert reps == 2

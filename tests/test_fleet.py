@@ -44,6 +44,7 @@ from fediot.federation import (
     _starting_model,
     _validate_fleet,
     collaborative_grid_search,
+    local_threshold,
     run_federated,
     schedule,
     select_thresholds,
@@ -532,6 +533,8 @@ def test_grid_search_and_thresholds_read_raw_rows_as_prescaled_rows(supervised):
     assert collaborative_grid_search(with_bounds, grid, config) == expected
     if not supervised:
         (model,), _ = run_federated(prescaled, config)
+        for raw, scaled in zip(with_bounds, prescaled):
+            assert local_threshold(raw, model) == local_threshold(scaled, model)
         assert select_thresholds(with_bounds, model) == select_thresholds(prescaled, model)
 
 
@@ -571,4 +574,6 @@ def test_grid_search_and_thresholds_read_indexed_rows_as_dense_rows(supervised):
     assert collaborative_grid_search(indexed, grid, config) == expected
     if not supervised:
         (model,), _ = run_federated(dense, config)
+        for rows, dense_rows in zip(indexed, dense):
+            assert local_threshold(rows, model) == local_threshold(dense_rows, model)
         assert select_thresholds(indexed, model) == select_thresholds(dense, model)

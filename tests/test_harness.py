@@ -84,8 +84,8 @@ class TestConfigParsing:
         assert config.aggregation == AggregationSpec("avg")
         assert config.attack == AttackSpec()
         assert config.balance == BalanceSpec(0.5, 300)
-        assert config.lr_decay == 0.9
-        assert config.model_bytes is None
+        assert config.training.lr_decay == 0.9
+        assert config.report.model_bytes is None
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -144,14 +144,40 @@ class TestConfigParsing:
         raw["training"]["learning_rate"] = 1
         raw["data"]["benign_spread"] = 2
         config = config_from_dict(raw)
-        assert config.grid_presets == ("A", "B")
-        assert config.threshold_ddof == 1
+        assert config.model.grid.presets == ("A", "B")
+        assert config.report.sample_std is True
         echoed = config_to_dict(config)
         # An int given for a float key, flat or in a dataclass section, echoes as a float.
         assert json.dumps(echoed["training"]["learning_rate"]) == "1.0"
         assert json.dumps(echoed["data"]["benign_spread"]) == "2.0"
         assert json.dumps(echoed["model"]["grid"]["l2_values"]) == "[0.0, 0.0001]"
         assert config_from_dict(echoed) == config
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["no-grid", "grid"])
+    def test_echo_writes_every_key_once(self, grid):
+        # The echo's key set per section, as written before the sections
+        # became dataclasses; model.grid appears only with a grid.
+        raw = tiny_dict()
+        if grid:
+            raw["model"] = {"grid": {"presets": ["A", "B"], "l2_values": [0, 1e-4]}}
+        echoed = config_to_dict(config_from_dict(raw))
+        expected = {
+            "name": None, "mode": None, "approach": None, "algorithm": None,
+            "data": {"source", "devices", "samples_per_device", "feature_dim", "benign_fraction",
+                     "attack_patterns", "benign_spread", "attack_shift", "noise_sigma", "path",
+                     "schema", "has_header"},
+            "balance": {"benign_fraction", "samples_per_device"},
+            "model": {"preset", "l2_lambda", *(["grid"] if grid else [])},
+            "training": {"learning_rate", "batch_size", "epochs", "rounds", "lr_decay", "shuffle",
+                         "dropout_prob", "log_rounds"},
+            "aggregation": {"rule", "trim_c", "resample_s"},
+            "attack": {"kind", "f", "p_poison", "colluding"},
+            "protocol": {"folds", "repetitions", "master_seed"},
+            "report": {"sample_std", "model_bytes"},
+        }
+        assert {k: set(v) if isinstance(v, dict) else None for k, v in echoed.items()} == expected
+        if grid:
+            assert set(echoed["model"]["grid"]) == {"presets", "l2_values"}
 
     def test_attack_needs_federated_approach(self):
         raw = tiny_dict(approach="centralized")
@@ -215,14 +241,24 @@ class TestConfigParsing:
         ("noise_sigma", float("nan")),
         ("benign_spread", -0.5),
         ("benign_spread", float("nan")),
+        ("attack_shift", float("nan")),
+        ("attack_shift", float("inf")),
+        ("benign_spread", float("inf")),
+        ("noise_sigma", float("inf")),
     ])
     def test_bad_synthetic_fleet_rejected_at_load(self, key, value):
-        # Unchecked, each of these fails deep inside fleet generation or
-        # rebalancing, or (a negative noise_sigma) runs with the noise flipped.
+        # Unchecked, each of these fails deep inside fleet generation,
+        # rebalancing or training, or runs to a wrong bundle: a negative
+        # noise_sigma flips the noise, and a NaN attack_shift zeroes every
+        # scaled feature.
         raw = tiny_dict()
         raw["data"][key] = value
         with pytest.raises(ConfigError, match=key):
             config_from_dict(raw)
+
+    def test_negative_attack_shift_loads(self):
+        # A negative shift moves the attack records the other way: valid geometry.
+        assert tiny_config(data={**tiny_dict()["data"], "attack_shift": -4.0}).data.attack_shift == -4.0
 
     @pytest.mark.parametrize("section, key, value", [
         ("training", "shuffle", "false"),
