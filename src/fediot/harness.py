@@ -20,7 +20,7 @@ import time
 import types
 import typing
 from contextlib import contextmanager, suppress
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -205,7 +205,7 @@ class ExperimentConfig:
     model: ModelSpec = ModelSpec()
     training: TrainingSpec = TrainingSpec()
     aggregation: AggregationSpec = AggregationSpec("avg")
-    attack: AttackSpec = field(default_factory=AttackSpec)
+    attack: AttackSpec = AttackSpec()
     protocol: ProtocolSpec = ProtocolSpec()
     report: ReportSpec = ReportSpec()
 

@@ -147,7 +147,7 @@ class TestConfigParsing:
         assert config.model.grid.presets == ("A", "B")
         assert config.report.sample_std is True
         echoed = config_to_dict(config)
-        # An int given for a float key, flat or in a dataclass section, echoes as a float.
+        # An int given for a float key, in any section, echoes as a float.
         assert json.dumps(echoed["training"]["learning_rate"]) == "1.0"
         assert json.dumps(echoed["data"]["benign_spread"]) == "2.0"
         assert json.dumps(echoed["model"]["grid"]["l2_values"]) == "[0.0, 0.0001]"
@@ -155,8 +155,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("grid", [False, True], ids=["no-grid", "grid"])
     def test_echo_writes_every_key_once(self, grid):
-        # The echo's key set per section, as written before the sections
-        # became dataclasses; model.grid appears only with a grid.
+        # Every section's echoed keys, pinned so that a dropped or renamed
+        # key fails here; model.grid appears only with a grid.
         raw = tiny_dict()
         if grid:
             raw["model"] = {"grid": {"presets": ["A", "B"], "l2_values": [0, 1e-4]}}
