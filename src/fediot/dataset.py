@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -60,13 +61,6 @@ class SampleSet:
         idx = np.asarray(indices, dtype=np.intp)
         labels = None if self.labels is None else self.labels[idx]
         return SampleSet(self.features[idx], labels, self.seq_index[idx])
-
-    def class_counts(self) -> tuple[int, int]:
-        """Return (benign, attack) record counts; requires labels."""
-        if self.labels is None:
-            raise MissingClassError("class counts require a labeled stream")
-        n_attack = int(np.count_nonzero(self.labels))
-        return len(self) - n_attack, n_attack
 
     @staticmethod
     def concat(parts: list[SampleSet]) -> SampleSet:
@@ -144,6 +138,52 @@ class BalanceSpec:
             raise ConfigError(f"benign_fraction must be in (0, 1), got {self.benign_fraction}")
         if self.samples_per_device <= 0:
             raise ConfigError(f"samples_per_device must be positive, got {self.samples_per_device}")
+
+
+# Both fleet sources reject a fleet of fewer than 2 devices with this message.
+_FLEET_FLOOR = "a fleet needs at least 2 devices (1 trains, 1 is held out)"
+
+
+@dataclass(frozen=True)
+class DataSource:
+    """Where the device streams come from.
+
+    source 'synthetic' draws one non-IID stream per device; 'manifest' reads
+    a CSV manifest of per-device capture files.
+    """
+
+    source: str = "synthetic"
+    devices: int = 9
+    samples_per_device: int = 5000
+    feature_dim: int = FEATURE_DIM
+    benign_fraction: float = 0.5
+    attack_patterns: int = 3
+    benign_spread: float = 2.0
+    attack_shift: float = 4.0
+    noise_sigma: float = 1.0
+    path: str = ""
+    schema: int = FEATURE_DIM
+    has_header: bool = False
+
+    def __post_init__(self) -> None:
+        if self.source not in ("synthetic", "manifest"):
+            raise ConfigError(f"data source must be synthetic or manifest, got {self.source!r}")
+        if self.source == "synthetic":
+            if self.devices < 2:
+                raise ConfigError(_FLEET_FLOOR)
+            if self.samples_per_device < 1 or self.attack_patterns < 1:
+                raise ConfigError(f"samples_per_device and attack_patterns must be >= 1, got "
+                                  f"{self.samples_per_device}, {self.attack_patterns}")
+            if not 0 < self.benign_fraction < 1:
+                raise ConfigError(f"benign_fraction must lie in (0, 1), got {self.benign_fraction}")
+            if not (self.noise_sigma >= 0 and self.benign_spread >= 0):  # also rejects NaN
+                raise ConfigError(f"noise_sigma and benign_spread must be >= 0, got "
+                                  f"{self.noise_sigma}, {self.benign_spread}")
+            if not all(map(math.isfinite, (self.attack_shift, self.benign_spread, self.noise_sigma))):
+                raise ConfigError(f"attack_shift, benign_spread and noise_sigma must be finite, got "
+                                  f"{self.attack_shift}, {self.benign_spread}, {self.noise_sigma}")
+        if self.source == "manifest" and not self.path:
+            raise ConfigError("manifest data source needs a path")
 
 
 def load_device_csv(path: str, schema: int = FEATURE_DIM, has_header: bool = False) -> SampleSet:
@@ -326,17 +366,7 @@ def _striped_labels(n: int, benign_fraction: float) -> np.ndarray:
     return labels
 
 
-def generate_synthetic_fleet(
-    n_devices: int,
-    samples_per_device: int,
-    feature_dim: int = FEATURE_DIM,
-    seed: int = 0,
-    benign_fraction: float = 0.5,
-    n_attack_patterns: int = 3,
-    benign_spread: float = 2.0,
-    attack_shift: float = 4.0,
-    noise_sigma: float = 1.0,
-) -> list[SampleSet]:
+def generate_synthetic_fleet(source: DataSource, seed: int) -> list[SampleSet]:
     """Generate labeled traffic streams for a synthetic device fleet.
 
     Every device draws benign records around its own center, so devices are
@@ -347,26 +377,23 @@ def generate_synthetic_fleet(
     Returns one stream per device, deterministic in the seed. Each device's
     features are built in the array its normal draw returned.
     """
-    if n_devices <= 0 or samples_per_device <= 0:
-        raise ConfigError("n_devices and samples_per_device must be positive")
-    fleet_ss, *device_ss = np.random.SeedSequence(seed).spawn(n_devices + 1)
+    n, dim = source.samples_per_device, source.feature_dim
+    fleet_ss, *device_ss = np.random.SeedSequence(seed).spawn(source.devices + 1)
     fleet_rng = np.random.default_rng(fleet_ss)
-    directions = fleet_rng.normal(size=(n_attack_patterns, feature_dim))
+    directions = fleet_rng.normal(size=(source.attack_patterns, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     streams = []
     for dev_ss in device_ss:
         rng = np.random.default_rng(dev_ss)
-        center = benign_spread * rng.normal(size=feature_dim)
-        labels = _striped_labels(samples_per_device, benign_fraction)
-        features = rng.normal(size=(samples_per_device, feature_dim))
-        features *= noise_sigma
+        center = source.benign_spread * rng.normal(size=dim)
+        labels = _striped_labels(n, source.benign_fraction)
+        features = rng.normal(size=(n, dim))
+        features *= source.noise_sigma
         features += center
         attack_rows = np.flatnonzero(labels == ATTACK)
-        patterns = rng.integers(0, n_attack_patterns, size=attack_rows.size)
-        features[attack_rows] += attack_shift * directions[patterns]
-        streams.append(
-            SampleSet(features, labels, np.arange(samples_per_device, dtype=np.int64))
-        )
+        patterns = rng.integers(0, source.attack_patterns, size=attack_rows.size)
+        features[attack_rows] += source.attack_shift * directions[patterns]
+        streams.append(SampleSet(features, labels, np.arange(n, dtype=np.int64)))
     return streams
 
 

@@ -70,38 +70,28 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _check_finite_non_negative(name: str, value: float) -> None:
+    if not value >= 0:  # also rejects NaN
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+    if value == math.inf:
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
-class FederationConfig:
-    """Everything the server fixes before training starts.
+class TrainingSpec:
+    """Schedule hyper-parameters: the config's training section, as training reads it."""
 
-    algorithm picks the schedule. 'mini_batch' aggregates after every local
-    step at the constant learning_rate, for epochs passes over local data.
-    'multi_epoch' runs rounds rounds of epochs local passes each, at
-    learning_rate * lr_decay**round. aggregation None means no server: each
-    client trains alone for epochs passes at learning_rate.
-    """
-
-    arch: ArchitectureSpec
-    algorithm: str = "mini_batch"
     learning_rate: float = 0.05
-    l2_lambda: float = 0.0
-    batch_size: int = 64
-    lr_decay: float = 1.0
-    aggregation: AggregationSpec | None = AggregationSpec("avg")
+    batch_size: int = 8
     epochs: int = 4
     rounds: int = 30
-    dropout_prob: float = 0.0
+    lr_decay: float = 0.9
     shuffle: bool = True
-    init_seed: int = 0
-    server_seed: int = 0
+    dropout_prob: float = 0.0
+    log_rounds: bool = False
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("mini_batch", "multi_epoch"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}, pick mini_batch or multi_epoch")
-        if not self.learning_rate >= 0:  # also rejects NaN
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not self.l2_lambda >= 0:  # also rejects NaN
-            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        _check_finite_non_negative("learning_rate", self.learning_rate)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr_decay <= 1:
@@ -110,13 +100,39 @@ class FederationConfig:
             raise ConfigError(f"epochs and rounds must be >= 1, got {self.epochs}, {self.rounds}")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ConfigError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
-        if self.dropout_prob > 0 and self.aggregation is None:
+
+
+@dataclass(frozen=True)
+class FederationConfig:
+    """Everything the server fixes before training starts.
+
+    algorithm picks the schedule. 'mini_batch' aggregates after every local
+    step at the constant training.learning_rate, for training.epochs passes
+    over local data. 'multi_epoch' runs training.rounds rounds of epochs
+    local passes each, at learning_rate * lr_decay**round. aggregation None
+    means no server: each client trains alone for epochs passes at
+    learning_rate.
+    """
+
+    arch: ArchitectureSpec
+    training: TrainingSpec = TrainingSpec()
+    algorithm: str = "mini_batch"
+    l2_lambda: float = 0.0
+    aggregation: AggregationSpec | None = AggregationSpec("avg")
+    init_seed: int = 0
+    server_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.algorithm not in ("mini_batch", "multi_epoch"):
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}, pick mini_batch or multi_epoch")
+        _check_finite_non_negative("l2_lambda", self.l2_lambda)
+        if self.training.dropout_prob > 0 and self.aggregation is None:
             raise ConfigError("dropout needs a server, but aggregation is None")
 
     def lr_at(self, round_index: int) -> float:
         if self.algorithm == "mini_batch":
-            return self.learning_rate
-        return self.learning_rate * self.lr_decay**round_index
+            return self.training.learning_rate
+        return self.training.learning_rate * self.training.lr_decay**round_index
 
 
 @dataclass
@@ -248,9 +264,9 @@ def _attack_factors(spec: AttackSpec | None, k: int) -> tuple[float | None, floa
 
 def _dropped(k: int, config: FederationConfig, server_rng: np.random.Generator) -> np.ndarray:
     # Which of the k clients miss the round, drawn from the server stream.
-    if config.dropout_prob <= 0:
+    if config.training.dropout_prob <= 0:
         return np.zeros(k, dtype=bool)
-    return server_rng.random(k) < config.dropout_prob
+    return server_rng.random(k) < config.training.dropout_prob
 
 
 OnRound = Callable[[dict, ModelParameters], None]
@@ -267,17 +283,19 @@ def _starting_model(config: FederationConfig, initial_model: ModelParameters | N
 def schedule(config: FederationConfig, n_train: int) -> tuple[int, int]:
     """Aggregation rounds and local steps per round for n_train records per client.
 
-    Mini-batch aggregation takes one local step per round, so config.epochs
-    passes cost epochs * ceil(n_train / batch_size) rounds. Multi-epoch
-    aggregation runs config.rounds rounds of config.epochs full local passes.
-    Without a server all epochs * ceil(n_train / batch_size) steps make one round.
+    Mini-batch aggregation takes one local step per round, so
+    training.epochs passes cost epochs * ceil(n_train / batch_size) rounds.
+    Multi-epoch aggregation runs training.rounds rounds of epochs full local
+    passes. Without a server all epochs * ceil(n_train / batch_size) steps
+    make one round.
     """
-    steps_per_epoch = math.ceil(n_train / config.batch_size)
+    training = config.training
+    steps_per_epoch = math.ceil(n_train / training.batch_size)
     if config.aggregation is None:
-        return 1, config.epochs * steps_per_epoch
+        return 1, training.epochs * steps_per_epoch
     if config.algorithm == "mini_batch":
-        return config.epochs * steps_per_epoch, 1
-    return config.rounds, config.epochs * steps_per_epoch
+        return training.epochs * steps_per_epoch, 1
+    return training.rounds, training.epochs * steps_per_epoch
 
 
 def _non_finite_rows(rows: np.ndarray) -> np.ndarray:
@@ -308,7 +326,7 @@ def _batch_scaling(
 def _takes_union_step(config: FederationConfig, attack_spec: AttackSpec | None) -> bool:
     # Label flips act on the data only, so flipped fleets qualify too.
     honest_avg = config.aggregation == AggregationSpec("avg") and attack_spec is None
-    return honest_avg and config.algorithm == "mini_batch" and config.dropout_prob == 0
+    return honest_avg and config.algorithm == "mini_batch" and config.training.dropout_prob == 0
 
 
 def run_federated(
@@ -322,9 +340,9 @@ def run_federated(
     Every round broadcasts the global model, lets each client take its local
     steps on its next batches, and aggregates the returned models. A
     mini-batch round is one step at the constant rate; a multi-epoch round
-    is config.epochs local epochs at the round's decayed rate. on_round
-    receives one record per round plus the new global model; client losses
-    are computed only for it.
+    is config.training.epochs local epochs at the round's decayed rate.
+    on_round receives one record per round plus the new global model;
+    client losses are computed only for it.
 
     One step body trains the first rows of a parameter buffer with one
     batched backward pass on the training clients' batches, through a
@@ -383,7 +401,7 @@ def run_federated(
     shared = params[:k].view()
     shared.setflags(write=False)
     trained = [ModelParameters(arch, row) for row in shared]
-    n, b = clients[0].n_train, config.batch_size
+    n, b = clients[0].n_train, config.training.batch_size
     batch_x = np.empty((k, min(b, n), dim))  # no batch is longer
     x_min, span, constant = _batch_scaling([clients[i] for i in trainers], batch_x.shape)
     # The epoch's batch plan, one row per trainer: its rows of x in the
@@ -412,7 +430,7 @@ def run_federated(
             if start == 0:
                 for row, (i, rng) in enumerate(zip(trainers, shufflers)):
                     c = clients[i]
-                    order = rng.permutation(n) if config.shuffle else np.arange(n)
+                    order = rng.permutation(n) if config.training.shuffle else np.arange(n)
                     c.train.take(order, out=plan_x[row])
                     if plan_y is not None:
                         plan_y[row] = c.y_train[order]
@@ -487,7 +505,7 @@ def run_federated(
             on_round(
                 {
                     "round": round_index,
-                    "epoch": round_index * config.epochs // rounds if mini_batch else None,
+                    "epoch": round_index * config.training.epochs // rounds if mini_batch else None,
                     "lr": lr,
                     "client_losses": losses,
                     "dropped": [c.client_id for c, gone in zip(clients, dropped) if gone],

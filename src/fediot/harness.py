@@ -28,9 +28,10 @@ import numpy as np
 from .adversary import ATTACK_KINDS, FLIP_KINDS, AttackSpec, malicious_ids
 from .aggregation import AggregationSpec
 from .dataset import (
+    _FLEET_FLOOR,
     BalanceSpec,
+    DataSource,
     DevicePartition,
-    FEATURE_DIM,
     ManifestEntry,
     SampleSet,
     SUPERVISED_FRACTIONS,
@@ -50,6 +51,7 @@ from .federation import (
     GridPoint,
     RoundLogger,
     ScaledRows,
+    TrainingSpec,
     build_client,
     collaborative_grid_search,
     derive_seed,
@@ -70,9 +72,6 @@ APPROACHES = ("naive", "federated", "centralized")
 KNOWN_SCOPE = "known"
 NEW_DEVICE_SCOPE = "new_device"
 
-# Both fleet sources reject a fleet of fewer than 2 devices with this message.
-_FLEET_FLOOR = "a fleet needs at least 2 devices (1 trains, 1 is held out)"
-
 # The adversarial comparison always covers these rules, weakest first.
 SWEEP_RULES = (
     AggregationSpec("avg"),
@@ -81,48 +80,6 @@ SWEEP_RULES = (
     AggregationSpec("tm", trim_c=2),
     AggregationSpec("tm", trim_c=2, resample_s=2),
 )
-
-
-@dataclass(frozen=True)
-class DataSource:
-    """Where the device streams come from.
-
-    source 'synthetic' draws one non-IID stream per device; 'manifest' reads
-    a CSV manifest of per-device capture files.
-    """
-
-    source: str = "synthetic"
-    devices: int = 9
-    samples_per_device: int = 5000
-    feature_dim: int = FEATURE_DIM
-    benign_fraction: float = 0.5
-    attack_patterns: int = 3
-    benign_spread: float = 2.0
-    attack_shift: float = 4.0
-    noise_sigma: float = 1.0
-    path: str = ""
-    schema: int = FEATURE_DIM
-    has_header: bool = False
-
-    def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "manifest"):
-            raise ConfigError(f"data source must be synthetic or manifest, got {self.source!r}")
-        if self.source == "synthetic":
-            if self.devices < 2:
-                raise ConfigError(_FLEET_FLOOR)
-            if self.samples_per_device < 1 or self.attack_patterns < 1:
-                raise ConfigError(f"samples_per_device and attack_patterns must be >= 1, got "
-                                  f"{self.samples_per_device}, {self.attack_patterns}")
-            if not 0 < self.benign_fraction < 1:
-                raise ConfigError(f"benign_fraction must lie in (0, 1), got {self.benign_fraction}")
-            if not (self.noise_sigma >= 0 and self.benign_spread >= 0):  # also rejects NaN
-                raise ConfigError(f"noise_sigma and benign_spread must be >= 0, got "
-                                  f"{self.noise_sigma}, {self.benign_spread}")
-            if not all(map(math.isfinite, (self.attack_shift, self.benign_spread, self.noise_sigma))):
-                raise ConfigError(f"attack_shift, benign_spread and noise_sigma must be finite, got "
-                                  f"{self.attack_shift}, {self.benign_spread}, {self.noise_sigma}")
-        if self.source == "manifest" and not self.path:
-            raise ConfigError("manifest data source needs a path")
 
 
 @dataclass(frozen=True)
@@ -144,20 +101,6 @@ class ModelSpec:
     preset: str = "B"
     l2_lambda: float = 0.0
     grid: GridSpec = GridSpec()
-
-
-@dataclass(frozen=True)
-class TrainingSpec:
-    """Schedule hyper-parameters, checked where FederationConfig reads them."""
-
-    learning_rate: float = 0.05
-    batch_size: int = 8
-    epochs: int = 4
-    rounds: int = 30
-    lr_decay: float = 0.9
-    shuffle: bool = True
-    dropout_prob: float = 0.0
-    log_rounds: bool = False
 
 
 @dataclass(frozen=True)
@@ -223,9 +166,9 @@ class ExperimentConfig:
             raise ConfigError(f"attacks and dropout need the federated approach, not {self.approach}")
         if self.attack.kind in FLIP_KINDS and self.mode != "supervised":
             raise ConfigError("label flipping needs supervised training labels")
-        # The training values are checked where training reads them, for
-        # every architecture and L2 weight the experiment may train, so a
-        # bad config fails at load, before a bundle is touched.
+        # The algorithm and every L2 weight the experiment may train are
+        # checked where training reads them, so a bad config fails at load,
+        # before a bundle is touched.
         base = _federation_config(self, 0, "")
         for point in _grid(self):
             replace(base, arch=point.arch, l2_lambda=point.l2_lambda)
@@ -342,17 +285,7 @@ def _client_count(config: ExperimentConfig) -> int:
 
 def synthetic_streams(config: ExperimentConfig, rep: int) -> list[SampleSet]:
     """The synthetic fleet's device streams for one repetition."""
-    return generate_synthetic_fleet(
-        config.data.devices,
-        config.data.samples_per_device,
-        feature_dim=config.data.feature_dim,
-        seed=derive_seed(config.protocol.master_seed, rep, "fleet"),
-        benign_fraction=config.data.benign_fraction,
-        n_attack_patterns=config.data.attack_patterns,
-        benign_spread=config.data.benign_spread,
-        attack_shift=config.data.attack_shift,
-        noise_sigma=config.data.noise_sigma,
-    )
+    return generate_synthetic_fleet(config.data, seed=derive_seed(config.protocol.master_seed, rep, "fleet"))
 
 
 def _fleet(
@@ -392,19 +325,13 @@ def _resolve_folds(config: ExperimentConfig, device_ids: list[str]) -> list[str]
 
 
 def _federation_config(config: ExperimentConfig, rep: int, fold: str) -> FederationConfig:
-    training, seed = config.training, config.protocol.master_seed
+    seed = config.protocol.master_seed
     return FederationConfig(
         arch=config.architecture(),
+        training=config.training,
         algorithm=config.algorithm,
-        learning_rate=training.learning_rate,
         l2_lambda=config.model.l2_lambda,
-        batch_size=training.batch_size,
-        lr_decay=training.lr_decay,
         aggregation=config.aggregation,
-        epochs=training.epochs,
-        rounds=training.rounds,
-        dropout_prob=training.dropout_prob,
-        shuffle=training.shuffle,
         init_seed=derive_seed(seed, rep, fold, "init"),
         server_seed=derive_seed(seed, rep, fold, "server"),
     )
@@ -533,10 +460,10 @@ def _repetitions(config: ExperimentConfig):
 
     A synthetic fleet is drawn from each repetition's own seed; a manifest
     fleet is read and split once, and only its rebalancing indices are
-    redrawn. The
-    yielded dict is emptied when the next repetition is asked for, so the
-    consumer's reference no longer keeps the previous fleet alive while the
-    next one is built: one repetition's fleet is held at a time.
+    redrawn. The yielded dict is emptied when the next repetition is asked
+    for, so the consumer's reference no longer keeps the previous fleet
+    alive while the next one is built: one repetition's fleet is held at a
+    time.
     """
     manifest_split = None
     if config.data.source == "manifest":

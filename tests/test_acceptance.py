@@ -175,11 +175,8 @@ def test_degenerate_federation_reduces_to_plain_sgd():
     y = rng.integers(0, 2, size=80)
     config = FederationConfig(
         arch=arch,
-        learning_rate=0.2,
+        training=TrainingSpec(learning_rate=0.2, batch_size=8, epochs=10, shuffle=False),
         l2_lambda=1e-4,
-        batch_size=8,
-        epochs=10,
-        shuffle=False,
     )
     (solo,), _ = run_federated([ClientState("solo", x, np.arange(len(x)), y, bounds=identity(6))], config)
     model = init_model(arch, config.init_seed)
@@ -208,11 +205,7 @@ def test_degenerate_federation_reduces_to_plain_sgd():
         # Each client indexes its quarter of the one record array.
         clients.append(ClientState(f"c{part}", x, rows, y[rows], bounds=identity(3)))
     config = FederationConfig(
-        arch=arch,
-        learning_rate=0.3,
-        batch_size=small_b,
-        epochs=5,
-        shuffle=False,
+        arch=arch, training=TrainingSpec(learning_rate=0.3, batch_size=small_b, epochs=5, shuffle=False)
     )
     (federated,), _ = run_federated(clients, config)
     central = init_model(arch, config.init_seed)
@@ -248,11 +241,7 @@ def test_model_cancellation_averages_to_exact_zero():
             y = rng.integers(0, 2, size=8)
             clients.append(ClientState(f"m{i}", x, np.arange(8), y, attack=attack, bounds=identity(3)))
         config = FederationConfig(
-            arch=arch,
-            learning_rate=0.0,
-            batch_size=8,
-            epochs=1,
-            shuffle=False,
+            arch=arch, training=TrainingSpec(learning_rate=0.0, batch_size=8, epochs=1, shuffle=False)
         )
         (got,), _ = run_federated(clients, config, initial_model=start)
         assert np.all(got.flat == 0.0)

@@ -10,6 +10,7 @@ from fediot.dataset import (
     SUPERVISED_FRACTIONS,
     UNSUPERVISED_FRACTIONS,
     BalanceSpec,
+    DataSource,
     DevicePartition,
     ManifestEntry,
     SampleSet,
@@ -38,6 +39,11 @@ def make_stream(n, labels=None, n_features=3, start=0):
 
 def alternating_labels(n):
     return [i % 2 for i in range(n)]
+
+
+def synthetic(devices, samples, feature_dim, **geometry):
+    """A synthetic DataSource; a fleet's device 0 draws the same stream at any fleet size."""
+    return DataSource(devices=devices, samples_per_device=samples, feature_dim=feature_dim, **geometry)
 
 
 class TestLoadDeviceCsv:
@@ -170,7 +176,7 @@ class TestRebalance:
         t_train, t_unused = math.floor(0.79 * 200), math.floor(0.01 * 200)
         t_test = 200 - t_train - t_unused
         for name, total in (("train", t_train), ("unused", t_unused), ("test", t_test)):
-            nb, na = got.gather(name).class_counts()
+            nb, na = np.bincount(got.gather(name).labels, minlength=2)
             assert nb == math.floor(0.25 * total)
             assert na == total - nb
 
@@ -205,8 +211,7 @@ class TestRebalance:
         assert len(got.train) == 79_000
         totals = np.zeros(2, dtype=int)
         for name in ("train", "unused", "test"):
-            nb, na = got.gather(name).class_counts()
-            totals += (nb, na)
+            totals += np.bincount(got.gather(name).labels, minlength=2)
         assert totals.tolist() == [50_000, 50_000]
 
     def test_unsupervised_budgets_benign_stream(self):
@@ -301,7 +306,7 @@ class TestRebalance:
 
 class TestSyntheticFleet:
     def test_two_streams_of_ten(self):
-        streams = generate_synthetic_fleet(2, 10, feature_dim=4, seed=123)
+        streams = generate_synthetic_fleet(synthetic(2, 10, 4), seed=123)
         assert len(streams) == 2
         for stream in streams:
             assert stream.features.shape == (10, 4)
@@ -309,34 +314,32 @@ class TestSyntheticFleet:
             assert set(stream.labels.tolist()) == {0, 1}
 
     def test_deterministic_in_seed(self):
-        a = generate_synthetic_fleet(2, 10, feature_dim=4, seed=123)
-        b = generate_synthetic_fleet(2, 10, feature_dim=4, seed=123)
-        c = generate_synthetic_fleet(2, 10, feature_dim=4, seed=124)
+        a = generate_synthetic_fleet(synthetic(2, 10, 4), seed=123)
+        b = generate_synthetic_fleet(synthetic(2, 10, 4), seed=123)
+        c = generate_synthetic_fleet(synthetic(2, 10, 4), seed=124)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
             np.testing.assert_array_equal(x.labels, y.labels)
         assert not np.array_equal(a[0].features, c[0].features)
 
     def test_devices_differ_from_each_other(self):
-        streams = generate_synthetic_fleet(3, 50, feature_dim=6, seed=0)
+        streams = generate_synthetic_fleet(synthetic(3, 50, 6), seed=0)
         assert not np.array_equal(streams[0].features, streams[1].features)
 
     def test_exact_benign_count(self):
-        (stream,) = generate_synthetic_fleet(1, 1000, feature_dim=4, seed=5, benign_fraction=0.3)
-        nb, na = stream.class_counts()
+        stream = generate_synthetic_fleet(synthetic(2, 1000, 4, benign_fraction=0.3), seed=5)[0]
+        nb, na = np.bincount(stream.labels, minlength=2)
         assert nb == 300 and na == 700
 
     def test_every_split_part_sees_both_classes(self):
-        (stream,) = generate_synthetic_fleet(1, 1000, feature_dim=4, seed=7)
+        stream = generate_synthetic_fleet(synthetic(2, 1000, 4), seed=7)[0]
         part = chronological_split(stream, "supervised")
         for name in ("train", "unused", "test"):
-            nb, na = part.gather(name).class_counts()
+            nb, na = np.bincount(part.gather(name).labels, minlength=2)
             assert nb > 0 and na > 0
 
     def test_attack_rows_are_shifted(self):
-        (stream,) = generate_synthetic_fleet(
-            1, 400, feature_dim=8, seed=2, attack_shift=6.0, noise_sigma=0.5
-        )
+        stream = generate_synthetic_fleet(synthetic(2, 400, 8, attack_shift=6.0, noise_sigma=0.5), seed=2)[0]
         benign = stream.features[stream.labels == 0]
         attack = stream.features[stream.labels == 1]
         center = benign.mean(axis=0)
@@ -384,8 +387,8 @@ class TestManifest:
         (got,) = partition_from_manifest(entries, "supervised", schema=3)
         # 20-row benign file gives 15/0/5, 10-row attack file gives 7/0/3.
         assert len(got.train) == 15 + 7
-        assert got.gather("train").class_counts() == (15, 7)
-        assert got.gather("test").class_counts() == (5, 3)
+        assert np.bincount(got.gather("train").labels, minlength=2).tolist() == [15, 7]
+        assert np.bincount(got.gather("test").labels, minlength=2).tolist() == [5, 3]
 
     def test_unsupervised_partition_reserves_attack_files(self, tmp_path):
         entries = load_manifest(str(self.write_fleet(tmp_path)))
@@ -517,7 +520,7 @@ def fleet_config(mode, source, path="", samples=240, spd=None):
 
 
 def write_manifest_fleet(tmp_path):
-    streams = generate_synthetic_fleet(3, 240, feature_dim=4, seed=8)
+    streams = generate_synthetic_fleet(synthetic(3, 240, 4), seed=8)
     lines = ["device_id,path,class"]
     for i, stream in enumerate(streams):
         for label, name in ((0, "benign"), (1, "attack")):
@@ -582,7 +585,7 @@ class TestIndexedParts:
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_split_and_rebalance_index_the_records_they_were_given(self, mode):
-        (stream,) = generate_synthetic_fleet(1, 300, feature_dim=4, seed=3)
+        stream = generate_synthetic_fleet(synthetic(2, 300, 4), seed=3)[0]
         split = chronological_split(stream, mode, "dev")
         assert split.records is stream
         balanced = rebalance(split, BalanceSpec(0.5, 500), rng_seed=1)

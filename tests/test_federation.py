@@ -2,14 +2,14 @@ import json
 import math
 import statistics
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec
-from fediot.dataset import BalanceSpec, chronological_split, generate_synthetic_fleet, rebalance
+from fediot.dataset import BalanceSpec, DataSource, chronological_split, generate_synthetic_fleet, rebalance
 from fediot.errors import ConfigError, PoisonedUpdateError, SchemaError
 from fediot.federation import (
     ClientState,
@@ -18,6 +18,7 @@ from fediot.federation import (
     GridPoint,
     RoundLogger,
     ScaledRows,
+    TrainingSpec,
     _non_finite_rows,
     build_client,
     collaborative_grid_search,
@@ -73,22 +74,20 @@ def forbid_training(monkeypatch, clients, config):
         run_federated(clients, config)
 
 
+TRAINING_FIELDS = {f.name for f in fields(TrainingSpec)}
+
+
 def toy_config(d=4, supervised=True, **overrides):
+    # Overrides named like a TrainingSpec field go to the training section.
     arch = (
         classifier_preset("A", input_dim=d)
         if supervised
         else ArchitectureSpec("autoencoder", (2,), d, d)
     )
-    defaults = dict(
-        arch=arch,
-        learning_rate=0.1,
-        batch_size=8,
-        epochs=2,
-        rounds=3,
-        shuffle=False,
-    )
-    defaults.update(overrides)
-    return FederationConfig(**defaults)
+    training = dict(learning_rate=0.1, batch_size=8, epochs=2, rounds=3, lr_decay=1.0, shuffle=False)
+    for name in TRAINING_FIELDS & overrides.keys():
+        training[name] = overrides.pop(name)
+    return FederationConfig(arch=arch, training=TrainingSpec(**training), **overrides)
 
 
 class TestFleetValidation:
@@ -290,7 +289,9 @@ class TestSchedules:
         [
             ("learning_rate", -1.0),
             ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
             ("l2_lambda", -0.1),
+            ("l2_lambda", math.inf),
             ("batch_size", 0),
             ("lr_decay", 0.0),
             ("lr_decay", 1.5),
@@ -300,8 +301,12 @@ class TestSchedules:
         ],
     )
     def test_bad_training_values_rejected(self, name, value):
+        # TrainingSpec checks the schedule's values, FederationConfig the L2 weight.
         with pytest.raises(ConfigError, match=name):
-            toy_config(**{name: value})
+            if name == "l2_lambda":
+                FederationConfig(arch=classifier_preset("A", input_dim=4), l2_lambda=value)
+            else:
+                TrainingSpec(**{name: value})
 
     @pytest.mark.parametrize("algorithm", SCHEDULES)
     def test_gradient_factor_flips_the_average_step(self, algorithm):
@@ -482,7 +487,7 @@ class TestMetrics:
 
 class TestBuildClient:
     def fleet(self):
-        streams = generate_synthetic_fleet(2, 300, feature_dim=5, seed=1)
+        streams = generate_synthetic_fleet(DataSource(devices=2, samples_per_device=300, feature_dim=5), seed=1)
         parts = [
             rebalance(chronological_split(s, "supervised", f"dev-{i}"), BalanceSpec(0.5, 200), i)
             for i, s in enumerate(streams)
@@ -512,7 +517,7 @@ class TestBuildClient:
         assert client.x is honest.x and client.train is honest.train
 
     def test_unsupervised_client_gets_threshold_records(self):
-        streams = generate_synthetic_fleet(1, 400, feature_dim=5, seed=2)
+        streams = generate_synthetic_fleet(DataSource(devices=2, samples_per_device=400, feature_dim=5), seed=2)
         part = chronological_split(streams[0], "unsupervised", "dev")
         bounds = local_min_max(part.gather("train").features)
         client = build_client(part, bounds, supervised=False, attack=AttackSpec(), seed=0)

@@ -23,7 +23,7 @@ here carries identity bounds too, so the reference loops read its rows as
 given.
 """
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -38,6 +38,7 @@ from fediot.federation import (
     ClientState,
     FederationConfig,
     GridPoint,
+    TrainingSpec,
     _SEED_SHUFFLE,
     _attack_factors,
     _dropped,
@@ -58,15 +59,25 @@ def identity(d):
     return ScalingBounds(np.zeros(d), np.ones(d))
 
 
+TRAINING_FIELDS = {f.name for f in fields(TrainingSpec)}
+
+
+def flat_config(**flat):
+    """A FederationConfig from flat keywords; those named like a TrainingSpec
+    field make its training section, whose own defaults fill the rest."""
+    training = TrainingSpec(**{name: flat.pop(name) for name in TRAINING_FIELDS & flat.keys()})
+    return FederationConfig(training=training, **flat)
+
+
 def _batches(client, config):
     """One client's endless stream of batches, a fresh order per local epoch:
     each batch's positions in the train part (for its labels) and the rows
     of x they name. run_federated draws the same orders from the same
     stream into its per-epoch batch plan."""
     rng = np.random.default_rng([client.seed, _SEED_SHUFFLE])
-    n, b = client.n_train, config.batch_size
+    n, b = client.n_train, config.training.batch_size
     while True:
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n) if config.training.shuffle else np.arange(n)
         rows = client.train[order]
         for start in range(0, n, b):
             yield order[start : start + b], rows[start : start + b]
@@ -121,7 +132,7 @@ def reference_run_federated(clients, config, on_round=None, initial_model=None):
             on_round(
                 {
                     "round": round_index,
-                    "epoch": round_index * config.epochs // rounds if mini_batch else None,
+                    "epoch": round_index * config.training.epochs // rounds if mini_batch else None,
                     "lr": lr,
                     "client_losses": losses,
                     "dropped": [c.client_id for c, gone in zip(clients, dropped) if gone],
@@ -152,13 +163,13 @@ def union_reference_run_federated(clients, config, on_round=None):
             c.client_id: loss(model, c.x[c.train[p]], c.y_train[p] if supervised else None, l2)
             for c, (p, _) in zip(clients, batches)
         }
-        model = sgd_step(model, backward(model, x, y, l2), config.learning_rate)
+        model = sgd_step(model, backward(model, x, y, l2), config.training.learning_rate)
         if on_round is not None:
             on_round(
                 {
                     "round": round_index,
-                    "epoch": round_index * config.epochs // rounds,
-                    "lr": config.learning_rate,
+                    "epoch": round_index * config.training.epochs // rounds,
+                    "lr": config.training.learning_rate,
                     "client_losses": losses,
                     "dropped": [],
                 },
@@ -252,7 +263,7 @@ def fleets(draw, union=False, ks=(1, 2, 3, 8), infinities=True, server=True, ind
         if supervised
         else ArchitectureSpec("autoencoder", draw(st.sampled_from(((2,), (3, 2, 3)))), features, features)
     )
-    config = FederationConfig(
+    config = flat_config(
         arch=arch,
         algorithm="mini_batch" if union else draw(st.sampled_from(("mini_batch", "multi_epoch"))),
         learning_rate=draw(st.sampled_from((0.05, 0.5))),
@@ -297,7 +308,7 @@ def _on_union_path(clients, config):
     return (
         config.algorithm == "mini_batch"
         and rule == AggregationSpec("avg")
-        and config.dropout_prob == 0
+        and config.training.dropout_prob == 0
         and not any(c.attack.kind in MODEL_ATTACK_KINDS for c in clients)
     )
 
@@ -405,9 +416,8 @@ def test_first_bad_client_in_client_order_is_named(algorithm, rule):
         x[bad_row, 1] = np.nan
         y = rng.integers(0, 2, size=8)
         clients.append(ClientState(f"c{i}", x, np.arange(8), y, seed=i, bounds=identity(3)))
-    config = FederationConfig(
-        arch=arch, algorithm=algorithm, aggregation=rule, batch_size=2, rounds=1, epochs=1, shuffle=False
-    )
+    training = TrainingSpec(batch_size=2, rounds=1, epochs=1, shuffle=False)
+    config = FederationConfig(arch=arch, training=training, algorithm=algorithm, aggregation=rule)
     reference = reference_run_federated if rule else alone_reference_run_federated
     with np.errstate(all="ignore"):
         expected = _run(reference, clients, config, False)
@@ -427,9 +437,8 @@ def test_a_gradient_that_overflows_only_once_scaled_is_a_model_fault(lr):
         ClientState("c0", np.ones((4, 2)), np.arange(4), y, seed=0, bounds=identity(2)),
         ClientState("c1", np.full((4, 2), 1e300), np.arange(4), y, seed=1, bounds=identity(2)),
     ]
-    config = FederationConfig(
-        arch=arch, algorithm="multi_epoch", learning_rate=lr, batch_size=2, epochs=1, rounds=1, shuffle=False
-    )
+    training = TrainingSpec(learning_rate=lr, batch_size=2, epochs=1, rounds=1, shuffle=False)
+    config = FederationConfig(arch=arch, training=training, algorithm="multi_epoch")
     with np.errstate(all="ignore"):
         expected = _run(reference_run_federated, clients, config, False)
         got = _run(run_federated, clients, config, False)
@@ -483,8 +492,9 @@ def _oracle_fleet(k=3, n=16, supervised=True, attack="none", **overrides):
         )
         for i in range(k)
     ]
-    fields = dict(arch=arch, learning_rate=0.3, batch_size=4, epochs=2, rounds=3, shuffle=True, init_seed=2)
-    return clients, FederationConfig(**{**fields, **overrides})
+    flat = dict(arch=arch, learning_rate=0.3, batch_size=4, epochs=2, rounds=3, lr_decay=1.0, shuffle=True,
+                init_seed=2)
+    return clients, flat_config(**{**flat, **overrides})
 
 
 ORACLE_CASES = {

@@ -21,6 +21,7 @@ from fediot.federation import build_client, evaluate, run_federated
 from fediot.harness import (
     DataSource,
     ExperimentConfig,
+    _federation_config,
     _run_cell,
     attack_sweep,
     config_from_dict,
@@ -259,6 +260,23 @@ class TestConfigParsing:
     def test_negative_attack_shift_loads(self):
         # A negative shift moves the attack records the other way: valid geometry.
         assert tiny_config(data={**tiny_dict()["data"], "attack_shift": -4.0}).data.attack_shift == -4.0
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "learning_rate", json.loads("1e309")),
+        ("model", "l2_lambda", json.loads("1e309")),
+        ("model", "grid", {"presets": ["A"], "l2_values": [0.0, json.loads("1e309")]}),
+    ], ids=["learning_rate", "l2_lambda", "grid_l2"])
+    def test_infinite_training_value_rejected_at_load(self, section, key, value):
+        # JSON reads 1e309 as infinity. Loaded, each ran until the first
+        # client update overflowed, and the PoisonedUpdateError blamed it.
+        raw = tiny_dict()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match="(learning_rate|l2_lambda) must be finite"):
+            config_from_dict(raw)
+
+    def test_training_section_reaches_the_federation_config_whole(self):
+        config = tiny_config()
+        assert _federation_config(config, 0, "dev-0").training is config.training
 
     @pytest.mark.parametrize("section, key, value", [
         ("training", "shuffle", "false"),

@@ -151,6 +151,16 @@ if "train" in fields:
     extra["train"] = np.arange(n)
 
 
+def federation_config(**flat):
+    # Checkouts whose FederationConfig holds a TrainingSpec take the
+    # schedule's keywords there, older ones take them flat.
+    if "training" in {f.name for f in dataclasses.fields(FederationConfig)}:
+        from fediot.federation import TrainingSpec
+        keys = {f.name for f in dataclasses.fields(TrainingSpec)}
+        flat["training"] = TrainingSpec(**{key: flat.pop(key) for key in keys & flat.keys()})
+    return FederationConfig(**flat)
+
+
 def per_round(clients, config, rounds):
     run_federated(clients, config)
     runs = []
@@ -171,7 +181,7 @@ for k in json.loads(sys.argv[1]):
     rules = (AggregationSpec("avg"), AggregationSpec("med"), AggregationSpec("tm", trim_c=2),
              AggregationSpec("tm", trim_c=2, resample_s=2))
     for spec in rules:
-        config = FederationConfig(arch=arch, batch_size=batch, epochs=1, aggregation=spec)
+        config = federation_config(arch=arch, batch_size=batch, epochs=1, aggregation=spec)
         out["ms"].setdefault(spec.describe(), {})[str(k)] = per_round(clients, config, rounds)
 # One multi-epoch AVG round is one local epoch of n / batch steps of the
 # preset-A autoencoder, the shape unsup-multiepoch trains.
@@ -179,8 +189,8 @@ ae = autoencoder_preset("A")
 rng = np.random.default_rng(ae_k)
 clients = [ClientState(f"c{i}", rng.uniform(0.0, 1.0, (n, ae.input_dim)), y_train=None, seed=i, **extra)
            for i in range(ae_k)]
-config = FederationConfig(arch=ae, algorithm="multi_epoch", learning_rate=0.02, batch_size=batch, epochs=1,
-                          rounds=ae_rounds, aggregation=AggregationSpec("avg"))
+config = federation_config(arch=ae, algorithm="multi_epoch", learning_rate=0.02, batch_size=batch, epochs=1,
+                           rounds=ae_rounds, lr_decay=1.0, aggregation=AggregationSpec("avg"))
 out["ms"]["multi-epoch AVG, autoencoder A"] = {str(ae_k): per_round(clients, config, ae_rounds)}
 print(json.dumps(out))
 """
