@@ -26,32 +26,25 @@ _CLASS_NAMES = ("benign", "attack")  # indexed by label
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An ordered block of traffic records from one device.
+    """Labeled traffic records, one row per record; a device's rows are in capture order.
 
     Attributes:
         features: (n, F) float array, one row per record.
-        labels: (n,) int array with 0 benign / 1 attack, or None when the
-            stream is unlabeled.
-        seq_index: (n,) int array giving the capture order of each record
-            within its source stream.
+        labels: (n,) int array with 0 benign / 1 attack.
     """
 
     features: np.ndarray
-    labels: np.ndarray | None
-    seq_index: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
             raise SchemaError(f"features must be 2-D, got shape {self.features.shape}")
         n = self.features.shape[0]
-        if self.seq_index.shape != (n,):
-            raise SchemaError(f"seq_index shape {self.seq_index.shape} != ({n},)")
-        if self.labels is not None:
-            if self.labels.shape != (n,):
-                raise SchemaError(f"labels shape {self.labels.shape} != ({n},)")
-            bad = ~np.isin(self.labels, (BENIGN, ATTACK))
-            if bad.any():
-                raise SchemaError(f"labels must be 0 or 1, found {self.labels[bad][:5]}")
+        if self.labels.shape != (n,):
+            raise SchemaError(f"labels shape {self.labels.shape} != ({n},)")
+        bad = ~np.isin(self.labels, (BENIGN, ATTACK))
+        if bad.any():
+            raise SchemaError(f"labels must be 0 or 1, found {self.labels[bad][:5]}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -59,22 +52,7 @@ class SampleSet:
     def take(self, indices: np.ndarray) -> SampleSet:
         """Gather records by position, preserving the given order."""
         idx = np.asarray(indices, dtype=np.intp)
-        labels = None if self.labels is None else self.labels[idx]
-        return SampleSet(self.features[idx], labels, self.seq_index[idx])
-
-    @staticmethod
-    def concat(parts: list[SampleSet]) -> SampleSet:
-        if not parts:
-            raise ValueError("cannot concatenate zero sample sets")
-        labeled = [p.labels is not None for p in parts]
-        if any(labeled) != all(labeled):
-            raise SchemaError("cannot concatenate labeled and unlabeled streams")
-        labels = np.concatenate([p.labels for p in parts]) if all(labeled) else None
-        return SampleSet(
-            np.concatenate([p.features for p in parts]),
-            labels,
-            np.concatenate([p.seq_index for p in parts]),
-        )
+        return SampleSet(self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -102,28 +80,39 @@ class DevicePartition:
     def _parts(self) -> list[np.ndarray | None]:
         return [self.train, self.unused, self.test, self.threshold_sel]
 
-    def compact(self) -> DevicePartition:
-        """The same parts over only the records some part names, in one
-        gather; a partition that names every record is returned as it is."""
-        named = np.zeros(len(self.records), dtype=bool)
-        for part in self._parts():
-            if part is not None:
-                named[part] = True
-        if named.all():
-            return self
-        position = np.cumsum(named) - 1  # a named record's row in the kept records
-        parts = (None if p is None else position[p] for p in self._parts())
-        return DevicePartition(self.device_id, self.records.take(np.flatnonzero(named)), *parts)
-
     @staticmethod
     def concat(device_id: str, parts: list[DevicePartition]) -> DevicePartition:
-        """Pool several partitions into one device's: records appended, parts joined in order."""
-        offsets = np.cumsum([0] + [len(p.records) for p in parts[:-1]])
+        """Pool partitions into one device's, each part joined in partition order.
+
+        The pool's records are those some part names, gathered once: by
+        partition, and in row order within each. A single partition of that
+        device id that names every record is returned as it is.
+        """
+        if not parts:
+            raise ValueError("cannot pool zero partitions")
+        named = [np.zeros(len(p.records), dtype=bool) for p in parts]
+        for p, mask in zip(parts, named):
+            for part in p._parts():
+                if part is not None:
+                    mask[part] = True
+        if len(parts) == 1 and parts[0].device_id == device_id and named[0].all():
+            return parts[0]
+        offsets = np.cumsum([0] + [np.count_nonzero(mask) for mask in named])
+        first = parts[0].records.features
+        features = np.empty((offsets[-1], first.shape[1]), first.dtype)
+        labels = np.empty(offsets[-1], dtype=np.int64)
+        for p, mask, start, stop in zip(parts, named, offsets, offsets[1:]):
+            rows = np.flatnonzero(mask)  # so every row is in range
+            # mode="clip" writes into out directly, where the default "raise" buffers it.
+            p.records.features.take(rows, axis=0, out=features[start:stop], mode="clip")
+            p.records.labels.take(rows, out=labels[start:stop], mode="clip")
+        # A named record's row in the pool.
+        positions = [np.cumsum(mask) - 1 + start for mask, start in zip(named, offsets)]
         pooled = []
         for pieces in zip(*(p._parts() for p in parts)):
-            shifted = [piece + offset for piece, offset in zip(pieces, offsets) if piece is not None]
-            pooled.append(np.concatenate(shifted) if shifted else None)
-        return DevicePartition(device_id, SampleSet.concat([p.records for p in parts]), *pooled)
+            moved = [position[piece] for piece, position in zip(pieces, positions) if piece is not None]
+            pooled.append(np.concatenate(moved) if moved else None)
+        return DevicePartition(device_id, SampleSet(features, labels), *pooled)
 
 
 @dataclass(frozen=True)
@@ -186,13 +175,15 @@ class DataSource:
             raise ConfigError("manifest data source needs a path")
 
 
-def load_device_csv(path: str, schema: int = FEATURE_DIM, has_header: bool = False) -> SampleSet:
+def load_device_csv(path: str, label: int, schema: int = FEATURE_DIM, has_header: bool = False) -> SampleSet:
     """Load one device stream from a CSV file.
 
     Args:
         path: CSV file with one record per row, in capture order. The first
             data row fixes whether a final 0/1 label column follows the
             features.
+        label: the class (0 benign / 1 attack) of every record of a file
+            without a label column.
         schema: expected number of feature columns.
         has_header: skip the first row when True.
 
@@ -244,8 +235,8 @@ def load_device_csv(path: str, schema: int = FEATURE_DIM, has_header: bool = Fal
         raise ParseError(
             f"{path}: row {row_nos[row]}: column {column}: non-finite cell {float(features[row, column])!r}"
         )
-    label_arr = np.asarray(labels, dtype=np.int64) if labeled else None
-    return SampleSet(features, label_arr, np.arange(len(rows), dtype=np.int64))
+    label_arr = np.asarray(labels, dtype=np.int64) if labeled else np.full(len(rows), label, dtype=np.int64)
+    return SampleSet(features, label_arr)
 
 
 def _part_sizes(n: int, fractions: tuple[float, ...], what: str) -> list[int]:
@@ -269,9 +260,8 @@ def chronological_split(samples: SampleSet, mode: str, device_id: str = "device"
     fractions 0.79 / 0.01 / 0.20. Unsupervised mode applies fractions
     0.395 / 0.395 / 0.01 / 0.20 to the benign records only (train,
     threshold_sel, unused, benign test) and adds every attack record to the
-    test part, which keeps capture order. An unlabeled stream is treated as
-    all benign. The partition's records are samples itself: no feature row
-    is copied.
+    test part, which keeps capture order. The partition's records are
+    samples itself: no feature row is copied.
 
     Raises:
         EmptyPartError: the stream holds fewer records than parts.
@@ -283,12 +273,11 @@ def chronological_split(samples: SampleSet, mode: str, device_id: str = "device"
         return DevicePartition(device_id, samples, *parts)
     if mode != "unsupervised":
         raise ConfigError(f"unknown split mode {mode!r}")
-    labels = np.zeros(n, dtype=np.int64) if samples.labels is None else samples.labels
-    benign = np.flatnonzero(labels == BENIGN)
+    benign = np.flatnonzero(samples.labels == BENIGN)
     train, thr_sel, unused, test = _cut(
         benign, UNSUPERVISED_FRACTIONS, f"{device_id}: {benign.size} benign samples"
     )
-    test = np.sort(np.concatenate([test, np.flatnonzero(labels == ATTACK)]))
+    test = np.sort(np.concatenate([test, np.flatnonzero(samples.labels == ATTACK)]))
     return DevicePartition(device_id, samples, train, unused, test, thr_sel)
 
 
@@ -308,9 +297,8 @@ def _resize(
     records: SampleSet, part: np.ndarray, targets: dict[int, int], rng: np.random.Generator, what: str
 ) -> np.ndarray:
     # Resample each class of the part to its target count, in the order
-    # given, then put the picked records back into capture order.
-    if records.labels is None:
-        raise MissingClassError(f"{what}: rebalancing requires a labeled stream")
+    # given, then put the picked records back into capture order, which is
+    # row order.
     labels = records.labels[part]
     chosen = []
     for label, target in targets.items():
@@ -318,8 +306,7 @@ def _resize(
         if target > 0 and indices.size == 0:
             raise MissingClassError(f"{what}: no {_CLASS_NAMES[label]} samples to reach {target}")
         chosen.append(_resample(indices, target, rng))
-    picked = part[np.concatenate(chosen)]
-    return picked[np.argsort(records.seq_index[picked], kind="stable")]
+    return np.sort(part[np.concatenate(chosen)])
 
 
 def rebalance(partition: DevicePartition, spec: BalanceSpec, rng_seed: int) -> DevicePartition:
@@ -393,7 +380,7 @@ def generate_synthetic_fleet(source: DataSource, seed: int) -> list[SampleSet]:
         attack_rows = np.flatnonzero(labels == ATTACK)
         patterns = rng.integers(0, source.attack_patterns, size=attack_rows.size)
         features[attack_rows] += source.attack_shift * directions[patterns]
-        streams.append(SampleSet(features, labels, np.arange(n, dtype=np.int64)))
+        streams.append(SampleSet(features, labels))
     return streams
 
 
@@ -447,10 +434,11 @@ def partition_from_manifest(
     """Build one partition per device from per-class capture files.
 
     Each file is one uninterrupted capture, so the chronological split is
-    applied per file and the per-file partitions are pooled. A device's
-    captures follow each other in manifest order: seq_index runs on across
-    its files, and its records are the rows of its files in that order,
-    held once. In unsupervised mode attack files go to the test part whole.
+    applied per file and the per-file partitions are pooled in one gather.
+    A device's captures follow each other in manifest order: its records
+    are the rows of its files in that order, held once, so row order is
+    capture order. A file without a label column takes its manifest class.
+    In unsupervised mode attack files go to the test part whole.
 
     Raises:
         MissingClassError: an unsupervised device lists no benign capture.
@@ -463,14 +451,8 @@ def partition_from_manifest(
         if mode == "unsupervised" and all(entry.label == ATTACK for entry in files):
             raise MissingClassError(f"{device_id}: no benign capture to train on")
         parts = []
-        offset = 0
         for entry in files:
-            raw = load_device_csv(entry.path, schema, has_header)
-            labels = raw.labels
-            if labels is None:
-                labels = np.full(len(raw), entry.label, dtype=np.int64)
-            stream = SampleSet(raw.features, labels, raw.seq_index + offset)
-            offset += len(raw)
+            stream = load_device_csv(entry.path, entry.label, schema, has_header)
             if mode == "unsupervised" and entry.label == ATTACK:
                 empty = np.empty(0, dtype=np.intp)
                 whole = np.arange(len(stream))

@@ -146,6 +146,9 @@ class ClientState:
     group's scaling bounds, which every client carries (x_min 0 and x_max 1
     leave the rows as they are). The seed drives every random choice the
     client makes, so a client is replayable.
+
+    Rows are gathered without a bounds check, so train and thr are checked
+    here: an index outside [0, len(x)) raises SchemaError.
     """
 
     client_id: str
@@ -156,6 +159,13 @@ class ClientState:
     attack: AttackSpec = field(default_factory=AttackSpec)
     seed: int = 0
     bounds: ScalingBounds = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        n = self.x.shape[0]
+        for name, rows in (("train", self.train), ("thr", self.thr)):
+            if rows is not None and rows.size and not (rows.min() >= 0 and rows.max() < n):
+                raise SchemaError(f"{self.client_id}: {name} indices must lie in [0, {n}), "
+                                  f"got {rows.min()} to {rows.max()}")
 
     @property
     def n_train(self) -> int:
@@ -176,8 +186,6 @@ def build_client(
     """
     y_train = None
     if supervised:
-        if partition.records.labels is None:
-            raise ConfigError(f"{partition.device_id}: supervised training needs labels")
         y_train = partition.records.labels[partition.train]
         if attack.kind in FLIP_KINDS:
             rng = np.random.default_rng([seed, _SEED_FLIP])
@@ -198,7 +206,8 @@ class ScaledRows:
     """Gathers one client's rows at a time into one buffer kept across
     calls and scales them there, with the client's bounds.
 
-    The array a call returns is valid until the next call.
+    rows are positions from the client's train or thr, whose range the
+    client checks. The array a call returns is valid until the next call.
     """
 
     def __init__(self) -> None:
@@ -210,7 +219,8 @@ class ScaledRows:
         if self._buffer.size < size:
             self._buffer = np.empty(size)
         out = self._buffer[:size].reshape(shape)
-        client.x.take(rows, axis=0, out=out)
+        # mode="clip" skips the buffered copy mode="raise" makes of out.
+        client.x.take(rows, axis=0, out=out, mode="clip")
         return scale(out, client.bounds, out=out)
 
 
@@ -431,7 +441,7 @@ def run_federated(
                 for row, (i, rng) in enumerate(zip(trainers, shufflers)):
                     c = clients[i]
                     order = rng.permutation(n) if config.training.shuffle else np.arange(n)
-                    c.train.take(order, out=plan_x[row])
+                    c.train.take(order, out=plan_x[row], mode="clip")
                     if plan_y is not None:
                         plan_y[row] = c.y_train[order]
             stop = min(start + b, n)
@@ -441,8 +451,9 @@ def run_federated(
             xs = batch_x.reshape(-1)[: k * size * dim].reshape(k, size, dim)
             ys = None if plan_y is None else plan_y[:, start:stop]
             for row, i in enumerate(trainers):
-                # The method form skips np.take's Python wrapper.
-                clients[i].x.take(plan_x[row, start:stop], axis=0, out=xs[row])
+                # The method form skips np.take's Python wrapper, and
+                # mode="clip" the buffered copy of out that "raise" makes.
+                clients[i].x.take(plan_x[row, start:stop], axis=0, out=xs[row], mode="clip")
             np.subtract(xs, x_min[:, :size], out=xs)
             np.divide(xs, span[:, :size], out=xs)
             if constant is not None:

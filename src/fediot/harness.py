@@ -131,8 +131,10 @@ class ReportSpec:
     model_bytes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.model_bytes is not None and self.model_bytes < 1:
-            raise ConfigError(f"model_bytes must be a positive integer, got {self.model_bytes}")
+        # 2**53 is the largest count float64 holds exactly; the cost tables
+        # print bytes through float.
+        if self.model_bytes is not None and not 1 <= self.model_bytes <= 2**53:
+            raise ConfigError(f"model_bytes must be a positive integer of at most 2**53, got {self.model_bytes}")
 
 
 @dataclass(frozen=True)
@@ -295,10 +297,10 @@ def _fleet(
 
     A manifest fleet redraws the indices of its split, whose records were
     read once for all repetitions, so every repetition shares them. A
-    synthetic fleet is split and rebalanced device by device, and each
+    synthetic fleet is split, rebalanced and pooled device by device: each
     device keeps only the records its parts name (one gather, none when
-    they name all): its raw stream is dropped as it is compacted, so next
-    to the compacted devices only the raw streams not yet reached are held.
+    they name all), and its raw stream is dropped as it is pooled, so next
+    to the pooled devices only the raw streams not yet reached are held.
     """
 
     def balanced(p: DevicePartition) -> DevicePartition:
@@ -311,7 +313,10 @@ def _fleet(
     partitions = {}
     for i in range(len(streams)):
         device = f"dev-{i}"
-        partitions[device] = balanced(chronological_split(streams.pop(0), config.mode, device)).compact()
+        # No local holds the split, so the raw stream is freed once pooled.
+        partitions[device] = DevicePartition.concat(
+            device, [balanced(chronological_split(streams.pop(0), config.mode, device))]
+        )
     return partitions
 
 
@@ -397,9 +402,7 @@ def _run_cell(
         if config.approach == "centralized":
             # The pool holds only the records training and thresholds read.
             none = np.empty(0, dtype=np.intp)
-            members = [DevicePartition.concat(
-                "pooled", [replace(p, unused=none, test=none).compact() for p in members]
-            )]
+            members = [DevicePartition.concat("pooled", [replace(p, unused=none, test=none) for p in members])]
         clients.append([
             build_client(p, bounds[-1], config.supervised, attacks.get(p.device_id, AttackSpec()),
                          derive_seed(seed, rep, fold, "client", p.device_id))

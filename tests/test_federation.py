@@ -119,6 +119,16 @@ class TestFleetValidation:
         with pytest.raises(SchemaError, match="b: scaling bounds for 5 features do not match input_dim 4"):
             run_federated(clients, toy_config())
 
+    @pytest.mark.parametrize("name, rows", [("train", [0, 32]), ("train", [-1, 0]), ("thr", [32]), ("thr", [-1])],
+                             ids=["train_past_end", "train_negative", "thr_past_end", "thr_negative"])
+    def test_index_outside_the_records_rejected(self, name, rows):
+        # Rows are gathered without a bounds check. Unchecked, an index past
+        # the end raised a bare IndexError mid-step, and a negative one read
+        # silently from the end.
+        client = toy_client("a", supervised=False)
+        with pytest.raises(SchemaError, match=rf"a: {name} indices must lie in \[0, 32\), got -?\d+ to -?\d+"):
+            replace(client, **{name: np.asarray(rows)})
+
     def test_malicious_count_must_match_f(self):
         attack = AttackSpec(kind="model_cancel", f=2)
         clients = [toy_client("a", attack=attack), toy_client("b", seed=1)]

@@ -36,12 +36,17 @@ workload: the tracemalloc peak, in MB of 2^20 bytes, of one operation after
 the warm-up, with inputs built by that checkout's `perfbench/workloads.py`
 at PERFBENCH_SEED. It counts only what Python allocates, so unlike
 `peak_rss_mb` it does not depend on when the allocator returns memory.
+Once per side, a fresh interpreter per approach runs one fold dev-0 x
+repetition 0 cell of the `full-scale-supervised` profile at one epoch,
+centralized and federated, and records its wall time, `ru_maxrss` in MB of
+2^20 bytes, and known F1. Each cell takes about 15 s and 2 GB on 2 vCPUs.
 
 For every end-to-end metric of BENCHMARK.json and every probe figure the
 record keeps each side's runs, median and quartiles; with a base, also
 the number of pairs the change won (strictly better in the metric's
 direction; a probe figure is better when lower). Each workload's entry
-also holds each side's traced peak. The record holds each checkout's git
+also holds each side's traced peak; `full_scale_cell` holds each side's
+cell figures by approach. The record holds each checkout's git
 revision, with a flag for uncommitted changes and the sha256 of
 `git diff HEAD` (null when tracked files are unchanged), so a record made
 on a dirty tree names the exact sources, and the environment (python,
@@ -216,6 +221,27 @@ for name in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
+# One fold dev-0 x repetition 0 cell of full-scale-supervised at one epoch,
+# for the approach in argv[1]; prints its wall time, peak RSS and known F1.
+CELL_PROBE = r"""
+import json, resource, sys, tempfile, time
+from fediot.harness import config_from_dict, config_to_dict, load_profile, run_experiment
+
+raw = config_to_dict(load_profile("full-scale-supervised"))
+raw["approach"] = sys.argv[1]
+raw["training"]["epochs"] = 1
+raw["protocol"].update(folds=["dev-0"], repetitions=1)
+config = config_from_dict(raw)
+with tempfile.TemporaryDirectory() as work:
+    start = time.perf_counter()
+    result = run_experiment(config, work)
+    wall = time.perf_counter() - start
+known = next(row for row in result.rows if row["scope"] == "known")
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"wall_s": wall, "peak_rss_mb": rss, "known_f1": known["f1"]}))
+"""
+CELL_APPROACHES = ("centralized", "federated")
+
 
 def _env(checkout: Path) -> dict:
     env = dict(os.environ, **BLAS_ENV)
@@ -292,6 +318,11 @@ def _measure(sides: dict, bench: dict) -> dict:
     for side, checkout in sorted(sides.items()):
         print(f"traced peaks: {side}", file=sys.stderr)
         traced_peaks[side] = _probe(checkout, TRACED_PEAK_PROBE, json.dumps(names), str(PERFBENCH_SEED))
+    cells = {}
+    for side, checkout in sorted(sides.items()):
+        for approach in CELL_APPROACHES:
+            print(f"full-scale cell: {side}, {approach}", file=sys.stderr)
+            cells.setdefault(approach, {})[side] = _probe(checkout, CELL_PROBE, approach)
     workloads = {}
     for workload in bench["workloads"]:
         name = workload["name"]
@@ -312,7 +343,8 @@ def _measure(sides: dict, bench: dict) -> dict:
             "metrics": metrics,
         }
     record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": PAIRS,
-                            "workloads": workloads}}
+                            "workloads": workloads},
+              "full_scale_cell": cells}
     probes = (("aggregate_ms", AGGREGATE_PROBE), ("reduce_rows_ms", REDUCE_PROBE),
               ("mini_batch_round_ms", ROUND_PROBE))
     for key, probe in probes:
