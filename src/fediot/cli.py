@@ -67,7 +67,7 @@ def _cmd_ingest(args) -> dict:
     )
     devices = {}
     total = 0
-    for part in partitions:
+    for part in partitions.values():
         sizes = {
             "train": len(part.train),
             "unused": len(part.unused),

@@ -4,7 +4,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -29,17 +30,19 @@ class SampleSet:
     """Labeled traffic records, one row per record; a device's rows are in capture order.
 
     Attributes:
-        features: (n, F) float array, one row per record.
+        features: (n, F) float array, one row per record, or None in a
+            labels-only set: a synthetic device is split and rebalanced on
+            its labels before any of its features is drawn.
         labels: (n,) int array with 0 benign / 1 attack.
     """
 
-    features: np.ndarray
+    features: np.ndarray | None
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.features.ndim != 2:
+        if self.features is not None and self.features.ndim != 2:
             raise SchemaError(f"features must be 2-D, got shape {self.features.shape}")
-        n = self.features.shape[0]
+        n = len(self.labels) if self.features is None else self.features.shape[0]
         if self.labels.shape != (n,):
             raise SchemaError(f"labels shape {self.labels.shape} != ({n},)")
         bad = ~np.isin(self.labels, (BENIGN, ATTACK))
@@ -47,12 +50,12 @@ class SampleSet:
             raise SchemaError(f"labels must be 0 or 1, found {self.labels[bad][:5]}")
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.labels.shape[0]
 
     def take(self, indices: np.ndarray) -> SampleSet:
         """Gather records by position, preserving the given order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SampleSet(self.features[idx], self.labels[idx])
+        return SampleSet(None if self.features is None else self.features[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -81,38 +84,48 @@ class DevicePartition:
         return [self.train, self.unused, self.test, self.threshold_sel]
 
     @staticmethod
-    def concat(device_id: str, parts: list[DevicePartition]) -> DevicePartition:
-        """Pool partitions into one device's, each part joined in partition order.
+    def concat(
+        device_id: str, records: SampleSet, parts: list[DevicePartition], starts: list[int]
+    ) -> DevicePartition:
+        """Join partitions whose records are rows of records, the i-th from starts[i] on.
 
-        The pool's records are those some part names, gathered once: by
-        partition, and in row order within each. A single partition of that
-        device id that names every record is returned as it is.
+        Each part of the result is the members' parts, shifted by their
+        starts, joined in member order. No record is copied.
         """
         if not parts:
             raise ValueError("cannot pool zero partitions")
-        named = [np.zeros(len(p.records), dtype=bool) for p in parts]
-        for p, mask in zip(parts, named):
-            for part in p._parts():
-                if part is not None:
-                    mask[part] = True
-        if len(parts) == 1 and parts[0].device_id == device_id and named[0].all():
-            return parts[0]
-        offsets = np.cumsum([0] + [np.count_nonzero(mask) for mask in named])
-        first = parts[0].records.features
-        features = np.empty((offsets[-1], first.shape[1]), first.dtype)
-        labels = np.empty(offsets[-1], dtype=np.int64)
-        for p, mask, start, stop in zip(parts, named, offsets, offsets[1:]):
-            rows = np.flatnonzero(mask)  # so every row is in range
-            # mode="clip" writes into out directly, where the default "raise" buffers it.
-            p.records.features.take(rows, axis=0, out=features[start:stop], mode="clip")
-            p.records.labels.take(rows, out=labels[start:stop], mode="clip")
-        # A named record's row in the pool.
-        positions = [np.cumsum(mask) - 1 + start for mask, start in zip(named, offsets)]
-        pooled = []
-        for pieces in zip(*(p._parts() for p in parts)):
-            moved = [position[piece] for piece, position in zip(pieces, positions) if piece is not None]
-            pooled.append(np.concatenate(moved) if moved else None)
-        return DevicePartition(device_id, SampleSet(features, labels), *pooled)
+
+        def joined(pieces: tuple[np.ndarray | None, ...]) -> np.ndarray | None:
+            if pieces[0] is None:
+                return None
+            return np.concatenate([piece + start for piece, start in zip(pieces, starts)])
+
+        return DevicePartition(device_id, records, *map(joined, zip(*(p._parts() for p in parts))))
+
+
+class Fleet(dict):
+    """One repetition's partitions by device id, over one record array.
+
+    records holds every device's records once, in device order: each
+    partition's records are a view of the next contiguous range of it.
+    """
+
+    def __init__(self, records: SampleSet, partitions: list[DevicePartition]) -> None:
+        super().__init__((p.device_id, p) for p in partitions)
+        self.records = records
+
+    def pool(self, device_id: str, ids: list[str]) -> DevicePartition:
+        """The named devices' train and threshold parts joined in order, as
+        rows of the fleet's records: no feature row is copied."""
+        starts = dict(zip(self, np.cumsum([0] + [len(p.records) for p in self.values()]).tolist()))
+        none = np.empty(0, dtype=np.intp)
+        members = [replace(self[d], unused=none, test=none) for d in ids]
+        return DevicePartition.concat(device_id, self.records, members, [starts[d] for d in ids])
+
+    def clear(self) -> None:
+        """Drop the partitions and the record array: an emptied fleet holds no record."""
+        super().clear()
+        self.records = None
 
 
 @dataclass(frozen=True)
@@ -175,7 +188,15 @@ class DataSource:
             raise ConfigError("manifest data source needs a path")
 
 
-def load_device_csv(path: str, label: int, schema: int = FEATURE_DIM, has_header: bool = False) -> SampleSet:
+def _csv_rows(path: str, has_header: bool) -> int:
+    # The records load_device_csv reads from path: its non-empty rows.
+    with open(path, newline="") as handle:
+        return sum(1 for row_no, row in enumerate(csv.reader(handle)) if row and not (has_header and row_no == 0))
+
+
+def load_device_csv(
+    path: str, label: int, schema: int = FEATURE_DIM, has_header: bool = False, out: SampleSet | None = None
+) -> SampleSet:
     """Load one device stream from a CSV file.
 
     Args:
@@ -186,14 +207,19 @@ def load_device_csv(path: str, label: int, schema: int = FEATURE_DIM, has_header
             without a label column.
         schema: expected number of feature columns.
         has_header: skip the first row when True.
+        out: the records to parse into, one per non-empty data row, which
+            are returned; new arrays when omitted.
 
     Raises:
-        SchemaError: a row has the wrong number of columns.
+        SchemaError: a row has the wrong number of columns, or the file does
+            not hold as many records as out.
         ParseError: a cell is non-numeric or non-finite, or a label is not 0/1.
     """
-    rows: list[list[float]] = []
+    if out is None:
+        n = _csv_rows(path, has_header)
+        out = SampleSet(np.empty((n, schema)), np.zeros(n, dtype=np.int64))
+    features, labels = out.features, out.labels
     row_nos: list[int] = []
-    labels: list[int] = []
     labeled = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -217,26 +243,29 @@ def load_device_csv(path: str, label: int, schema: int = FEATURE_DIM, has_header
                 raise SchemaError(
                     f"{path}: row {row_no}: expected {expected} columns, found {len(row)}"
                 )
+            i = len(row_nos)
+            if i == len(out):
+                raise SchemaError(f"{path}: holds more than the {i} records counted")
             try:
-                values = [float(cell) for cell in row[:schema]]
+                features[i] = [float(cell) for cell in row[:schema]]
             except ValueError as exc:
                 raise ParseError(f"{path}: row {row_no}: non-numeric cell: {exc}") from None
-            rows.append(values)
-            row_nos.append(row_no)
+            labels[i] = label
             if labeled:
                 cell = row[schema].strip()
                 if cell not in ("0", "1"):
                     raise ParseError(f"{path}: row {row_no}: label must be 0 or 1, got {cell!r}")
-                labels.append(int(cell))
-    features = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema)
+                labels[i] = int(cell)
+            row_nos.append(row_no)
+    if len(row_nos) != len(out):
+        raise SchemaError(f"{path}: holds {len(row_nos)} records, not the {len(out)} counted")
     # float() also reads nan, inf and overflowing literals such as 1e309.
     if not np.isfinite(features).all():
         row, column = np.argwhere(~np.isfinite(features))[0]
         raise ParseError(
             f"{path}: row {row_nos[row]}: column {column}: non-finite cell {float(features[row, column])!r}"
         )
-    label_arr = np.asarray(labels, dtype=np.int64) if labeled else np.full(len(rows), label, dtype=np.int64)
-    return SampleSet(features, label_arr)
+    return out
 
 
 def _part_sizes(n: int, fractions: tuple[float, ...], what: str) -> list[int]:
@@ -353,35 +382,86 @@ def _striped_labels(n: int, benign_fraction: float) -> np.ndarray:
     return labels
 
 
-def generate_synthetic_fleet(source: DataSource, seed: int) -> list[SampleSet]:
+def generate_synthetic_fleet(
+    source: DataSource,
+    seed: int,
+    split: Callable[[str, SampleSet], DevicePartition] | None = None,
+) -> list[SampleSet] | Fleet:
     """Generate labeled traffic streams for a synthetic device fleet.
 
     Every device draws benign records around its own center, so devices are
     not identically distributed. Attack records shift the device center along
     one of a small set of directions shared by the whole fleet, the way one
-    malware family produces similar traffic on different devices.
+    malware family produces similar traffic on different devices. Device i
+    is dev-i; everything is deterministic in the seed.
 
-    Returns one stream per device, deterministic in the seed. Each device's
-    features are built in the array its normal draw returned.
+    Without split, returns one whole stream per device. With split, a
+    function from a device id and its labels-only stream to that device's
+    partition, returns the Fleet: every device is split on its labels
+    first, which fixes the records its parts name and so the size of the
+    one record array; then each device in turn draws its whole stream and
+    keeps only those records, straight in its range of the array. A record
+    is built from its own draws, elementwise, so it has the same bits
+    whichever others are kept.
+
+    Raises:
+        ConfigError: the geometry overflows float64.
     """
     n, dim = source.samples_per_device, source.feature_dim
     fleet_ss, *device_ss = np.random.SeedSequence(seed).spawn(source.devices + 1)
     fleet_rng = np.random.default_rng(fleet_ss)
     directions = fleet_rng.normal(size=(source.attack_patterns, dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    streams = []
-    for dev_ss in device_ss:
+    labels = _striped_labels(n, source.benign_fraction)
+    attack_rows = np.flatnonzero(labels == ATTACK)
+    whole, none = np.arange(n), np.empty(0, dtype=np.intp)
+    plans = [
+        DevicePartition(f"dev-{i}", SampleSet(None, labels), whole, none, none)
+        if split is None else split(f"dev-{i}", SampleSet(None, labels))
+        for i in range(source.devices)
+    ]
+    named = []  # per device, the records some part names, in row order
+    for plan in plans:
+        # A mask, not np.unique: that imports numpy.ma, 0.5 MB more resident.
+        mask = np.zeros(n, dtype=bool)
+        for part in plan._parts():
+            if part is not None:
+                mask[part] = True
+        named.append(np.flatnonzero(mask))
+    features = np.empty((sum(rows.size for rows in named), dim))
+    fleet_labels = labels.take(np.concatenate(named))
+    partitions, start = [], 0
+    for plan, rows, dev_ss in zip(plans, named, device_ss):
         rng = np.random.default_rng(dev_ss)
+        out = features[start : start + rows.size]
         center = source.benign_spread * rng.normal(size=dim)
-        labels = _striped_labels(n, source.benign_fraction)
-        features = rng.normal(size=(n, dim))
-        features *= source.noise_sigma
-        features += center
-        attack_rows = np.flatnonzero(labels == ATTACK)
+        if rows.size == n:  # every record is named: draw in place
+            rng.standard_normal(out=out)
+        else:  # the raw stream lives only until its named rows are gathered
+            rng.standard_normal((n, dim)).take(rows, axis=0, out=out, mode="clip")
         patterns = rng.integers(0, source.attack_patterns, size=attack_rows.size)
-        features[attack_rows] += source.attack_shift * directions[patterns]
-        streams.append(SampleSet(features, labels))
-    return streams
+        out *= source.noise_sigma
+        out += center
+        hit = np.flatnonzero(labels[rows] == ATTACK)
+        patterns = patterns[np.searchsorted(attack_rows, rows[hit])]
+        # One pattern at a time, so the temporaries hold one pattern's rows.
+        for pattern, step in enumerate(source.attack_shift * directions):
+            out[hit[patterns == pattern]] += step
+        # A NaN or infinity makes the sum of squares NaN or inf, so only then
+        # (or when finite squares overflow) is every record checked.
+        flat = out.reshape(-1)
+        if not np.isfinite(np.dot(flat, flat)) and not np.isfinite(out).all():
+            raise ConfigError(
+                f"data: {plan.device_id} draws non-finite features; benign_spread {source.benign_spread}, "
+                f"attack_shift {source.attack_shift} and noise_sigma {source.noise_sigma} overflow float64"
+            )
+        records = SampleSet(out, fleet_labels[start : start + rows.size])
+        parts = [None if part is None else np.searchsorted(rows, part) for part in plan._parts()]
+        partitions.append(DevicePartition(plan.device_id, records, *parts))
+        start += rows.size
+    if split is None:
+        return [p.records for p in partitions]
+    return Fleet(SampleSet(features, fleet_labels), partitions)
 
 
 @dataclass(frozen=True)
@@ -430,15 +510,17 @@ def partition_from_manifest(
     mode: str,
     schema: int = FEATURE_DIM,
     has_header: bool = False,
-) -> list[DevicePartition]:
-    """Build one partition per device from per-class capture files.
+) -> Fleet:
+    """Build the fleet of one partition per device from per-class capture files.
 
     Each file is one uninterrupted capture, so the chronological split is
-    applied per file and the per-file partitions are pooled in one gather.
-    A device's captures follow each other in manifest order: its records
-    are the rows of its files in that order, held once, so row order is
-    capture order. A file without a label column takes its manifest class.
-    In unsupervised mode attack files go to the test part whole.
+    applied per file and the per-file parts are joined. A device's captures
+    follow each other in manifest order: its records are the rows of its
+    files in that order, so row order is capture order. Every file's rows
+    are counted first, then each file is parsed straight into its range of
+    the fleet's one record array, devices in order of first mention. A file
+    without a label column takes its manifest class. In unsupervised mode
+    attack files go to the test part whole.
 
     Raises:
         MissingClassError: an unsupervised device lists no benign capture.
@@ -446,18 +528,28 @@ def partition_from_manifest(
     by_device: dict[str, list[ManifestEntry]] = {}
     for entry in entries:
         by_device.setdefault(entry.device_id, []).append(entry)
-    partitions = []
     for device_id, files in by_device.items():
         if mode == "unsupervised" and all(entry.label == ATTACK for entry in files):
             raise MissingClassError(f"{device_id}: no benign capture to train on")
-        parts = []
-        for entry in files:
-            stream = load_device_csv(entry.path, entry.label, schema, has_header)
+    counts = [[_csv_rows(entry.path, has_header) for entry in files] for files in by_device.values()]
+    total = sum(map(sum, counts))
+    features, labels = np.empty((total, schema)), np.zeros(total, dtype=np.int64)
+    partitions, start = [], 0
+    for (device_id, files), sizes in zip(by_device.items(), counts):
+        first = start
+        parts, starts = [], []
+        for entry, size in zip(files, sizes):
+            stream = load_device_csv(
+                entry.path, entry.label, schema, has_header,
+                out=SampleSet(features[start : start + size], labels[start : start + size]),
+            )
             if mode == "unsupervised" and entry.label == ATTACK:
                 empty = np.empty(0, dtype=np.intp)
-                whole = np.arange(len(stream))
-                parts.append(DevicePartition(device_id, stream, empty, empty, whole, empty))
+                parts.append(DevicePartition(device_id, stream, empty, empty, np.arange(size), empty))
             else:
                 parts.append(chronological_split(stream, mode, device_id))
-        partitions.append(DevicePartition.concat(device_id, parts))
-    return partitions
+            starts.append(start - first)
+            start += size
+        records = SampleSet(features[first:start], labels[first:start])
+        partitions.append(DevicePartition.concat(device_id, records, parts, starts))
+    return Fleet(SampleSet(features, labels), partitions)

@@ -399,6 +399,7 @@ def run_federated(
     k = len(trainers)
     boosted = [row for row, i in enumerate(trainers) if clients[i].attack.kind == "gradient_factor"]
     params = np.zeros((len(clients), arch.n_parameters))
+    tiny = np.finfo(params.dtype).tiny
     # One row per client: the trainers' gradients, which are spent by the
     # time the round reduces, so s-resampling writes its rows here.
     grads = np.empty_like(params)
@@ -509,6 +510,11 @@ def run_federated(
                 model = ModelParameters(arch, params[0])
             else:
                 flat = reduce_rows(kept, rule, server_rng, grads)
+                # Flush subnormal coordinates to zero: a model canceller drives
+                # an averaged model through them toward zero, and every
+                # operation on a subnormal takes the CPU's slow path. Times
+                # zero keeps the sign of a zero coordinate.
+                flat[np.abs(flat) < tiny] *= 0.0
                 flat.setflags(write=False)  # a new vector, so the model need not copy it
                 model = ModelParameters(arch, flat)
             aggregations += 1

@@ -32,6 +32,7 @@ from .dataset import (
     BalanceSpec,
     DataSource,
     DevicePartition,
+    Fleet,
     ManifestEntry,
     SampleSet,
     SUPERVISED_FRACTIONS,
@@ -290,17 +291,14 @@ def synthetic_streams(config: ExperimentConfig, rep: int) -> list[SampleSet]:
     return generate_synthetic_fleet(config.data, seed=derive_seed(config.protocol.master_seed, rep, "fleet"))
 
 
-def _fleet(
-    config: ExperimentConfig, rep: int, manifest_split: list[DevicePartition] | None
-) -> dict[str, DevicePartition]:
-    """One repetition's rebalanced partitions, by device id.
+def _fleet(config: ExperimentConfig, rep: int, manifest_split: Fleet | None) -> Fleet:
+    """One repetition's rebalanced partitions, by device id, over one record array.
 
     A manifest fleet redraws the indices of its split, whose records were
     read once for all repetitions, so every repetition shares them. A
-    synthetic fleet is split, rebalanced and pooled device by device: each
-    device keeps only the records its parts name (one gather, none when
-    they name all), and its raw stream is dropped as it is pooled, so next
-    to the pooled devices only the raw streams not yet reached are held.
+    synthetic fleet is split and rebalanced on each device's labels, then
+    drawn device by device into one array that holds only the records some
+    part names.
     """
 
     def balanced(p: DevicePartition) -> DevicePartition:
@@ -308,16 +306,12 @@ def _fleet(
         return rebalance(p, config.balance, seed)
 
     if manifest_split is not None:
-        return {p.device_id: balanced(p) for p in manifest_split}
-    streams = synthetic_streams(config, rep)
-    partitions = {}
-    for i in range(len(streams)):
-        device = f"dev-{i}"
-        # No local holds the split, so the raw stream is freed once pooled.
-        partitions[device] = DevicePartition.concat(
-            device, [balanced(chronological_split(streams.pop(0), config.mode, device))]
-        )
-    return partitions
+        return Fleet(manifest_split.records, [balanced(p) for p in manifest_split.values()])
+    return generate_synthetic_fleet(
+        config.data,
+        seed=derive_seed(config.protocol.master_seed, rep, "fleet"),
+        split=lambda device, labels_only: balanced(chronological_split(labels_only, config.mode, device)),
+    )
 
 
 def _resolve_folds(config: ExperimentConfig, device_ids: list[str]) -> list[str]:
@@ -363,7 +357,7 @@ def _threshold_logger(logger: RoundLogger, clients: list[ClientState], ddof: int
 
 def _run_cell(
     config: ExperimentConfig,
-    partitions: dict[str, DevicePartition],
+    partitions: Fleet,
     fold: str,
     rep: int,
     rounds_dir: str | None,
@@ -400,9 +394,9 @@ def _run_cell(
         bounds.append(merge_bounds([local_min_max(partitions[d].gather("train").features) for d in ids]))
         members = [partitions[d] for d in ids]
         if config.approach == "centralized":
-            # The pool holds only the records training and thresholds read.
-            none = np.empty(0, dtype=np.intp)
-            members = [DevicePartition.concat("pooled", [replace(p, unused=none, test=none) for p in members])]
+            # The pool indexes the fleet's record array and names only the
+            # records training and thresholds read.
+            members = [partitions.pool("pooled", ids)]
         clients.append([
             build_client(p, bounds[-1], config.supervised, attacks.get(p.device_id, AttackSpec()),
                          derive_seed(seed, rep, fold, "client", p.device_id))
@@ -463,10 +457,10 @@ def _repetitions(config: ExperimentConfig):
 
     A synthetic fleet is drawn from each repetition's own seed; a manifest
     fleet is read and split once, and only its rebalancing indices are
-    redrawn. The yielded dict is emptied when the next repetition is asked
-    for, so the consumer's reference no longer keeps the previous fleet
-    alive while the next one is built: one repetition's fleet is held at a
-    time.
+    redrawn. The yielded fleet is emptied, its record array included, when
+    the next repetition is asked for, so the consumer's reference no longer
+    keeps the previous fleet alive while the next one is built: one
+    repetition's fleet is held at a time.
     """
     manifest_split = None
     if config.data.source == "manifest":

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fediot.dataset import (
@@ -14,6 +14,7 @@ from fediot.dataset import (
     BalanceSpec,
     DataSource,
     DevicePartition,
+    Fleet,
     ManifestEntry,
     SampleSet,
     chronological_split,
@@ -280,7 +281,7 @@ class TestRebalance:
         (tmp_path / "b.csv").write_text("".join(f"{i},0\n" for i in range(30)))
         (tmp_path / "a.csv").write_text("".join(f"{i},1\n" for i in range(8)))
         (tmp_path / "m.csv").write_text("d,b.csv,benign\nd,a.csv,attack\n")
-        (man,) = partition_from_manifest(load_manifest(str(tmp_path / "m.csv")), "unsupervised", 2)
+        (man,) = partition_from_manifest(load_manifest(str(tmp_path / "m.csv")), "unsupervised", 2).values()
         assert parts(rebalance(man, BalanceSpec(0.25, 20), rng_seed=2024)) == {
             "train": ([0, 2, 4, 6, 7, 9, 10], [0] * 7),
             "unused": ([], []),
@@ -305,6 +306,65 @@ class TestRebalance:
 
 
 class TestSyntheticFleet:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["supervised", "unsupervised"]),
+        devices=st.integers(2, 4),
+        samples=st.integers(40, 300),
+        dim=st.integers(1, 6),
+        benign_fraction=st.floats(0.2, 0.8),
+        patterns=st.integers(1, 4),
+        spread=st.sampled_from([0.0, 0.5, 2.0]),
+        shift=st.sampled_from([-4.0, 0.0, 8.0]),
+        sigma=st.sampled_from([0.0, 0.5, 1.0]),
+        balance_fraction=st.floats(0.2, 0.8),
+        spd=st.integers(10, 150),
+        seed=st.integers(0, 2**32),
+    )
+    def test_fleet_draw_keeps_the_whole_streams_named_rows(
+        self, mode, devices, samples, dim, benign_fraction, patterns, spread, shift, sigma,
+        balance_fraction, spd, seed,
+    ):
+        # The oracle is the whole-stream path: draw every device's stream,
+        # then split and rebalance it. Each device's range of the fleet's
+        # record array must hold that stream's named rows, in row order, bit
+        # for bit, and each part must gather the same records.
+        source = DataSource(devices=devices, samples_per_device=samples, feature_dim=dim,
+                            benign_fraction=benign_fraction, attack_patterns=patterns,
+                            benign_spread=spread, attack_shift=shift, noise_sigma=sigma)
+        spec = BalanceSpec(balance_fraction, spd)
+
+        def split(device, stream):
+            return rebalance(chronological_split(stream, mode, device), spec, int(device[4:]))
+
+        streams = generate_synthetic_fleet(source, seed)
+        try:
+            want = [split(f"dev-{i}", stream) for i, stream in enumerate(streams)]
+        except (EmptyPartError, MissingClassError) as exc:
+            event("split fails")
+            with pytest.raises(type(exc)):
+                generate_synthetic_fleet(source, seed, split)
+            return
+        fleet = generate_synthetic_fleet(source, seed, split)
+        assert list(fleet) == [f"dev-{i}" for i in range(devices)]
+        start = 0
+        for stream, ref, got in zip(streams, want, fleet.values()):
+            named = np.unique(np.concatenate([getattr(ref, name) for name in PART_NAMES
+                                              if getattr(ref, name) is not None]))
+            stop = start + named.size
+            assert fleet.records.features[start:stop].tobytes() == stream.features[named].tobytes()
+            assert fleet.records.labels[start:stop].tobytes() == stream.labels[named].tobytes()
+            assert np.shares_memory(got.records.features, fleet.records.features[start:stop])
+            assert len(got.records) == named.size
+            for name in PART_NAMES:
+                if getattr(ref, name) is None:
+                    assert getattr(got, name) is None
+                    continue
+                assert got.gather(name).features.tobytes() == ref.gather(name).features.tobytes(), name
+                assert got.gather(name).labels.tobytes() == ref.gather(name).labels.tobytes(), name
+            start = stop
+        assert start == len(fleet.records)
+
     def test_two_streams_of_ten(self):
         streams = generate_synthetic_fleet(synthetic(2, 10, 4), seed=123)
         assert len(streams) == 2
@@ -384,7 +444,7 @@ class TestManifest:
 
     def test_supervised_partition_splits_each_file(self, tmp_path):
         entries = load_manifest(str(self.write_fleet(tmp_path)))
-        (got,) = partition_from_manifest(entries, "supervised", schema=3)
+        (got,) = partition_from_manifest(entries, "supervised", schema=3).values()
         # 20-row benign file gives 15/0/5, 10-row attack file gives 7/0/3.
         assert len(got.train) == 15 + 7
         assert np.bincount(got.gather("train").labels, minlength=2).tolist() == [15, 7]
@@ -392,7 +452,7 @@ class TestManifest:
 
     def test_unsupervised_partition_reserves_attack_files(self, tmp_path):
         entries = load_manifest(str(self.write_fleet(tmp_path)))
-        (got,) = partition_from_manifest(entries, "unsupervised", schema=3)
+        (got,) = partition_from_manifest(entries, "unsupervised", schema=3).values()
         assert np.all(got.gather("train").labels == 0)
         assert int(np.sum(got.gather("test").labels)) == 10
         assert len(got.threshold_sel) == math.floor(0.395 * 20)
@@ -401,7 +461,7 @@ class TestManifest:
     def test_capture_order_runs_on_across_files(self, tmp_path, mode):
         # The attack file follows the benign one, so its records come later.
         entries = load_manifest(str(self.write_fleet(tmp_path)))
-        (got,) = partition_from_manifest(entries, mode, schema=3)
+        (got,) = partition_from_manifest(entries, mode, schema=3).values()
         names = ["train", "unused", "test"] + (["threshold_sel"] if got.threshold_sel is not None else [])
         rows = np.concatenate([getattr(got, name) for name in names])
         assert sorted(rows.tolist()) == list(range(30))
@@ -426,25 +486,32 @@ class TestSampleSet:
 
 
 @st.composite
-def pool_members(draw):
-    """1-4 partitions over small record arrays. Parts repeat records and
-    leave some unnamed; threshold_sel is set on every member or on none."""
+def fleets(draw):
+    """A Fleet of 1-4 partitions over consecutive ranges of one record
+    array. Parts repeat records and leave some unnamed; threshold_sel is set
+    on every member or on none."""
     with_thr = draw(st.booleans())
-    members = []
-    for m in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    total = sum(sizes)
+    labels = np.asarray(draw(st.lists(st.integers(0, 1), min_size=total, max_size=total)), dtype=np.int64)
+    records = SampleSet(np.arange(total * 2, dtype=np.float64).reshape(total, 2), labels)
+    members, start = [], 0
+    for m, n in enumerate(sizes):
         rows = st.lists(st.integers(0, n - 1), max_size=10).map(lambda r: np.asarray(r, dtype=np.intp))
-        labels = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
-        features = np.arange(n * 2, dtype=np.float64).reshape(n, 2) + 100 * m
         parts = [draw(rows) for _ in range(3)] + [draw(rows) if with_thr else None]
-        members.append(DevicePartition(f"dev-{m}", SampleSet(features, labels), *parts))
-    return members
+        view = SampleSet(records.features[start : start + n], records.labels[start : start + n])
+        members.append(DevicePartition(f"dev-{m}", view, *parts))
+        start += n
+    return Fleet(records, members)
 
 
 class TestPool:
-    @given(members=pool_members())
-    def test_pool_gathers_its_members_parts_from_their_distinct_named_records(self, members):
-        pool = DevicePartition.concat(members[0].device_id, members)
+    @given(fleet=fleets())
+    def test_joined_parts_gather_the_members_parts(self, fleet):
+        members = list(fleet.values())
+        starts = np.cumsum([0] + [len(m.records) for m in members])[:-1].tolist()
+        pool = DevicePartition.concat("pooled", fleet.records, members, starts)
+        assert pool.records is fleet.records
         for name in PART_NAMES:
             if getattr(members[0], name) is None:
                 assert getattr(pool, name) is None
@@ -453,41 +520,44 @@ class TestPool:
             got = pool.gather(name)
             assert got.features.tobytes() == np.concatenate([w.features for w in want]).tobytes(), name
             assert got.labels.tobytes() == np.concatenate([w.labels for w in want]).tobytes(), name
-        named = [
-            np.unique(np.concatenate([getattr(m, name) for name in PART_NAMES if getattr(m, name) is not None]))
-            for m in members
-        ]
-        held = [m.records.take(rows) for m, rows in zip(members, named)]
-        assert pool.records.features.tobytes() == np.concatenate([h.features for h in held]).tobytes()
-        assert pool.records.labels.tobytes() == np.concatenate([h.labels for h in held]).tobytes()
-        if len(members) == 1 and named[0].size == len(members[0].records):
-            assert pool is members[0]
 
-    def test_single_partition_naming_every_record_is_returned_as_it_is(self):
-        split = chronological_split(make_stream(20, alternating_labels(20)), "supervised", "dev")
-        assert DevicePartition.concat("dev", [split]) is split
-        renamed = DevicePartition.concat("pooled", [split])
-        assert renamed.device_id == "pooled"
-        assert renamed.records.features.tobytes() == split.records.features.tobytes()
+    @given(fleet=fleets(), data=st.data())
+    def test_fleet_pool_names_only_train_and_threshold_records(self, fleet, data):
+        ids = data.draw(st.lists(st.sampled_from(list(fleet)), min_size=1, unique=True))
+        pool = fleet.pool("pooled", ids)
+        assert pool.records is fleet.records and pool.unused.size == pool.test.size == 0
+        for name in ("train", "threshold_sel"):
+            if fleet[ids[0]].threshold_sel is None and name == "threshold_sel":
+                assert pool.threshold_sel is None
+                continue
+            want = [fleet[d].gather(name) for d in ids]
+            assert pool.gather(name).features.tobytes() == np.concatenate([w.features for w in want]).tobytes()
 
     def test_zero_partitions_rejected(self):
         with pytest.raises(ValueError, match="zero partitions"):
-            DevicePartition.concat("pooled", [])
+            DevicePartition.concat("pooled", SampleSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)), [], [])
 
-    def test_pool_is_gathered_without_a_second_copy(self):
-        # Half of 2 MB of records are named. take(out=...) in its default
-        # mode="raise" buffers out: a second copy of the pool, 2x its bytes.
-        n = 4000
-        features = np.random.default_rng(0).normal(size=(n, 64))
-        half, empty = np.arange(0, n, 2), np.empty(0, dtype=np.intp)
-        member = DevicePartition("dev", SampleSet(features, np.zeros(n, dtype=np.int64)), half, empty, empty)
+    def test_pool_allocates_no_feature_row(self):
+        # 8 devices of 500 records, 64 features, every record named by
+        # train: a pool that gathered the records would allocate their
+        # 2 MB; its train indices take 32 kB.
+        n, devices = 500, 8
+        features = np.random.default_rng(0).normal(size=(n * devices, 64))
+        records = SampleSet(features, np.zeros(n * devices, dtype=np.int64))
+        empty = np.empty(0, dtype=np.intp)
+        fleet = Fleet(records, [
+            DevicePartition(f"dev-{d}", SampleSet(features[d * n : (d + 1) * n], records.labels[d * n : (d + 1) * n]),
+                            np.arange(n), empty, empty)
+            for d in range(devices)
+        ])
         tracemalloc.start()
         try:
-            pool = DevicePartition.concat("dev", [member])
+            pool = fleet.pool("pooled", list(fleet))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * pool.records.features.nbytes
+        assert pool.records.features is features
+        assert peak < 0.1 * features.nbytes
 
 
 # The dense split and rebalance that parts as row indices replaced: every part

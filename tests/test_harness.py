@@ -11,7 +11,7 @@ from fediot.adversary import AttackSpec
 from fediot.aggregation import AggregationSpec, reduce_rows
 from fediot.dataset import (
     BalanceSpec,
-    chronological_split,
+    Fleet,
     generate_synthetic_fleet,
     load_device_csv,
 )
@@ -273,6 +273,16 @@ class TestConfigParsing:
         raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match="(learning_rate|l2_lambda) must be finite"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [("benign_spread", 1e308), ("noise_sigma", 1e308)])
+    def test_overflowing_synthetic_fleet_rejected_naming_data(self, tmp_path, key, value):
+        # The value is finite, so it loads. Drawn, the fleet overflowed
+        # float64 and the run died with a PoisonedUpdateError that blamed
+        # client dev-1 for a non-finite gradient.
+        raw = tiny_dict()
+        raw["data"][key] = value
+        with pytest.raises(ConfigError, match=r"data: dev-\d draws non-finite features"):
+            run_experiment(config_from_dict(raw), str(tmp_path))
 
     @pytest.mark.parametrize("value", [2**53 + 1, json.loads("1" + "0" * 400)], ids=["2**53+1", "10**400"])
     def test_model_bytes_beyond_exact_float_rejected_at_load(self, value):
@@ -662,25 +672,32 @@ class TestRunExperiment:
 class TestFleetMemory:
     """Which copies of the fleet an op holds, seen through weak references."""
 
-    def test_fleet_split_device_by_device(self, tmp_path, monkeypatch):
-        # A device's raw stream and its split parts are gone before the next
-        # device is split.
-        refs, alive = [], []
-
-        def splitting(samples, *args):
-            alive.append(sum(ref() is not None for ref in refs))
-            part = chronological_split(samples, *args)
-            refs.extend((weakref.ref(samples), weakref.ref(part)))
-            return part
-
-        monkeypatch.setattr("fediot.harness.chronological_split", splitting)
-        protocol = {"folds": ["dev-0"], "repetitions": 1, "master_seed": 3}
-        run_experiment(tiny_config(protocol=protocol), str(tmp_path))
-        assert alive == [0, 0, 0]
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_fleet_split_device_by_device(self, mode):
+        # Each device is split on its labels, then drawn into its range of
+        # the fleet's record array one at a time: at most one device's raw
+        # stream lives beside the array. A device whose parts leave records
+        # unnamed (unsupervised) is drawn whole into a temporary and
+        # gathered; one that names every record is drawn in place.
+        raw = tiny_dict(mode=mode)
+        raw["data"].update(devices=6, samples_per_device=2000, feature_dim=64)
+        raw["balance"]["samples_per_device"] = 2000
+        config = config_from_dict(raw)
+        stream_bytes = 2000 * 64 * 8
+        _fleet(config, 0, None)  # warm caches, as a later repetition finds them
+        tracemalloc.start()
+        try:
+            fleet = _fleet(config, 0, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = fleet.records.features.nbytes
+        assert all(np.shares_memory(p.records.features, fleet.records.features) for p in fleet.values())
+        assert peak < held + 1.5 * stream_bytes
 
     def test_one_repetition_fleet_held_at_a_time(self, tmp_path, monkeypatch):
-        # Each repetition's record arrays, the compacted ones the cells
-        # read, are gone before the next repetition's fleet is drawn.
+        # Each repetition's record array, and every device's view of it,
+        # are gone before the next repetition's fleet is drawn.
         refs, alive = [], []
 
         def drawing(*args, **kwargs):
@@ -689,6 +706,7 @@ class TestFleetMemory:
 
         def tracked(*args):
             partitions = _fleet(*args)
+            refs.append(weakref.ref(partitions.records.features))
             refs.extend(weakref.ref(p.records.features) for p in partitions.values())
             return partitions
 
@@ -696,16 +714,20 @@ class TestFleetMemory:
         monkeypatch.setattr("fediot.harness._fleet", tracked)
         protocol = {"folds": ["dev-0"], "repetitions": 2, "master_seed": 3}
         run_experiment(tiny_config(protocol=protocol), str(tmp_path))
-        assert len(refs) == 6 and alive == [0, 0]
+        assert len(refs) == 8 and alive == [0, 0]
 
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_centralized_pool_holds_only_what_training_reads(self, tmp_path, monkeypatch, mode):
-        # The pooled client of each cell holds each distinct train and
-        # threshold record of the training devices once: no test or unused
-        # record, which the cell reads from the devices' own partitions.
-        pooled, distinct = [], []
+        # The pooled client of each cell reads the fleet's record array
+        # itself, and names each distinct train and threshold record of the
+        # training devices: no test or unused record, which the cell reads
+        # from the devices' own partitions. Building the pool allocates
+        # only index arrays, no feature row.
+        fleets, distinct, pooled, peaks = [], [], [], []
+        pool = Fleet.pool
 
         def cell(config, partitions, fold, *args):
+            fleets.append(partitions.records.features)
             distinct.append(sum(
                 np.unique(np.concatenate([p.train] + ([] if p.threshold_sel is None else [p.threshold_sel]))).size
                 for device, p in partitions.items()
@@ -713,32 +735,50 @@ class TestFleetMemory:
             ))
             return _run_cell(config, partitions, fold, *args)
 
+        def pooling(*args):
+            tracemalloc.start()
+            try:
+                partition = pool(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return partition
+
         def building(partition, *args):
-            pooled.append(len(partition.records))
-            return build_client(partition, *args)
+            client = build_client(partition, *args)
+            named = np.concatenate([client.train] + ([] if client.thr is None else [client.thr]))
+            pooled.append((client.x, np.unique(named).size, partition.unused.size + partition.test.size))
+            return client
 
         monkeypatch.setattr("fediot.harness._run_cell", cell)
+        monkeypatch.setattr(Fleet, "pool", pooling)
         monkeypatch.setattr("fediot.harness.build_client", building)
         raw = tiny_dict(approach="centralized", mode=mode)
         raw["data"]["samples_per_device"] = raw["balance"]["samples_per_device"] = 600
+        raw["data"]["feature_dim"] = 115  # a feature row is 920 bytes, an index 8
         run_experiment(config_from_dict(raw), str(tmp_path))
-        assert len(pooled) == 3 and pooled == distinct
+        assert len(pooled) == len(peaks) == 3
+        for (x, named, others), fleet, want, peak in zip(pooled, fleets, distinct, peaks):
+            assert x is fleet and named == want and others == 0
+            assert peak < 0.1 * want * x.shape[1] * 8
 
     @pytest.mark.parametrize("profile, approach, bound", [
-        ("unsupervised", "federated", 1.0),
+        ("unsupervised", "federated", 0.94),
         ("supervised-50", "federated", 1.4),
-        ("supervised-50", "centralized", 1.85),
+        ("supervised-50", "centralized", 1.17),
     ], ids=["unsupervised", "supervised-50", "supervised-50-centralized"])
     def test_traced_peak_below_1_4_fleets(self, tmp_path, profile, approach, bound):
         # The fleet is measured dense-equivalent: every part row as one
         # float64 feature row, duplicates included. An op holds each
         # distinct record once, and besides the records only the training
         # buffers and one gathered, scaled test set at a time. Measured:
-        # unsupervised 0.94 (its upsampled benign parts repeat records; 1.30
-        # when parts held copies), supervised-50 1.17 (1.26 when every
-        # gather buffered its out array). A centralized cell also holds the
-        # pool of its training devices' train records, gathered once: 1.79
-        # (2.49 when each device was compacted before pooling). The
+        # unsupervised 0.88 (its upsampled benign parts repeat records; 1.30
+        # when parts held copies, 0.94 when every device's raw stream was
+        # drawn before the first was split), supervised-50 1.17 (1.26 when
+        # every gather buffered its out array). A centralized cell's pooled
+        # client indexes the fleet's record array: 1.11 (1.79 when the pool
+        # gathered its devices' train records into an array of its own,
+        # 2.49 when each device was compacted before pooling). The
         # unsupervised and centralized bounds are the ratio plus a margin
         # of 0.06. tracemalloc counts Python-level allocations, so the ratio
         # does not depend on how the allocator hands memory back.
@@ -841,6 +881,33 @@ class TestAttackSweep:
         result = attack_sweep(config, [0, 1], str(tmp_path))
         assert all(r["runs"] == 2 for r in result.rows)
         assert calls == [derive_seed(3, 0, "fleet"), derive_seed(3, 1, "fleet")]
+
+
+def test_collapsed_average_holds_no_subnormal_weight(tmp_path, monkeypatch):
+    # Under AVG one model canceller drives the global model toward zero
+    # through subnormal floats, and every operation on a subnormal takes the
+    # CPU's slow path: such a round cost about 15 ms against 1 ms. Each
+    # aggregated model now flushes them to zero. Before, 16 of this run's 198
+    # rounds held subnormal coordinates, up to 13,455 of 13,456.
+    subnormal = []
+
+    def training(clients, config, on_round=None, initial_model=None):
+        def counting(info, model):
+            w = np.abs(model.flat)
+            subnormal.append(int(np.count_nonzero((w > 0) & (w < np.finfo(w.dtype).tiny))))
+
+        return run_federated(clients, config, counting, initial_model)
+
+    monkeypatch.setattr("fediot.harness.run_federated", training)
+    raw = config_to_dict(load_profile("adversarial-95"))
+    raw["data"].update(samples_per_device=1000, benign_fraction=0.5, benign_spread=0.5, attack_shift=8.0,
+                       noise_sigma=0.5)
+    raw["balance"] = {"benign_fraction": 0.5, "samples_per_device": 1000}
+    raw["training"].update(learning_rate=0.1, batch_size=8, epochs=2)
+    raw["protocol"] = {"folds": ["dev-0"], "repetitions": 1, "master_seed": 3}
+    result = run_experiment(config_from_dict(raw), str(tmp_path))
+    assert len(subnormal) == 198 and max(subnormal) == 0
+    assert all(row["f1"] == 0.0 for row in result.rows)  # the canceller still wins
 
 
 def manifest_config(tmp_path, **overrides):

@@ -38,8 +38,9 @@ at PERFBENCH_SEED. It counts only what Python allocates, so unlike
 `peak_rss_mb` it does not depend on when the allocator returns memory.
 Once per side, a fresh interpreter per approach runs one fold dev-0 x
 repetition 0 cell of the `full-scale-supervised` profile at one epoch,
-centralized and federated, and records its wall time, `ru_maxrss` in MB of
-2^20 bytes, and known F1. Each cell takes about 15 s and 2 GB on 2 vCPUs.
+centralized, federated and naive, and records its wall time, `ru_maxrss` in
+MB of 2^20 bytes, and known F1. Each cell takes about 15 s and 1-1.5 GB on
+2 vCPUs.
 
 For every end-to-end metric of BENCHMARK.json and every probe figure the
 record keeps each side's runs, median and quartiles; with a base, also
@@ -240,7 +241,7 @@ known = next(row for row in result.rows if row["scope"] == "known")
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 print(json.dumps({"wall_s": wall, "peak_rss_mb": rss, "known_f1": known["f1"]}))
 """
-CELL_APPROACHES = ("centralized", "federated")
+CELL_APPROACHES = ("centralized", "federated", "naive")
 
 
 def _env(checkout: Path) -> dict:
