@@ -672,28 +672,28 @@ class TestRunExperiment:
 class TestFleetMemory:
     """Which copies of the fleet an op holds, seen through weak references."""
 
-    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
-    def test_fleet_split_device_by_device(self, mode):
+    def test_fleet_split_device_by_device(self):
         # Each device is split on its labels, then drawn into its range of
         # the fleet's record array one at a time: at most one device's raw
         # stream lives beside the array. A device whose parts leave records
         # unnamed (unsupervised) is drawn whole into a temporary and
         # gathered; one that names every record is drawn in place.
-        raw = tiny_dict(mode=mode)
-        raw["data"].update(devices=6, samples_per_device=2000, feature_dim=64)
-        raw["balance"]["samples_per_device"] = 2000
-        config = config_from_dict(raw)
         stream_bytes = 2000 * 64 * 8
-        _fleet(config, 0, None)  # warm caches, as a later repetition finds them
-        tracemalloc.start()
-        try:
-            fleet = _fleet(config, 0, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = fleet.records.features.nbytes
-        assert all(np.shares_memory(p.records.features, fleet.records.features) for p in fleet.values())
-        assert peak < held + 1.5 * stream_bytes
+        for mode in ("supervised", "unsupervised"):
+            raw = tiny_dict(mode=mode)
+            raw["data"].update(devices=6, samples_per_device=2000, feature_dim=64)
+            raw["balance"]["samples_per_device"] = 2000
+            config = config_from_dict(raw)
+            _fleet(config, 0, None)  # warm caches, as a later repetition finds them
+            tracemalloc.start()
+            try:
+                fleet = _fleet(config, 0, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = fleet.records.features.nbytes
+            assert all(np.shares_memory(p.records.features, fleet.records.features) for p in fleet.values())
+            assert peak < held + 1.5 * stream_bytes, mode
 
     def test_one_repetition_fleet_held_at_a_time(self, tmp_path, monkeypatch):
         # Each repetition's record array, and every device's view of it,
