@@ -390,8 +390,10 @@ def _run_cell(
     attacks = dict.fromkeys(malicious_ids(train_ids, config.attack.f, mal_rng), config.attack)
     bounds, clients = [], []  # per group
     for ids in groups:
-        # Each device's training rows are gathered for its bounds, one device at a time.
-        bounds.append(merge_bounds([local_min_max(partitions[d].gather("train").features) for d in ids]))
+        # Each device's bounds are taken over its train rows in place: no row is gathered.
+        bounds.append(merge_bounds([
+            local_min_max(partitions[d].records.features, partitions[d].train) for d in ids
+        ]))
         members = [partitions[d] for d in ids]
         if config.approach == "centralized":
             # The pool indexes the fleet's record array and names only the
@@ -471,6 +473,99 @@ def _repetitions(config: ExperimentConfig):
         partitions = _fleet(config, rep, manifest_split)
         yield rep, partitions, _resolve_folds(config, list(partitions))
         partitions.clear()
+
+
+def _workers() -> int:
+    """How many processes may run cells at once: one per CPU this process may
+    run on (narrow it with taskset or a cpuset), or 1 where there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a forked cell worker, chained to it."""
+
+
+def _map_cells(run, jobs: list) -> list:
+    """[run(job) for job in jobs], with the jobs dealt across forked workers.
+
+    Worker w of W runs jobs w, w + W, w + 2W, ... in order. The calling
+    process is worker 0 and runs its share itself; the others are forked
+    once the repetition's fleet is drawn, read it from the memory they share
+    with the caller, and send their results back pickled through a pipe.
+    Results come back in job order. Each worker stops at its first failing
+    job, and the error of the lowest failing job is raised, as a serial loop
+    would raise it. A child leaves through os._exit, so it never unwinds the
+    caller's frames (which would delete a staging bundle), and every child
+    is reaped on every path. With one worker the jobs run in a plain loop.
+    """
+    workers = min(len(jobs), _workers())
+    if workers <= 1:
+        return [run(job) for job in jobs]
+    # Imported here: a run that forks nothing imports nothing for it.
+    import pickle
+    import signal
+    import traceback
+
+    def share(w: int):
+        # Worker w's results in order, and its first failure as (job, error, traceback) or None.
+        done = []
+        for i in range(w, len(jobs), workers):
+            try:
+                done.append(run(jobs[i]))
+            except Exception as exc:
+                return done, (i, exc, None if w == 0 else "".join(traceback.format_exception(exc)))
+        return done, None
+
+    outcomes, crashes = {}, []
+    children = {}  # pid -> (worker, read end of its pipe), until reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(share(w), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = (w, open(read, "rb"))
+        outcomes[0] = share(0)
+        for pid, (w, pipe) in list(children.items()):
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            try:
+                outcomes[w] = pickle.loads(payload)
+            except (EOFError, pickle.UnpicklingError):
+                how = f"was killed by {signal.Signals(-status).name}" if status < 0 else f"exited with {status}"
+                crashes.append(f"cell worker {w} (jobs {list(range(w, len(jobs), workers))}) "
+                               f"{how} before it sent its results")
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if crashes:
+        raise RuntimeError("; ".join(crashes))
+    failures = [failure for _, failure in outcomes.values() if failure is not None]
+    if failures:
+        _, exc, remote = min(failures, key=lambda failure: failure[0])
+        if remote is not None:
+            raise exc from _WorkerTraceback(remote)
+        raise exc
+    results = [None] * len(jobs)
+    for w, (done, _) in outcomes.items():
+        results[w::workers] = done
+    return results
 
 
 def summarize(rows: list[dict]) -> list[dict]:
@@ -557,7 +652,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     The bundle directory holds a reloadable config echo, one metrics row per
     run and scope, a per-device breakdown, the mean/min/max summary, and
     (when round logging is on) one JSON-lines trace per cell. Everything but
-    timing.json is a pure function of the config and its master seed.
+    timing.json is a pure function of the config and its master seed. A
+    repetition's folds run in parallel (_map_cells).
     """
     bundle = os.path.join(results_dir(out_dir), config.name)
     with _staged_bundle(bundle, config) as staging:
@@ -569,8 +665,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
         rows: list[dict] = []
         device_rows: list[dict] = []
         for rep, partitions, folds in _repetitions(config):
-            for fold in folds:
-                cell_rows, cell_devices = _run_cell(config, partitions, fold, rep, rounds_dir)
+            cells = _map_cells(lambda fold: _run_cell(config, partitions, fold, rep, rounds_dir), folds)
+            for cell_rows, cell_devices in cells:
                 rows.extend(cell_rows)
                 device_rows.extend(cell_devices)
         elapsed = time.monotonic() - started
@@ -602,7 +698,7 @@ def attack_sweep(
     Every cell runs the full fold x repetition protocol and records the
     mean, min, and max F1 on known devices. f=0 runs once per rule as the
     honest baseline. Each repetition's fleet is built once and shared by
-    all cells.
+    all cells, which run in parallel (_map_cells).
     """
     if config.approach != "federated":
         raise ConfigError("attack sweeps need the federated approach")
@@ -630,10 +726,15 @@ def attack_sweep(
                 attack = AttackSpec() if f == 0 else AttackSpec(kind=kind, f=f)
                 cells.append((kind, rule, f, replace(config, aggregation=rule, attack=attack), []))
     for rep, partitions, folds in _repetitions(config):
-        for *_, cell, f1s in cells:
-            for fold in folds:
-                run_rows, _ = _run_cell(cell, partitions, fold, rep, None)
-                f1s.extend(r["f1"] for r in run_rows if r["scope"] == KNOWN_SCOPE)
+
+        def known_f1s(job):
+            cell, fold, _ = job
+            run_rows, _ = _run_cell(cell, partitions, fold, rep, None)
+            return [r["f1"] for r in run_rows if r["scope"] == KNOWN_SCOPE]
+
+        jobs = [(cell, fold, f1s) for *_, cell, f1s in cells for fold in folds]
+        for (*_, f1s), job_f1s in zip(jobs, _map_cells(known_f1s, jobs)):
+            f1s.extend(job_f1s)
     rows = [
         {
             "attack": kind,

@@ -31,12 +31,26 @@ class ScalingBounds:
         return np.where(constant, 1.0, span), constant
 
 
-def local_min_max(features: np.ndarray) -> ScalingBounds:
-    """Compute per-feature bounds over one client's own training records."""
+def local_min_max(features: np.ndarray, rows: np.ndarray | None = None) -> ScalingBounds:
+    """Compute per-feature bounds over one client's own training records.
+
+    With rows, the bounds are those of features[rows] (positions may
+    repeat), reduced in place under a row mask: no row is copied.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise SchemaError(f"need a non-empty (n, F) array, got shape {features.shape}")
-    return ScalingBounds(features.min(axis=0), features.max(axis=0))
+    if rows is None:
+        return ScalingBounds(features.min(axis=0), features.max(axis=0))
+    mask = np.zeros(features.shape[0], dtype=bool)
+    mask[rows] = True
+    if not mask.any():
+        raise SchemaError("need at least one row to bound")
+    where = mask[:, None]
+    return ScalingBounds(
+        np.minimum.reduce(features, axis=0, where=where, initial=np.inf),
+        np.maximum.reduce(features, axis=0, where=where, initial=-np.inf),
+    )
 
 
 def merge_bounds(bounds: list[ScalingBounds]) -> ScalingBounds:

@@ -1,6 +1,8 @@
 import copy
 import json
 import os
+import signal
+import time
 import tracemalloc
 import weakref
 
@@ -16,7 +18,7 @@ from fediot.dataset import (
     load_device_csv,
 )
 from fediot import cli
-from fediot.errors import ConfigError
+from fediot.errors import ConfigError, PoisonedUpdateError
 from fediot.federation import build_client, evaluate, run_federated
 from fediot.harness import (
     DataSource,
@@ -47,6 +49,7 @@ from fediot.neuralnet import (
     classify,
     init_model,
 )
+from fediot.preprocess import local_min_max
 
 
 def tiny_dict(**overrides):
@@ -66,6 +69,19 @@ def tiny_dict(**overrides):
 
 def tiny_config(**overrides):
     return config_from_dict(tiny_dict(**overrides))
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    # Every cell runs in the test's own process, where the functions the
+    # test patches count its calls.
+    monkeypatch.setattr("fediot.harness._workers", lambda: 1)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    # Cells are dealt to the test's process and one forked worker.
+    monkeypatch.setattr("fediot.harness._workers", lambda: 2)
 
 
 def _snapshot(bundle):
@@ -440,6 +456,7 @@ class TestRunExperiment:
             config = tiny_config(approach=approach, aggregation=rule)
             assert run_experiment(config, str(tmp_path / rule["rule"])).rows == plain.rows
 
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("approach, fleet", [("naive", 2), ("federated", 2), ("centralized", 1)])
     def test_one_training_call_per_cell(self, tmp_path, monkeypatch, approach, fleet):
         # 3 devices, 3 cells of 2 training devices each.
@@ -455,6 +472,7 @@ class TestRunExperiment:
         expected = 60 if approach == "federated" else 0
         assert all(r["aggregations"] == expected for r in result.rows)
 
+    @pytest.mark.usefixtures("one_worker")
     def test_naive_grid_trains_once_per_distinct_winner(self, tmp_path, monkeypatch):
         # dev-1 picks preset B, every other device preset A: each cell of 3
         # training devices trains one fleet per winner, and each device
@@ -565,6 +583,7 @@ class TestRunExperiment:
         ]
         assert sorted(os.listdir(tmp_path)) == ["tiny"]
 
+    @pytest.mark.usefixtures("one_worker")
     def test_interrupted_rerun_leaves_the_earlier_bundle(self, tmp_path, monkeypatch):
         raw = tiny_dict()
         raw["training"]["log_rounds"] = True
@@ -588,6 +607,7 @@ class TestRunExperiment:
         assert _snapshot(bundle) == before
         assert sorted(os.listdir(tmp_path)) == ["tiny"]
 
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize(
         "approach, per_cell", [("federated", 3), ("naive", 4), ("centralized", 3)]
     )
@@ -716,6 +736,28 @@ class TestFleetMemory:
         run_experiment(tiny_config(protocol=protocol), str(tmp_path))
         assert len(refs) == 8 and alive == [0, 0]
 
+    @pytest.mark.usefixtures("one_worker")
+    @pytest.mark.parametrize("approach", ["naive", "federated", "centralized"])
+    def test_bounds_read_the_fleet_records_in_place(self, tmp_path, monkeypatch, approach):
+        # Each training device's scaling bounds are taken over its train rows
+        # of the fleet's record array, not over a gathered copy of them.
+        fleets, shared = [], []
+
+        def tracked(*args):
+            partitions = _fleet(*args)
+            fleets.append(partitions.records.features)
+            return partitions
+
+        def bounding(features, rows):
+            shared.append(np.shares_memory(features, fleets[-1]))
+            return local_min_max(features, rows)
+
+        monkeypatch.setattr("fediot.harness._fleet", tracked)
+        monkeypatch.setattr("fediot.harness.local_min_max", bounding)
+        run_experiment(tiny_config(approach=approach), str(tmp_path))
+        assert shared == [True] * 6  # 3 cells of 2 training devices
+
+    @pytest.mark.usefixtures("one_worker")
     @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
     def test_centralized_pool_holds_only_what_training_reads(self, tmp_path, monkeypatch, mode):
         # The pooled client of each cell reads the fleet's record array
@@ -881,6 +923,152 @@ class TestAttackSweep:
         result = attack_sweep(config, [0, 1], str(tmp_path))
         assert all(r["runs"] == 2 for r in result.rows)
         assert calls == [derive_seed(3, 0, "fleet"), derive_seed(3, 1, "fleet")]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial_and_dealt(monkeypatch, run, workers=2):
+    # run() once with every cell in this process and once dealt to workers.
+    monkeypatch.setattr("fediot.harness._workers", lambda: 1)
+    serial = run("serial")
+    monkeypatch.setattr("fediot.harness._workers", lambda: workers)
+    dealt = run("dealt")
+    _no_child_left()
+    return serial, dealt
+
+
+def _failing_in(monkeypatch, folds, fail):
+    # run_federated calls fail(fold) in the cells that hold out one of folds.
+    def training(clients, *args, **kwargs):
+        fold = next(f for f in ("dev-0", "dev-1", "dev-2") if f not in {c.client_id for c in clients})
+        if fold in folds:
+            fail(fold)
+        return run_federated(clients, *args, **kwargs)
+
+    monkeypatch.setattr("fediot.harness.run_federated", training)
+
+
+class TestParallelCells:
+    """A repetition's cells dealt across forked workers give the serial bundle."""
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        # A caller left waiting on a worker fails the test instead of hanging it.
+        def overdue(*_):
+            raise TimeoutError("the cell workers did not finish within 120 s")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(120)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+    def test_dealt_experiment_bundle_is_the_serial_one(self, tmp_path, monkeypatch, mode):
+        raw = tiny_dict(mode=mode, protocol={"folds": "all", "repetitions": 2, "master_seed": 5})
+        raw["training"]["log_rounds"] = True
+
+        def run(name):
+            bundle = run_experiment(config_from_dict(raw), str(tmp_path / name)).path
+            files = _snapshot(bundle)
+            del files["timing.json"]
+            return files
+
+        serial, dealt = _serial_and_dealt(monkeypatch, run)
+        assert len([name for name in serial if name.startswith("rounds/")]) == 6
+        assert dealt == serial
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_dealt_sweep_bundle_is_the_serial_one(self, tmp_path, monkeypatch, workers):
+        # 4 workers on a host with fewer CPUs share them, and deal 60 jobs unevenly.
+        raw = tiny_dict(protocol={"folds": ["dev-0", "dev-3"], "repetitions": 2, "master_seed": 5})
+        raw["data"]["devices"] = 7
+
+        def run(name):
+            return _snapshot(attack_sweep(config_from_dict(raw), [0, 1], str(tmp_path / name)).path)
+
+        serial, dealt = _serial_and_dealt(monkeypatch, run, workers)
+        assert dealt == serial
+
+    def test_failure_in_a_worker_is_the_serial_failure(self, tmp_path, monkeypatch):
+        # dev-1's cell is job 1 of 3, dealt to the forked worker.
+        raw = tiny_dict()
+        raw["training"]["log_rounds"] = True
+        bundle = run_experiment(config_from_dict(raw), str(tmp_path)).path
+        before = _snapshot(bundle)
+
+        def fail(fold):
+            raise PoisonedUpdateError(f"cell {fold} failed in process {os.getpid()}")
+
+        _failing_in(monkeypatch, {"dev-1"}, fail)
+        raw["protocol"]["master_seed"] = 99
+        errors = []
+
+        def run(name):
+            with pytest.raises(PoisonedUpdateError) as caught:
+                run_experiment(config_from_dict(raw), str(tmp_path))
+            errors.append(caught.value)
+            assert _snapshot(bundle) == before
+            assert sorted(os.listdir(tmp_path)) == ["tiny"]
+
+        _serial_and_dealt(monkeypatch, run)
+        serial, dealt = (str(e).rsplit(" ", 1) for e in errors)
+        assert serial[0] == dealt[0] == "cell dev-1 failed in process"
+        assert serial[1] == str(os.getpid()) != dealt[1]  # the dealt one failed in the worker
+        assert type(errors[0]) is type(errors[1])
+
+    @pytest.mark.parametrize("folds, first", [({"dev-1", "dev-2"}, "dev-1"), ({"dev-0", "dev-1"}, "dev-0")],
+                             ids=["worker-first", "caller-first"])
+    def test_lowest_failing_job_wins(self, tmp_path, monkeypatch, two_workers, folds, first):
+        # Jobs 0 and 2 run in the calling process, job 1 in the worker.
+        def fail(fold):
+            raise ConfigError(f"cell {fold} failed")
+
+        _failing_in(monkeypatch, folds, fail)
+        with pytest.raises(ConfigError, match=f"^cell {first} failed$"):
+            run_experiment(tiny_config(), str(tmp_path))
+        _no_child_left()
+
+    def test_killed_worker_raises_naming_its_jobs(self, tmp_path, monkeypatch, two_workers):
+        caller = os.getpid()
+
+        def die(fold):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _failing_in(monkeypatch, {"dev-1"}, die)
+        with pytest.raises(RuntimeError, match=r"cell worker 1 \(jobs \[1\]\) was killed by SIGKILL"):
+            run_experiment(tiny_config(), str(tmp_path))
+        _no_child_left()
+        assert sorted(os.listdir(tmp_path)) == []
+
+    def test_interrupt_kills_and_reaps_the_workers(self, tmp_path, monkeypatch, two_workers):
+        # The caller is interrupted in its own cell while the worker is still
+        # busy in dev-1's: the worker is killed, not waited for.
+        caller = os.getpid()
+
+        def interrupt(fold):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        _failing_in(monkeypatch, {"dev-0", "dev-1"}, interrupt)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(tiny_config(), str(tmp_path))
+        assert time.monotonic() - started < 30
+        _no_child_left()
+        assert sorted(os.listdir(tmp_path)) == []
+
+    def test_one_cell_runs_in_the_calling_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for one cell")
+
+        monkeypatch.setattr("os.fork", no_fork)
+        run_experiment(tiny_config(protocol={"folds": ["dev-0"], "repetitions": 2}), str(tmp_path))
 
 
 def test_collapsed_average_holds_no_subnormal_weight(tmp_path, monkeypatch):

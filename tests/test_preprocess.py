@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +52,35 @@ class TestLocalMinMax:
     def test_empty_rejected(self):
         with pytest.raises(SchemaError):
             local_min_max(np.zeros((0, 3)))
+        with pytest.raises(SchemaError):
+            local_min_max(np.zeros((4, 3)), np.empty(0, dtype=np.intp))
+
+    @given(finite_matrix, st.data())
+    def test_row_positions_bound_the_gathered_rows(self, features, data):
+        # Positions repeat and come in any order, as an upsampled part's do.
+        positions = st.lists(st.integers(0, len(features) - 1), min_size=1, max_size=3 * len(features))
+        rows = np.array(data.draw(positions), dtype=np.intp)
+        got = local_min_max(features, rows)
+        want = local_min_max(features[rows])
+        np.testing.assert_array_equal(got.x_min, want.x_min)
+        np.testing.assert_array_equal(got.x_max, want.x_max)
+
+    def test_row_positions_bounded_without_a_copy(self):
+        # A device's records at full scale are tens of MB; its bounds read
+        # them in place. 16,000 sorted positions with repeats, of 20,000 rows.
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(20_000, 115))
+        rows = np.sort(rng.integers(0, len(features), 16_000))
+        local_min_max(features, rows)
+        tracemalloc.start()
+        try:
+            got = local_min_max(features, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got.x_min, features[rows].min(axis=0))
+        np.testing.assert_array_equal(got.x_max, features[rows].max(axis=0))
+        assert peak < 0.1 * rows.size * features.shape[1] * 8
 
 
 class TestMergeBounds:

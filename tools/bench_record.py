@@ -36,6 +36,13 @@ workload: the tracemalloc peak, in MB of 2^20 bytes, of one operation after
 the warm-up, with inputs built by that checkout's `perfbench/workloads.py`
 at PERFBENCH_SEED. It counts only what Python allocates, so unlike
 `peak_rss_mb` it does not depend on when the allocator returns memory.
+Each side also runs the forked-op probe PAIRS times on every CPU of the
+record's affinity and PAIRS times pinned to one of them (the affinity is
+set on the probe's own interpreter only): one robust-sweep operation after
+its warm-up, whose wall time, `ru_maxrss` of the probe and largest
+`RUSAGE_CHILDREN` `ru_maxrss`, both in MB of 2^20 bytes, it records. Where a
+checkout deals a sweep's cells to forked workers, the children's peak shows
+the memory that moved to them, which `peak_rss_mb` does not see.
 Once per side, a fresh interpreter per approach runs one fold dev-0 x
 repetition 0 cell of the `full-scale-supervised` profile at one epoch,
 centralized, federated and naive, and records its wall time, `ru_maxrss` in
@@ -51,7 +58,7 @@ cell figures by approach. The record holds each checkout's git
 revision, with a flag for uncommitted changes and the sha256 of
 `git diff HEAD` (null when tracked files are unchanged), so a record made
 on a dirty tree names the exact sources, and the environment (python,
-numpy, BLAS, CPUs).
+numpy, BLAS, CPUs and the CPU affinity the record ran with).
 """
 from __future__ import annotations
 
@@ -243,6 +250,28 @@ print(json.dumps({"wall_s": wall, "peak_rss_mb": rss, "known_f1": known["f1"]}))
 """
 CELL_APPROACHES = ("centralized", "federated", "naive")
 
+# One robust-sweep operation after its warm-up, with inputs built by the
+# checkout's perfbench/workloads.py at the seed in argv[1]; prints its wall
+# time and the peak RSS of this interpreter and of its largest child.
+FORKED_OP_PROBE = r"""
+import json, resource, sys, tempfile, time
+sys.path.insert(0, "perfbench")
+import workloads
+
+workload = workloads.WORKLOADS["robust-sweep"]
+with tempfile.TemporaryDirectory() as work:
+    prep = workload.prepare(int(sys.argv[1]), work, True)
+    workload.warmup(prep)
+    start = time.perf_counter()
+    workload.run(prep)
+    wall = time.perf_counter() - start
+print(json.dumps({
+    "wall_s": wall,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+}))
+"""
+
 
 def _env(checkout: Path) -> dict:
     env = dict(os.environ, **BLAS_ENV)
@@ -265,9 +294,12 @@ def _workload(checkout: Path, name: str, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def _probe(checkout: Path, probe: str, *args: str) -> dict:
+def _probe(checkout: Path, probe: str, *args: str, cpus: set[int] | None = None) -> dict:
+    # With cpus, the probe's interpreter runs on those CPUs only.
     command = [sys.executable, "-c", probe, *args]
-    done = subprocess.run(command, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
+    pin = None if cpus is None else lambda: os.sched_setaffinity(0, cpus)
+    done = subprocess.run(command, cwd=checkout, env=_env(checkout), capture_output=True, text=True,
+                          preexec_fn=pin)
     if done.returncode != 0:
         raise SystemExit(f"probe failed:\n{done.stderr}")
     return json.loads(done.stdout)
@@ -285,6 +317,7 @@ def _environment(checkout: Path) -> dict:
         "blas_threads": int(BLAS_ENV["OPENBLAS_NUM_THREADS"]),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
+        "affinity": sorted(os.sched_getaffinity(0)),
     }
 
 
@@ -345,7 +378,8 @@ def _measure(sides: dict, bench: dict) -> dict:
         }
     record = {"perfbench": {"seed": PERFBENCH_SEED, "seconds": seconds, "trace": 0, "pairs": PAIRS,
                             "workloads": workloads},
-              "full_scale_cell": cells}
+              "full_scale_cell": cells,
+              "forked_op": _forked_op(sides)}
     probes = (("aggregate_ms", AGGREGATE_PROBE), ("reduce_rows_ms", REDUCE_PROBE),
               ("mini_batch_round_ms", ROUND_PROBE))
     for key, probe in probes:
@@ -357,6 +391,19 @@ def _measure(sides: dict, bench: dict) -> dict:
                 values = {side: [r["ms"][rule][k] for r in runs[side]] for side in sides}
                 record[key][rule][k] = _compare(values, True)
     return record
+
+
+def _forked_op(sides: dict) -> dict:
+    # The forked-op probe's figures on every CPU and pinned to the lowest one.
+    out = {}
+    affinity = os.sched_getaffinity(0)
+    for label, cpus in (("all_cpus", None), ("one_cpu", {min(affinity)})):
+        runs = _alternate(sides, f"forked op, {label}",
+                          lambda checkout: _probe(checkout, FORKED_OP_PROBE, str(PERFBENCH_SEED), cpus=cpus))
+        out[label] = {"cpus": len(affinity) if cpus is None else 1}
+        for key in runs["change"][0]:
+            out[label][key] = _compare({side: [r[key] for r in runs[side]] for side in sides}, True)
+    return out
 
 
 def _revision(checkout: Path) -> dict:
