@@ -485,87 +485,19 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-class _WorkerTraceback(Exception):
-    """The traceback of an error raised in a forked cell worker, chained to it."""
-
-
 def _map_cells(run, jobs: list) -> list:
     """[run(job) for job in jobs], with the jobs dealt across forked workers.
 
-    Worker w of W runs jobs w, w + W, w + 2W, ... in order. The calling
-    process is worker 0 and runs its share itself; the others are forked
-    once the repetition's fleet is drawn, read it from the memory they share
-    with the caller, and send their results back pickled through a pipe.
-    Results come back in job order. Each worker stops at its first failing
-    job, and the error of the lowest failing job is raised, as a serial loop
-    would raise it. A child leaves through os._exit, so it never unwinds the
-    caller's frames (which would delete a staging bundle), and every child
-    is reaped on every path. With one worker the jobs run in a plain loop.
+    With one worker (one job, or one CPU) the jobs run in a plain loop in
+    the calling process. Otherwise _forked.deal runs them: it is imported,
+    and so compiled, only by a run that forks.
     """
     workers = min(len(jobs), _workers())
     if workers <= 1:
         return [run(job) for job in jobs]
-    # Imported here: a run that forks nothing imports nothing for it.
-    import pickle
-    import signal
-    import traceback
+    from ._forked import deal
 
-    def share(w: int):
-        # Worker w's results in order, and its first failure as (job, error, traceback) or None.
-        done = []
-        for i in range(w, len(jobs), workers):
-            try:
-                done.append(run(jobs[i]))
-            except Exception as exc:
-                return done, (i, exc, None if w == 0 else "".join(traceback.format_exception(exc)))
-        return done, None
-
-    outcomes, crashes = {}, []
-    children = {}  # pid -> (worker, read end of its pipe), until reaped
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read)
-                    with open(write, "wb") as pipe:
-                        pickle.dump(share(w), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children[pid] = (w, open(read, "rb"))
-        outcomes[0] = share(0)
-        for pid, (w, pipe) in list(children.items()):
-            with pipe:
-                payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            try:
-                outcomes[w] = pickle.loads(payload)
-            except (EOFError, pickle.UnpicklingError):
-                how = f"was killed by {signal.Signals(-status).name}" if status < 0 else f"exited with {status}"
-                crashes.append(f"cell worker {w} (jobs {list(range(w, len(jobs), workers))}) "
-                               f"{how} before it sent its results")
-    finally:
-        for pid, (_, pipe) in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if crashes:
-        raise RuntimeError("; ".join(crashes))
-    failures = [failure for _, failure in outcomes.values() if failure is not None]
-    if failures:
-        _, exc, remote = min(failures, key=lambda failure: failure[0])
-        if remote is not None:
-            raise exc from _WorkerTraceback(remote)
-        raise exc
-    results = [None] * len(jobs)
-    for w, (done, _) in outcomes.items():
-        results[w::workers] = done
-    return results
+    return deal(run, jobs, workers)
 
 
 def summarize(rows: list[dict]) -> list[dict]:
@@ -653,7 +585,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Expe
     run and scope, a per-device breakdown, the mean/min/max summary, and
     (when round logging is on) one JSON-lines trace per cell. Everything but
     timing.json is a pure function of the config and its master seed. A
-    repetition's folds run in parallel (_map_cells).
+    repetition's folds run in parallel (see _forked.deal).
     """
     bundle = os.path.join(results_dir(out_dir), config.name)
     with _staged_bundle(bundle, config) as staging:
@@ -698,7 +630,7 @@ def attack_sweep(
     Every cell runs the full fold x repetition protocol and records the
     mean, min, and max F1 on known devices. f=0 runs once per rule as the
     honest baseline. Each repetition's fleet is built once and shared by
-    all cells, which run in parallel (_map_cells).
+    all cells, which run in parallel (see _forked.deal).
     """
     if config.approach != "federated":
         raise ConfigError("attack sweeps need the federated approach")
