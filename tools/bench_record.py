@@ -41,8 +41,9 @@ record's affinity and PAIRS times pinned to one of them (the affinity is
 set on the probe's own interpreter only): one robust-sweep operation after
 its warm-up, whose wall time, `ru_maxrss` of the probe and largest
 `RUSAGE_CHILDREN` `ru_maxrss`, both in MB of 2^20 bytes, it records. Where a
-checkout deals a sweep's cells to forked workers, the children's peak shows
-the memory that moved to them, which `peak_rss_mb` does not see.
+checkout deals a sweep's cells to forked workers, `peak_rss_mb` does not see
+them; the children's peak is the largest worker's, pages it shares
+copy-on-write with the caller included.
 Once per side, a fresh interpreter per approach runs one fold dev-0 x
 repetition 0 cell of the `full-scale-supervised` profile at one epoch,
 centralized, federated and naive, and records its wall time, `ru_maxrss` in
